@@ -29,10 +29,12 @@ from .fock import (
     displaced_fock_state,
     displacement_operator,
     evolve,
+    evolve_state,
     mode_annihilation,
     polarizer_generator,
     polarizer_unitary,
     principal_phase,
+    triple_overlap,
     triple_product_trace,
 )
 from .geomphase import (

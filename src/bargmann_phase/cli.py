@@ -4,17 +4,14 @@ Subcommands: phase (one configuration, all methods), sweep (angle grid),
 validate (invariant suite), pfunc (emit a P object as JSON).
 
 Exit codes: 0 success and agreement, 1 bad input or usage, 2 numerical
-disagreement beyond tolerance. BARGMANN_PHASE_THREADS caps the worker
-threads used for sweeps.
+disagreement beyond tolerance.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import io as io_mod
@@ -63,6 +60,10 @@ def _parse_vertex(text: str):
     parts = [float(x) for x in text.split(",")]
     if len(parts) != 4:
         raise ValueError(f"a vertex is 'q1,p1,q2,p2', got {text!r}")
+    # |z|^2 enters every overlap exponent; past the float range the routes
+    # overflow instead of answering
+    if not all(math.isfinite(q * q + p * p) for q, p in (parts[:2], parts[2:])):
+        raise ValueError(f"--centers needs finite q, p with finite q^2 + p^2, got {text!r}")
     return (PhaseSpacePoint(parts[0], parts[1]), PhaseSpacePoint(parts[2], parts[3]))
 
 
@@ -73,7 +74,7 @@ def _parse_centers(text: str):
     return [_parse_vertex(g) for g in groups]
 
 
-def _parse_theta(text: str, allow_grid: bool):
+def _parse_theta(text: str, flag: str, allow_grid: bool):
     """A plain angle, or 'start:stop:count' for a half-open sweep grid."""
     if ":" in text:
         if not allow_grid:
@@ -86,8 +87,13 @@ def _parse_theta(text: str, allow_grid: bool):
         if count < 1:
             raise ValueError("grid count must be positive")
         step = (stop - start) / count
-        return [start + i * step for i in range(count)]
-    return [float(text)]
+        values = [start + i * step for i in range(count)]
+        checked = (start, stop, step)
+    else:
+        values = checked = [float(text)]
+    if not all(math.isfinite(x) for x in checked):
+        raise ValueError(f"{flag} must be finite, got {text!r}")
+    return values
 
 
 def _add_common(parser, default_n_max=25):
@@ -102,8 +108,8 @@ def _add_common(parser, default_n_max=25):
 def _run_config(args, fmt: str) -> RunConfig:
     if args.n_max < 5:
         raise ValueError(f"--n-max must be >= 5, got {args.n_max}")
-    if args.tol <= 0:
-        raise ValueError("--tol must be positive")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be finite and positive, got {args.tol!r}")
     return RunConfig(n_max=args.n_max, tol=args.tol, seed=args.seed, fmt=fmt, out=args.out)
 
 
@@ -113,17 +119,6 @@ def _emit(text: str, out: str | None):
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _worker_count(n_jobs: int) -> int:
-    limit = os.cpu_count() or 1
-    env = os.environ.get("BARGMANN_PHASE_THREADS")
-    if env:
-        try:
-            limit = min(limit, max(1, int(env)))
-        except ValueError:
-            raise ValueError(f"BARGMANN_PHASE_THREADS must be an integer, got {env!r}")
-    return max(1, min(limit, n_jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +132,8 @@ def _scenario_from_args(args) -> PhaseScenario:
         if args.theta1 is not None or args.theta2 is not None:
             raise ValueError("angles and three explicit vertices are mutually exclusive")
         return PhaseScenario.independent(occupation, *vertices)
-    theta1 = _parse_theta(args.theta1 or "0", allow_grid=False)[0]
-    theta2 = _parse_theta(args.theta2 or "0", allow_grid=False)[0]
+    theta1 = _parse_theta(args.theta1 or "0", "--theta1", allow_grid=False)[0]
+    theta2 = _parse_theta(args.theta2 or "0", "--theta2", allow_grid=False)[0]
     return PhaseScenario.evolved(occupation, vertices[0], theta1, theta2)
 
 
@@ -205,21 +200,13 @@ def cmd_sweep(args) -> int:
     vertices = _parse_centers(args.centers)
     if len(vertices) != 1:
         raise ValueError("sweep takes a single initial vertex")
-    grid1 = _parse_theta(args.theta1, allow_grid=True)
-    grid2 = _parse_theta(args.theta2, allow_grid=True)
+    grid1 = _parse_theta(args.theta1, "--theta1", allow_grid=True)
+    grid2 = _parse_theta(args.theta2, "--theta2", allow_grid=True)
     scenarios = [
         PhaseScenario.evolved(occupation, vertices[0], t1, t2) for t1 in grid1 for t2 in grid2
     ]
 
-    def run(scenario):
-        return method_reconciliation(scenario, dim=config.dim, tolerance=config.tol)
-
-    workers = _worker_count(len(scenarios))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run, scenarios))
-    else:
-        rows = [run(s) for s in scenarios]
+    rows = [method_reconciliation(s, dim=config.dim, tolerance=config.tol) for s in scenarios]
     sweep_rows = [io_mod.sweep_row(r) for r in rows]
     if config.fmt == "json":
         doc = io_mod.sweep_document(sweep_rows, config.n_max, config.tol)

@@ -66,9 +66,8 @@ def label_map_matrix(theta: float) -> np.ndarray:
 def polarizer_label_map(theta: float, v: CoherentLabel) -> CoherentLabel:
     """Label of the polarizer-evolved coherent state (u† |v> convention).
 
-    Matches fock.evolve with polarizer_unitary(theta) exactly: evolving the
-    density matrix of |v> yields the density matrix of this label, with no
-    residual phase.
+    Matches fock.evolve_state exactly: evolving the state vector of |v>
+    yields the state vector of this label, with no residual phase.
     """
     w1, w2 = label_map_matrix(theta) @ v.as_array()
     return CoherentLabel(z1=complex(w1), z2=complex(w2))

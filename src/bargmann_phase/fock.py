@@ -16,6 +16,12 @@ they are exactly unitary in floating point (no series truncation):
   between-sector entries exact zeros;
 * displacements exp{z a† - conj(z) a} use a dense eigh per mode.
 
+The oracle works on pure-state vectors: the invariant is
+<psi1|psi2><psi2|psi3><psi3|psi1> (triple_overlap), and a polarizer step
+psi -> U† psi is a matvec per sector in the cached eigenbasis
+(evolve_state). No dense unitary is cached; the operator forms serve the
+operator identity checks.
+
 Truncation is the only approximation. Displacements with |z| beyond
 n_max/10 leak noticeable weight past the cutoff and trigger a
 TruncationLeakageWarning.
@@ -49,6 +55,8 @@ __all__ = [
     "displacement_operator",
     "displaced_fock_state",
     "coherent_state",
+    "evolve_state",
+    "triple_overlap",
     "DensityOperator",
     "evolve",
     "triple_product_trace",
@@ -129,14 +137,16 @@ def phase_result(invariant: complex, method: str, phase: float | None = None) ->
 
     An explicitly supplied phase (already principal) overrides the arg of
     the invariant; closed forms use this to keep exact arithmetic exact.
+    A phase within 1e-12 of the cut at -pi is reported as pi, so roundoff
+    cannot print a negative real invariant as -pi.
     """
     invariant = complex(invariant)
     if abs(invariant) < UNDEFINED_PHASE_CUTOFF:
         return PhaseResult(invariant=invariant, phase=None, method=method)
     if phase is None:
         phase = cmath.phase(invariant)
-        if phase == -math.pi:
-            phase = math.pi
+    if phase < -math.pi + 1e-12:
+        phase = math.pi
     return PhaseResult(invariant=invariant, phase=phase, method=method)
 
 
@@ -171,7 +181,8 @@ def _polarizer_sectors(n_max: int) -> tuple:
 
     Sector N has basis |n1, N-n1> for n1 in [max(0, N-n_max), min(N, n_max)].
     The restricted generator is real symmetric tridiagonal with
-    <n1+1, n2-1| a1†a2 |n1, n2> = sqrt((n1+1) n2).
+    <n1+1, n2-1| a1†a2 |n1, n2> = sqrt((n1+1) n2). Each eigenbasis V is
+    checked orthogonal, so every V exp(i theta lambda) V^T is unitary.
     """
     m = n_max + 1
     sectors = []
@@ -186,6 +197,9 @@ def _polarizer_sectors(n_max: int) -> tuple:
             n1 = occ1[row]
             gen[row, row + 1] = gen[row + 1, row] = math.sqrt((n1 + 1) * (total - n1))
         vals, vecs = np.linalg.eigh(gen)
+        defect = float(np.max(np.abs(vecs.T @ vecs - np.eye(size))))
+        if defect > 1e-10:
+            raise ValueError(f"sector {total} eigenbasis not orthogonal: {defect:.3e}")
         indices.flags.writeable = False
         vals.flags.writeable = False
         vecs.flags.writeable = False
@@ -193,23 +207,16 @@ def _polarizer_sectors(n_max: int) -> tuple:
     return tuple(sectors)
 
 
-@lru_cache(maxsize=256)
-def _polarizer_unitary_cached(theta: float, n_max: int) -> np.ndarray:
-    dim = (n_max + 1) ** 2
-    u = np.zeros((dim, dim), dtype=complex)
-    for indices, vals, vecs in _polarizer_sectors(n_max):
-        block = (vecs * np.exp(1j * theta * vals)) @ vecs.T
-        u[np.ix_(indices, indices)] = block
-    u.flags.writeable = False
-    return u
-
-
 def polarizer_unitary(theta: float, dim: TruncationDim) -> np.ndarray:
     """exp{i theta (a1†a2 + a2†a1)} on the truncated joint space.
 
     Exactly unitary and exactly block diagonal over total photon number.
+    Dense, for operator identities; states evolve with evolve_state.
     """
-    return _polarizer_unitary_cached(float(theta), dim.n_max)
+    u = np.zeros((dim.dim, dim.dim), dtype=complex)
+    for indices, vals, vecs in _polarizer_sectors(dim.n_max):
+        u[np.ix_(indices, indices)] = (vecs * np.exp(1j * theta * vals)) @ vecs.T
+    return u
 
 
 def _displacement_guard(z: complex, n_max: int):
@@ -261,6 +268,27 @@ def displaced_fock_state(
 def coherent_state(z1: complex, z2: complex, dim: TruncationDim) -> np.ndarray:
     """Two-mode coherent state vector |z1, z2> = D(z1, z2)|0, 0>."""
     return displaced_fock_state(z1, 0, z2, 0, dim)
+
+
+def evolve_state(psi: np.ndarray, theta: float, dim: TruncationDim) -> np.ndarray:
+    """psi -> U† psi, U = polarizer_unitary(theta, dim); the vector form of evolve.
+
+    Per photon-number sector, U† = V exp(-i theta lambda) V^T.
+    """
+    if psi.shape != (dim.dim,):
+        raise ValueError(f"vector shape {psi.shape} does not match dim {dim.dim}")
+    out = np.empty(dim.dim, dtype=complex)
+    for indices, vals, vecs in _polarizer_sectors(dim.n_max):
+        out[indices] = vecs @ (np.exp(-1j * theta * vals) * (vecs.T @ psi[indices]))
+    return out
+
+
+def triple_overlap(psi1: np.ndarray, psi2: np.ndarray, psi3: np.ndarray) -> PhaseResult:
+    """Tr(rho1 rho2 rho3) of pure states: <psi1|psi2><psi2|psi3><psi3|psi1>."""
+    if not (psi1.shape == psi2.shape == psi3.shape):
+        raise ValueError("state vectors live on different truncations")
+    inv = np.vdot(psi1, psi2) * np.vdot(psi2, psi3) * np.vdot(psi3, psi1)
+    return phase_result(inv, METHOD_FOCK_ORACLE)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Three routes to arg Tr(rho1 rho2 rho3) are implemented and reconciled:
 
-* fock route (oracle): truncated matrices, fock.triple_product_trace;
+* fock route (oracle): truncated state vectors, the polarizer applied per
+  photon-number sector (fock.evolve_state) and fock.triple_overlap;
 * phase-space route: exact distributional evaluation of the sextuple
   integral of P1 P2 P3 against the coherent-overlap kernel, see below;
 * reference closed form: a transcription of a published arctan formula
@@ -42,14 +43,13 @@ from .coherent import CoherentLabel, bargmann_triple_coherent, label_map_matrix
 from .fock import (
     METHOD_PHASE_SPACE_PAIRING,
     METHOD_PRINTED_CLOSED_FORM,
-    DensityOperator,
     PhaseResult,
     TruncationDim,
-    evolve,
+    displaced_fock_state,
+    evolve_state,
     phase_result,
-    polarizer_unitary,
     principal_phase,
-    triple_product_trace,
+    triple_overlap,
 )
 from .pdistribution import ORIGIN, PhaseSpacePoint, QuasiProbability, mehta_p_function
 
@@ -108,8 +108,8 @@ class StateSpec:
     def quasi_probability(self) -> QuasiProbability:
         return mehta_p_function(self.occupation, shift=self.centers)
 
-    def density_operator(self, dim: TruncationDim) -> DensityOperator:
-        return DensityOperator.displaced_fock(
+    def state_vector(self, dim: TruncationDim) -> np.ndarray:
+        return displaced_fock_state(
             self.center1.to_complex(),
             self.occupation[0],
             self.center2.to_complex(),
@@ -432,16 +432,11 @@ class PhaseScenario:
 
     def fock_invariant(self, dim: TruncationDim) -> PhaseResult:
         if self.is_evolved:
-            rho1 = self.initial_state.density_operator(dim)
-            rho2 = evolve(rho1, polarizer_unitary(self.theta1, dim))
-            rho3 = evolve(rho2, polarizer_unitary(self.theta2, dim))
-            return triple_product_trace(rho1, rho2, rho3)
-        states = (
-            StateSpec(self.occupation, *self.vertex_a),
-            StateSpec(self.occupation, *self.vertex_b),
-            StateSpec(self.occupation, *self.vertex_c),
-        )
-        return triple_product_trace(*(s.density_operator(dim) for s in states))
+            psi1 = self.initial_state.state_vector(dim)
+            psi2 = evolve_state(psi1, self.theta1, dim)
+            return triple_overlap(psi1, psi2, evolve_state(psi2, self.theta2, dim))
+        vertices = (self.vertex_a, self.vertex_b, self.vertex_c)
+        return triple_overlap(*(StateSpec(self.occupation, *v).state_vector(dim) for v in vertices))
 
     def pairing_invariant(self, kernel: str = "derived") -> PhaseResult:
         if self.is_evolved:
@@ -519,7 +514,8 @@ def method_reconciliation(
     joins the gate for occupation (0, 0), where it is exact. If any gated
     invariant has undefined phase the row is flagged undefined and the
     reference phase is suppressed too (its premise, the arg of the
-    invariant, is vacuous there).
+    invariant, is vacuous there). A non-finite invariant from any route
+    raises ValueError rather than being flagged as a disagreement.
     """
     results = {
         "fock_oracle": scenario.fock_invariant(dim),
@@ -529,6 +525,9 @@ def method_reconciliation(
     if coherent is not None:
         results["coherent_closed_form"] = coherent
     printed = scenario.printed_invariant()
+    for res in (*results.values(), printed):
+        if not cmath.isfinite(res.invariant):
+            raise ValueError(f"the {res.method} route returned a non-finite invariant")
 
     gated = [name for name in _GATED_PAIRS_BASE if name in results]
     if any(results[name].phase is None for name in gated):

@@ -7,9 +7,8 @@ inputs produce identical bytes.
 from __future__ import annotations
 
 import csv
-import json
 
-from .geomphase import PhaseScenario, ReconciliationReport, ReconciliationRow
+from .geomphase import PhaseScenario, ReconciliationRow
 from .pdistribution import (
     DeltaDerivativeTerm,
     PhaseSpacePoint,
@@ -28,10 +27,8 @@ __all__ = [
     "sweep_document",
     "phase_document",
     "validation_document",
-    "reconciliation_document",
     "pfunc_document",
     "pfunc_from_document",
-    "dump_json",
 ]
 
 SCHEMA = "bargmann-phase/1"
@@ -171,20 +168,6 @@ def validation_document(checks, n_max: int, seed: int) -> dict:
     }
 
 
-def reconciliation_document(report: ReconciliationReport, audit: dict | None = None) -> dict:
-    doc = {
-        "schema": SCHEMA,
-        "kind": "reconciliation",
-        "n_max": report.n_max,
-        "tolerance": report.tolerance,
-        "disagreements": report.disagreements,
-        "rows": [row_to_dict(row) for row in report.rows],
-    }
-    if audit is not None:
-        doc["closed_form_audit"] = audit
-    return doc
-
-
 def pfunc_document(
     occupation: tuple[int, int],
     shift: tuple[PhaseSpacePoint, PhaseSpacePoint],
@@ -244,7 +227,3 @@ def pfunc_from_document(doc: dict) -> tuple[tuple[int, int], tuple[PhaseSpacePoi
                 raise ValueError("pfunc centers do not match the declared shift")
     return occupation, shift, p
 
-
-def dump_json(doc: dict, fh):
-    json.dump(doc, fh, indent=2, sort_keys=True)
-    fh.write("\n")

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import pytest
 
@@ -101,6 +102,40 @@ def test_phase_usage_errors(capsys):
     assert run_cli(capsys, "phase", "--format", "yaml")[0] == 1
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("phase", "--tol", "nan"), "--tol"),
+        (("phase", "--tol", "inf"), "--tol"),
+        (("phase", "--theta1", "inf"), "--theta1"),
+        (("phase", "--theta2", "nan"), "--theta2"),
+        (("sweep", "--theta1", "0:inf:3", "--theta2", "0.1"), "--theta1"),
+        (("sweep", "--theta1", "0.1", "--theta2=-1e308:1e308:2"), "--theta2"),
+        (("phase", "--centers", "1e308,0,0,0"), "--centers"),
+        (("phase", "--centers", "0,0,0,0;0,nan,0,0;0,1,0,0"), "--centers"),
+        (("pfunc", "--centers", "0,0,inf,0"), "--centers"),
+    ],
+)
+def test_non_finite_input_is_usage_error(capsys, argv, flag):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv, "--n-max", "8")
+    assert code == 1
+    assert out == ""
+    assert flag in err
+
+
+def test_non_finite_invariant_is_usage_error_not_disagree(capsys):
+    # centers of 1e100 pass the parser, but the pairing route overflows
+    with pytest.warns(TruncationLeakageWarning):
+        code, out, err = run_cli(
+            capsys, "phase", "--centers", "1e100,0,0,0", "--theta1", "0.3", "--n-max", "8"
+        )
+    assert code == 1
+    assert out == ""
+    assert "phase_space_pairing route returned a non-finite invariant" in err
+
+
 def test_phase_truncation_leakage_flags_disagreement(capsys):
     with pytest.warns(TruncationLeakageWarning):
         code, out, _ = run_cli(
@@ -186,18 +221,6 @@ def test_sweep_rejects_three_vertices(capsys):
     )
     assert code == 1
     assert "single initial vertex" in err
-
-
-def test_sweep_thread_env(capsys, monkeypatch):
-    argv = ["sweep", "--theta1", "0:2:2", "--theta2", "0.4", "--n-max", "16"]
-    monkeypatch.setenv("BARGMANN_PHASE_THREADS", "1")
-    code1, out1, _ = run_cli(capsys, *argv)
-    monkeypatch.setenv("BARGMANN_PHASE_THREADS", "4")
-    code2, out2, _ = run_cli(capsys, *argv)
-    assert code1 == code2 == 0
-    assert out1 == out2
-    monkeypatch.setenv("BARGMANN_PHASE_THREADS", "soup")
-    assert run_cli(capsys, *argv)[0] == 1
 
 
 def test_validate_passes(capsys):

@@ -15,12 +15,14 @@ from bargmann_phase.fock import (
     displaced_fock_state,
     displacement_operator,
     evolve,
+    evolve_state,
     mode_annihilation,
     phase_result,
     polarizer_generator,
     polarizer_unitary,
     principal_phase,
     single_mode_displacement,
+    triple_overlap,
     triple_product_trace,
 )
 
@@ -108,6 +110,33 @@ def test_polarizer_generator_consistency():
     assert np.max(np.abs(fd - gen)) < 1e-7
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.37, -2.1, math.pi])
+def test_evolve_state_matches_dense_polarizer(theta):
+    dim = TruncationDim(25)
+    rng = np.random.default_rng(17)
+    psi = rng.normal(size=dim.dim) + 1j * rng.normal(size=dim.dim)
+    psi /= np.linalg.norm(psi)
+    want = polarizer_unitary(theta, dim).conj().T @ psi
+    assert np.max(np.abs(evolve_state(psi, theta, dim) - want)) <= 1e-13
+    with pytest.raises(ValueError):
+        evolve_state(psi[:-1], theta, dim)
+
+
+def test_polarizer_sectors_reject_non_orthogonal_basis(monkeypatch):
+    real_eigh = np.linalg.eigh
+
+    def skewed_eigh(a):
+        vals, vecs = real_eigh(a)
+        return vals, vecs * 1.001
+
+    dim = TruncationDim(7)
+    psi = coherent_state(0.1, 0.2j, dim)
+    fock._polarizer_sectors.cache_clear()
+    monkeypatch.setattr(fock.np.linalg, "eigh", skewed_eigh)
+    with pytest.raises(ValueError, match="not orthogonal"):
+        evolve_state(psi, 0.5, dim)
+
+
 def test_displacement_unitarity():
     dim = TruncationDim(25)
     rng = np.random.default_rng(3)
@@ -192,8 +221,12 @@ def test_evolve_matches_coherent_label_map():
     rho = DensityOperator.from_state_vector(coherent_state(z1, z2, dim), dim)
     evolved = evolve(rho, polarizer_unitary(theta, dim))
     mapped = polarizer_label_map(theta, CoherentLabel(z1, z2))
-    target = DensityOperator.from_state_vector(coherent_state(mapped.z1, mapped.z2, dim), dim)
+    target_vec = coherent_state(mapped.z1, mapped.z2, dim)
+    target = DensityOperator.from_state_vector(target_vec, dim)
     assert np.max(np.abs(evolved.matrix - target.matrix)) < 1e-10
+    # the vector form carries no residual phase either
+    vec = coherent_state(z1, z2, dim)
+    assert np.max(np.abs(evolve_state(vec, theta, dim) - target_vec)) < 1e-12
 
 
 def test_evolve_rejects_non_unitary():
@@ -250,9 +283,34 @@ def test_triple_product_trace_dim_mismatch():
         triple_product_trace(a, a, b)
 
 
+def test_triple_overlap_matches_projector_trace():
+    dim = TruncationDim(15)
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        vecs = [
+            displaced_fock_state(
+                complex(*rng.uniform(-0.3, 0.3, 2)),
+                int(rng.integers(0, 2)),
+                complex(*rng.uniform(-0.3, 0.3, 2)),
+                int(rng.integers(0, 2)),
+                dim,
+            )
+            for _ in range(3)
+        ]
+        rhos = [DensityOperator.from_state_vector(v, dim) for v in vecs]
+        got = triple_overlap(*vecs)
+        assert abs(got.invariant - triple_product_trace(*rhos).invariant) <= 1e-12
+        assert got.method == "fock_oracle"
+    with pytest.raises(ValueError):
+        triple_overlap(vecs[0], vecs[1], coherent_state(0.0, 0.0, TruncationDim(6)))
+
+
 def test_phase_result_cutoff_and_principal_branch():
     assert phase_result(1e-13 + 0j, "fock_oracle").phase is None
     assert phase_result(-1.0 + 0j, "fock_oracle").phase == pytest.approx(math.pi)
+    # roundoff below the negative real axis stays on the (-pi, pi] branch
+    assert phase_result(-0.0655 - 1.5e-17j, "fock_oracle").phase == math.pi
+    assert phase_result(-1.0 - 1e-9j, "fock_oracle").phase == pytest.approx(-math.pi + 1e-9)
     assert principal_phase(math.pi) == math.pi
     assert principal_phase(-math.pi) == math.pi
     assert principal_phase(3 * math.pi) == pytest.approx(math.pi)

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 import oracles
-from bargmann_phase.fock import TruncationDim, triple_product_trace
+from bargmann_phase.fock import (
+    DensityOperator,
+    TruncationDim,
+    evolve,
+    polarizer_unitary,
+    triple_overlap,
+    triple_product_trace,
+)
 from bargmann_phase.geomphase import (
     PhaseScenario,
     StateSpec,
@@ -50,12 +57,11 @@ def test_state_spec_validation_and_views():
         StateSpec((2, 0), ORIGIN, ORIGIN)
 
 
-def test_state_spec_density_operator_matches_label():
+def test_state_spec_state_vector_matches_label():
     dim = TruncationDim(16)
     s = spec((0, 0), 0.2 + 0.1j, -0.15j)
-    rho = s.density_operator(dim)
     vec = oracles.two_mode_coherent_vector(0.2 + 0.1j, -0.15j, dim.n_max)
-    np.testing.assert_allclose(rho.matrix, np.outer(vec, vec.conj()), atol=1e-10)
+    np.testing.assert_allclose(s.state_vector(dim), vec, atol=1e-10)
 
 
 def test_pairing_matches_analytic_oracle_independent():
@@ -84,7 +90,7 @@ def test_pairing_matches_fock_oracle_independent():
     for _ in range(5):
         specs = [random_spec(rng, scale=0.3) for _ in range(3)]
         pairing = phase_space_trace(*specs)
-        fock = triple_product_trace(*(s.density_operator(dim) for s in specs))
+        fock = triple_overlap(*(s.state_vector(dim) for s in specs))
         assert abs(pairing.invariant - fock.invariant) <= 1e-8
 
 
@@ -123,6 +129,39 @@ def test_evolved_pairing_matches_fock_oracle():
         pairing = scenario.pairing_invariant()
         fock = scenario.fock_invariant(dim)
         assert abs(pairing.invariant - fock.invariant) <= 1e-8
+
+
+def dense_fock_invariant(scenario, dim):
+    """Tr(rho1 rho2 rho3) from density matrices and the dense polarizer."""
+    if scenario.is_evolved:
+        rho1 = DensityOperator.from_state_vector(scenario.initial_state.state_vector(dim), dim)
+        rho2 = evolve(rho1, polarizer_unitary(scenario.theta1, dim))
+        rhos = (rho1, rho2, evolve(rho2, polarizer_unitary(scenario.theta2, dim)))
+    else:
+        vertices = (scenario.vertex_a, scenario.vertex_b, scenario.vertex_c)
+        vecs = [StateSpec(scenario.occupation, *v).state_vector(dim) for v in vertices]
+        rhos = [DensityOperator.from_state_vector(v, dim) for v in vecs]
+    return triple_product_trace(*rhos).invariant
+
+
+def test_fock_invariant_matches_dense_trace():
+    dim = TruncationDim(25)
+    populations = (random_evolved_scenarios(12, seed=41), random_independent_scenarios(12, seed=42))
+    for scenarios in populations:
+        for occupation in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            scenario = next(s for s in scenarios if s.occupation == occupation)
+            got = scenario.fock_invariant(dim).invariant
+            assert abs(got - dense_fock_invariant(scenario, dim)) <= 1e-12
+
+
+def test_fock_invariant_converges_at_n_max_60():
+    # |z| up to 2.3 with both modes occupied: at n_max 25 this chain misses
+    # the 1e-6 rad gate (delta about 2e-6); at n_max 60 truncation is gone
+    scenarios = random_evolved_scenarios(8, seed=62, scale=2.0)
+    scenario = next(s for s in scenarios if s.occupation == (1, 1))
+    fock = scenario.fock_invariant(TruncationDim(60))
+    pairing = scenario.pairing_invariant()
+    assert circular_delta(fock.phase, pairing.phase) <= 1e-9
 
 
 def test_evolved_pairing_zero_angles_gives_unit_invariant():

@@ -23,6 +23,8 @@ from .validation import run_all
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DISAGREE = 2
+# validate builds dense (n_max+1)^2-square matrices: memory grows as n_max^4
+VALIDATE_N_MAX = 30
 
 
 class _Parser(argparse.ArgumentParser):
@@ -226,6 +228,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_validate(args) -> int:
     config = _run_config(args, args.format)
+    if config.n_max > VALIDATE_N_MAX:
+        raise ValueError(f"--n-max must be <= {VALIDATE_N_MAX} for validate, got {config.n_max}")
     checks = run_all(n_max=config.n_max, seed=config.seed)
     ok = all(c.passed for c in checks)
     if config.fmt == "json":

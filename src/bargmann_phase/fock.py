@@ -14,7 +14,8 @@ they are exactly unitary in floating point (no series truncation):
 * the polarizer exp{i theta (a1†a2 + a2†a1)} conserves total photon
   number and is assembled block-per-sector, which also makes the
   between-sector entries exact zeros;
-* displacements exp{z a† - conj(z) a} use a dense eigh per mode.
+* a displacement exp{z a† - conj(z) a} is a diagonal phase conjugation of
+  exp(|z|(a† - a)), whose eigenbasis is computed once per cutoff.
 
 The oracle works on pure-state vectors: the invariant is
 <psi1|psi2><psi2|psi3><psi3|psi1> (triple_overlap), and a polarizer step
@@ -207,12 +208,19 @@ def _polarizer_sectors(n_max: int) -> tuple:
     return tuple(sectors)
 
 
+def _reduced_angle(theta: float) -> float:
+    """theta modulo 2 pi in [-pi, pi]: sin and cos reduce exactly, theta % (2 pi)
+    does not. The sector eigenvalues are integers only to about 1e-15."""
+    return math.atan2(math.sin(theta), math.cos(theta))
+
+
 def polarizer_unitary(theta: float, dim: TruncationDim) -> np.ndarray:
     """exp{i theta (a1†a2 + a2†a1)} on the truncated joint space.
 
     Exactly unitary and exactly block diagonal over total photon number.
     Dense, for operator identities; states evolve with evolve_state.
     """
+    theta = _reduced_angle(theta)
     u = np.zeros((dim.dim, dim.dim), dtype=complex)
     for indices, vals, vecs in _polarizer_sectors(dim.n_max):
         u[np.ix_(indices, indices)] = (vecs * np.exp(1j * theta * vals)) @ vecs.T
@@ -230,21 +238,28 @@ def _displacement_guard(z: complex, n_max: int):
         )
 
 
-@lru_cache(maxsize=512)
-def _single_mode_displacement_cached(z: complex, n_max: int) -> np.ndarray:
+@lru_cache(maxsize=32)
+def _displacement_generator_basis(n_max: int) -> tuple:
+    """Eigenbasis of the Hermitian i(a† - a), shared by every displacement."""
     a = _single_mode_ladder(n_max)
-    # exp(x) with x = z a† - conj(z) a: diagonalize the Hermitian i x.
-    herm = 1j * (z * a.conj().T - np.conjugate(z) * a)
-    vals, vecs = np.linalg.eigh(herm)
-    d = (vecs * np.exp(-1j * vals)) @ vecs.conj().T
-    d.flags.writeable = False
-    return d
+    vals, vecs = np.linalg.eigh(1j * (a.T - a))
+    vals.flags.writeable = False
+    vecs.flags.writeable = False
+    return vals, vecs
+
+
+def _displacement_columns(z: complex, n_max: int, cols) -> np.ndarray:
+    """Columns cols of D(z) = R exp(r(a† - a)) R†, z = r e^{i phi}, R = diag(e^{i phi n}),
+    with exp(r(a† - a)) = V e^{-i r lambda} V† in the shared eigenbasis."""
+    _displacement_guard(z, n_max)
+    vals, vecs = _displacement_generator_basis(n_max)
+    radial = (vecs * np.exp(-1j * abs(z) * vals)) @ vecs[cols].conj().T
+    return np.exp(1j * cmath.phase(z) * np.subtract.outer(np.arange(n_max + 1), cols)) * radial
 
 
 def single_mode_displacement(z: complex, n_max: int) -> np.ndarray:
     """Truncated single-mode displacement exp{z a† - conj(z) a}."""
-    _displacement_guard(z, n_max)
-    return _single_mode_displacement_cached(complex(z), n_max)
+    return _displacement_columns(complex(z), n_max, np.arange(n_max + 1))
 
 
 def displacement_operator(z1: complex, z2: complex, dim: TruncationDim) -> np.ndarray:
@@ -260,8 +275,8 @@ def displaced_fock_state(
     """State vector D(z1, z2)|n1, n2> on the truncated joint space."""
     if not (0 <= n1 <= dim.n_max and 0 <= n2 <= dim.n_max):
         raise ValueError(f"occupation ({n1}, {n2}) outside cutoff {dim.n_max}")
-    col1 = single_mode_displacement(z1, dim.n_max)[:, n1]
-    col2 = single_mode_displacement(z2, dim.n_max)[:, n2]
+    col1 = _displacement_columns(complex(z1), dim.n_max, n1)
+    col2 = _displacement_columns(complex(z2), dim.n_max, n2)
     return np.kron(col1, col2)
 
 
@@ -273,10 +288,12 @@ def coherent_state(z1: complex, z2: complex, dim: TruncationDim) -> np.ndarray:
 def evolve_state(psi: np.ndarray, theta: float, dim: TruncationDim) -> np.ndarray:
     """psi -> U† psi, U = polarizer_unitary(theta, dim); the vector form of evolve.
 
-    Per photon-number sector, U† = V exp(-i theta lambda) V^T.
+    Per photon-number sector, U† = V exp(-i theta lambda) V^T, theta reduced
+    modulo 2 pi first.
     """
     if psi.shape != (dim.dim,):
         raise ValueError(f"vector shape {psi.shape} does not match dim {dim.dim}")
+    theta = _reduced_angle(theta)
     out = np.empty(dim.dim, dtype=complex)
     for indices, vals, vecs in _polarizer_sectors(dim.n_max):
         out[indices] = vecs @ (np.exp(-1j * theta * vals) * (vecs.T @ psi[indices]))

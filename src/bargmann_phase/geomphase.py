@@ -20,15 +20,17 @@ written over labels z = q + ip, and the L_i are per-slot 2x2 complex
 label maps. Polarizer evolution enters through the maps: the P of an
 evolved state is the pullback of the initial P, so the evolved chain
 rho1 -> U† rho1 U -> ... reuses P1's terms in every slot with
-L1 = 1, L2 = M(theta1), L3 = M(theta1 + theta2) composed into the
+L1 = 1, L2 = M(theta1), L3 = M(theta1) M(theta2) composed into the
 kernel. This is exact; no shape assumption is made about the evolved P
 (the polarizer does not map Fock states to Fock states).
 
-Everything inside the integrand is exp of one inhomogeneous quadratic Q
-over the 12 real variables (envelopes included, which is what makes the
-divergent-looking integral a well-defined pairing), so each term triple
-reduces to a mixed derivative of e^Q at the centers, computed by the
-gradient-and-curvature recursion in _hermite_moment.
+The engine works in Wirtinger coordinates (z, conj z) per slot and mode,
+where (1/4)(d_q^2 + d_p^2) = d_z d_zbar, so the P of |1> is one term.
+Kernel and envelopes are exp of one quadratic Q = conj(z)·B·z + linear,
+with no z-z or zbar-zbar part; each term triple is therefore a mixed
+derivative of e^Q at the centers, a sum over partial matchings of the
+z derivatives with the zbar derivatives (_matching_sum). See
+docs/derivations.md.
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,8 +76,6 @@ __all__ = [
 ]
 
 ModePair = tuple[PhaseSpacePoint, PhaseSpacePoint]
-
-_IDENTITY_MAP = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -139,113 +140,102 @@ class TriangleConfig:
 # Phase-space pairing engine
 
 
-def _add_sesquilinear(h: np.ndarray, slot_i: int, slot_j: int, a: np.ndarray):
-    """Add conj(z_i)·A·z_j to the quadratic form x·H·x/2, z = q + ip per mode."""
-    for m in range(2):
-        for k in range(2):
-            coeff = a[m, k]
-            if coeff == 0:
-                continue
-            qi, pi = 4 * slot_i + 2 * m, 4 * slot_i + 2 * m + 1
-            qj, pj = 4 * slot_j + 2 * k, 4 * slot_j + 2 * k + 1
-            for va, vb, c in (
-                (qi, qj, coeff),
-                (pi, pj, coeff),
-                (qi, pj, 1j * coeff),
-                (pi, qj, -1j * coeff),
-            ):
-                if va == vb:
-                    h[va, va] += 2 * c
-                else:
-                    h[va, vb] += c
-                    h[vb, va] += c
+# The kernel is exp(conj(w)·W·w), w the stacked labels of the three slots.
+_KERNEL_WEIGHTS = {
+    # <w1|w2><w2|w3><w3|w1>: -|w_i|^2 plus the cyclic coupling conj(w_i)·w_{i+1}
+    "derived": np.kron(np.roll(np.eye(3), 1, axis=1) - np.eye(3), np.eye(2)),
+    # Verbatim structure of the source's complex-label trace expression:
+    # slot-2 self-energy doubled in mode 1 and missing in mode 2, slot-3
+    # self-energy sign-flipped and then doubled by a self-coupling that
+    # replaces the cycle-closing cross term. Kept for the audit; fails
+    # the equal-states sanity check away from the origin.
+    "transcribed": np.kron([[-1, 1, 0], [0, 0, 1], [0, 0, 2]], np.eye(2))
+    + np.diag([0, 0, -2, 0, 0, 0]),
+}
 
 
-def _kernel_quadratic(maps, envelopes, kernel: str) -> np.ndarray:
-    """12x12 quadratic-form matrix of envelope * kernel (center-free part)."""
-    h = np.zeros((12, 12), dtype=complex)
-    m0, m1, m2 = (np.asarray(m, dtype=complex) for m in maps)
-    if kernel == "derived":
-        for i, m in enumerate((m0, m1, m2)):
-            _add_sesquilinear(h, i, i, -(m.conj().T @ m))
-        _add_sesquilinear(h, 0, 1, m0.conj().T @ m1)
-        _add_sesquilinear(h, 1, 2, m1.conj().T @ m2)
-        _add_sesquilinear(h, 2, 0, m2.conj().T @ m0)
-    elif kernel == "transcribed":
-        # Verbatim structure of the source's complex-label trace expression:
-        # slot-2 self-energy doubled in mode 1 and missing in mode 2, slot-3
-        # self-energy sign-flipped and then doubled by a self-coupling that
-        # replaces the cycle-closing cross term. Kept for the audit; fails
-        # the equal-states sanity check away from the origin.
-        mode1 = np.diag([1.0, 0.0]).astype(complex)
-        _add_sesquilinear(h, 0, 0, -(m0.conj().T @ m0))
-        _add_sesquilinear(h, 1, 1, -2.0 * (m1.conj().T @ mode1 @ m1))
-        _add_sesquilinear(h, 2, 2, 2.0 * (m2.conj().T @ m2))
-        _add_sesquilinear(h, 0, 1, m0.conj().T @ m1)
-        _add_sesquilinear(h, 1, 2, m1.conj().T @ m2)
-    else:
-        raise ValueError(f"unknown kernel {kernel!r}")
-    for i, env in enumerate(envelopes):
-        if env:
-            for v in range(4 * i, 4 * i + 4):
-                h[v, v] += 2.0
-    return h
+@lru_cache(maxsize=None)
+def _wirtinger_expansion(orders: tuple, offset: int) -> dict:
+    """(-1)^order d^orders over (q1, p1, q2, p2) as {(z vars, zbar vars): coeff}, by
+    d_q = d_z + d_zbar and d_p = i(d_z - d_zbar); mode m is variable offset + m."""
+    factors = [(offset + a // 2, ((1.0, 1.0), (1j, -1j))[a % 2])
+               for a, order in enumerate(orders) for _ in range(order)]
+    expansion: dict = {}
+    for picks in itertools.product((0, 1), repeat=len(factors)):  # 0: d_z, 1: d_zbar
+        key = tuple(tuple(v for (v, _), pick in zip(factors, picks) if pick == side) for side in (0, 1))
+        w = (-1.0) ** len(factors) * math.prod(ws[pick] for (_, ws), pick in zip(factors, picks))
+        expansion[key] = expansion.get(key, 0.0) + w
+    return expansion
 
 
-def _hermite_moment(counts: tuple, g: list, h_rows: list, memo: dict) -> complex:
-    """exp(-Q) d^counts exp(Q) at the expansion point, by recursion.
+def _wirtinger_terms(p: QuasiProbability, offset: int) -> list:
+    """P's terms as (coeff, centers, z vars, zbar vars); equal terms are collected,
+    so the four (q, p) terms of |1, 1> become d_z d_zbar per mode."""
+    collected: dict = {}
+    for t in p.terms:
+        centers = (t.center1.to_complex(), t.center2.to_complex())
+        for (z, zbar), w in _wirtinger_expansion(t.orders, offset).items():
+            collected[centers, z, zbar] = collected.get((centers, z, zbar), 0.0) + t.coeff * w
+    return [(w, *key) for key, w in collected.items() if w != 0]
 
-    With g = grad Q and H = Hess Q (constant), removing one derivative i:
-    M(S + i) = g_i M(S) + sum_j mult_j H_ij M(S - j).
+
+@lru_cache(maxsize=None)
+def _mask_tables(n: int) -> tuple:
+    """For subsets of n slots: source[j, mask] = mask less j (2^n if j not in mask), in_mask."""
+    masks = np.arange(1 << n)
+    in_mask = (masks >> np.arange(n)[:, None]) & 1 == 1
+    return np.where(in_mask, masks ^ (1 << np.arange(n))[:, None], 1 << n), in_mask
+
+
+def _matching_sum(z_vars, zbar_vars, grad_z, grad_zbar, hess) -> complex:
+    """exp(-Q) d^z_vars d^zbar_vars exp(Q), Q quadratic with no z-z or zbar-zbar part.
+
+    The sum over partial matchings of z slots with zbar slots: a pair weighs
+    hess[zbar, z], an unmatched slot its gradient entry. sums[mask] covers the
+    z slots so far with the zbar slots in mask matched; sums[-1] stays 0.
     """
-    val = memo.get(counts)
-    if val is not None:
-        return val
-    i = 0
-    while counts[i] == 0:
-        i += 1
-    rest = list(counts)
-    rest[i] -= 1
-    rest_t = tuple(rest)
-    total = g[i] * _hermite_moment(rest_t, g, h_rows, memo)
-    hi = h_rows[i]
-    for j, mult in enumerate(rest_t):
-        if mult:
-            lower = list(rest_t)
-            lower[j] -= 1
-            total += mult * hi[j] * _hermite_moment(tuple(lower), g, h_rows, memo)
-    memo[counts] = total
-    return total
+    source, in_mask = _mask_tables(len(zbar_vars))
+    sums = np.zeros(source.shape[1] + 1, dtype=complex)
+    sums[0] = 1.0
+    pair_weights = hess[np.ix_(zbar_vars, z_vars)]
+    for k, v in enumerate(z_vars):
+        sums[:-1] = sums[:-1] * grad_z[v] + pair_weights[:, k] @ sums[source]
+    unmatched = np.where(in_mask, 1.0, grad_zbar[list(zbar_vars)][:, None]).prod(axis=0)
+    return complex(sums[:-1] @ unmatched)
 
 
-def _triple_pairing(ps, maps, kernel: str = "derived") -> complex:
-    """Distributional value of the triple phase-space integral."""
-    h = _kernel_quadratic(maps, tuple(p.envelope for p in ps), kernel)
-    h_rows = [[complex(x) for x in row] for row in h]
+def _triple_pairing(ps, labels: np.ndarray, kernel: str = "derived") -> complex:
+    """Distributional value of the triple phase-space integral.
+
+    Over the P variables z (index 2*slot + mode) the kernel is exp(conj(z)·B·z),
+    B = L† W L with L = labels, block diagonal over the slots' label maps.
+    Each enveloped slot adds |z - c|^2 to the exponent Q. At the centers c:
+    grad_z Q = conj(c)·B, grad_zbar Q = B·c, Q = conj(c)·B·c, and the
+    zbar-z curvature is B plus 1 on the enveloped slots' diagonal.
+    """
+    if kernel not in _KERNEL_WEIGHTS:
+        raise ValueError(f"unknown kernel {kernel!r}")
+    form = labels.conj().T @ _KERNEL_WEIGHTS[kernel] @ labels
+    hess = form + np.diag(np.repeat([float(p.envelope) for p in ps], 2))
     total = 0.0 + 0.0j
-    stations: dict = {}
-    for t1, t2, t3 in itertools.product(ps[0].terms, ps[1].terms, ps[2].terms):
-        centers = t1.centers + t2.centers + t3.centers
-        station = stations.get(centers)
-        if station is None:
-            x0 = np.asarray(centers, dtype=float)
-            b = np.zeros(12, dtype=complex)
-            const = 0.0
-            for i, (p, t) in enumerate(zip(ps, (t1, t2, t3))):
-                if p.envelope:
-                    for k, c in enumerate(t.centers):
-                        b[4 * i + k] = -2.0 * c
-                        const += c * c
-            g = [complex(x) for x in (h @ x0 + b)]
-            base = cmath.exp(complex(0.5 * x0 @ h @ x0 + b @ x0 + const))
-            station = (g, base, {(0,) * 12: 1.0 + 0.0j})
-            stations[centers] = station
-        g, base, memo = station
-        counts = t1.orders + t2.orders + t3.orders
-        sign = -1.0 if sum(counts) % 2 else 1.0
-        moment = _hermite_moment(counts, g, h_rows, memo)
-        total += t1.coeff * t2.coeff * t3.coeff * sign * moment * base
+    # overflow yields a non-finite invariant, which method_reconciliation rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for terms in itertools.product(*(_wirtinger_terms(p, 2 * i) for i, p in enumerate(ps))):
+            c = np.array([z for t in terms for z in t[1]])
+            z_vars, zbar_vars = (sum((t[k] for t in terms), ()) for k in (2, 3))
+            moment = _matching_sum(z_vars, zbar_vars, c.conj() @ form, form @ c, hess)
+            base = cmath.exp(complex(c.conj() @ form @ c))
+            total += math.prod(t[0] for t in terms) * moment * base
     return complex(total)
+
+
+def _chain_labels(theta1: float, theta2: float) -> np.ndarray:
+    """diag(1, M(theta1), M(theta1) M(theta2)), the label maps of a polarizer chain's
+    slots; composed because the float sum theta1 + theta2 rounds at large angles."""
+    labels = np.eye(6, dtype=complex)
+    labels[2:4, 2:4] = label_map_matrix(theta1)
+    labels[4:6, 4:6] = labels[2:4, 2:4] @ label_map_matrix(theta2)
+    return labels
 
 
 def phase_space_trace(
@@ -253,8 +243,7 @@ def phase_space_trace(
 ) -> PhaseResult:
     """Bargmann invariant of three independent states via their P objects."""
     ps = (s1.quasi_probability(), s2.quasi_probability(), s3.quasi_probability())
-    maps = (_IDENTITY_MAP, _IDENTITY_MAP, _IDENTITY_MAP)
-    return phase_result(_triple_pairing(ps, maps, kernel), METHOD_PHASE_SPACE_PAIRING)
+    return phase_result(_triple_pairing(ps, np.eye(6), kernel), METHOD_PHASE_SPACE_PAIRING)
 
 
 def phase_space_trace_evolved(
@@ -265,13 +254,9 @@ def phase_space_trace_evolved(
     The initial P is reused in every slot; evolution is composed into the
     kernel through the label maps. Exact at the distributional level.
     """
-    p1 = s1.quasi_probability()
-    maps = (
-        _IDENTITY_MAP,
-        label_map_matrix(theta1),
-        label_map_matrix(theta1 + theta2),
-    )
-    return phase_result(_triple_pairing((p1, p1, p1), maps, kernel), METHOD_PHASE_SPACE_PAIRING)
+    ps = (s1.quasi_probability(),) * 3
+    labels = _chain_labels(theta1, theta2)
+    return phase_result(_triple_pairing(ps, labels, kernel), METHOD_PHASE_SPACE_PAIRING)
 
 
 # ---------------------------------------------------------------------------
@@ -414,20 +399,12 @@ class PhaseScenario:
     def initial_state(self) -> StateSpec:
         return StateSpec(self.occupation, *self.vertex_a)
 
-    def _mapped_vertex(self, theta: float) -> ModePair:
-        w = label_map_matrix(theta) @ self.initial_state.label().as_array()
-        return (
-            PhaseSpacePoint.from_complex(complex(w[0])),
-            PhaseSpacePoint.from_complex(complex(w[1])),
-        )
-
     def triangle(self) -> TriangleConfig:
         if self.is_evolved:
-            return TriangleConfig(
-                vertex_a=self.vertex_a,
-                vertex_b=self._mapped_vertex(self.theta1),
-                vertex_c=self._mapped_vertex(self.theta1 + self.theta2),
-            )
+            label = self.initial_state.label().as_array()
+            w = _chain_labels(self.theta1, self.theta2) @ np.tile(label, 3)
+            mapped = [tuple(PhaseSpacePoint.from_complex(complex(x)) for x in w[k : k + 2]) for k in (2, 4)]
+            return TriangleConfig(self.vertex_a, *mapped)
         return TriangleConfig(self.vertex_a, self.vertex_b, self.vertex_c)
 
     def fock_invariant(self, dim: TruncationDim) -> PhaseResult:

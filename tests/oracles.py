@@ -2,13 +2,15 @@
 
 Everything here is computed by routes the library does not use: explicit
 Fock amplitude series, closed-form overlap tables for displaced zero- and
-one-photon states, the shoelace area formula, and plain finite
-differences. Library results are compared against these, never against
+one-photon states, the shoelace area formula, plain finite differences, a
+per-z eigendecomposition of the displacement generator, and the pairing
+of P objects in real (q, p) coordinates by a derivative recursion. Library results are compared against these, never against
 other library results.
 """
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -102,6 +104,13 @@ def central_difference(f, x: float, order: int, step: float = 1e-5) -> float:
     raise ValueError("order must be 1 or 2")
 
 
+def displacement_by_eigh(z: complex, n_max: int) -> np.ndarray:
+    """exp(z a† - conj(z) a) from an eigendecomposition of i(z a† - conj(z) a) for this z."""
+    a = single_mode_annihilation_reference(n_max)
+    vals, vecs = np.linalg.eigh(1j * (z * a.conj().T - np.conjugate(z) * a))
+    return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+
+
 def number_operator_matrix(n_max: int) -> np.ndarray:
     return np.diag(np.arange(float(n_max + 1)))
 
@@ -112,3 +121,117 @@ def single_mode_annihilation_reference(n_max: int) -> np.ndarray:
     for n in range(1, n_max + 1):
         a[n - 1, n] = math.sqrt(n)
     return a
+
+
+# ---------------------------------------------------------------------------
+# Real-coordinate pairing engine: the P objects' (q, p) delta derivatives
+# against exp of one quadratic over the 12 real variables (q, p per slot
+# and mode), differentiated by the gradient-and-curvature recursion.
+
+
+def add_sesquilinear(h: np.ndarray, slot_i: int, slot_j: int, a: np.ndarray):
+    """Add conj(z_i)·A·z_j to the quadratic form x·H·x/2, z = q + ip per mode."""
+    for m in range(2):
+        for k in range(2):
+            coeff = a[m, k]
+            if coeff == 0:
+                continue
+            qi, pi = 4 * slot_i + 2 * m, 4 * slot_i + 2 * m + 1
+            qj, pj = 4 * slot_j + 2 * k, 4 * slot_j + 2 * k + 1
+            for va, vb, c in (
+                (qi, qj, coeff),
+                (pi, pj, coeff),
+                (qi, pj, 1j * coeff),
+                (pi, qj, -1j * coeff),
+            ):
+                if va == vb:
+                    h[va, va] += 2 * c
+                else:
+                    h[va, vb] += c
+                    h[vb, va] += c
+
+
+def kernel_quadratic(maps, envelopes, kernel: str) -> np.ndarray:
+    """12x12 quadratic-form matrix of envelope * kernel (center-free part)."""
+    h = np.zeros((12, 12), dtype=complex)
+    m0, m1, m2 = (np.asarray(m, dtype=complex) for m in maps)
+    if kernel == "derived":
+        for i, m in enumerate((m0, m1, m2)):
+            add_sesquilinear(h, i, i, -(m.conj().T @ m))
+        add_sesquilinear(h, 0, 1, m0.conj().T @ m1)
+        add_sesquilinear(h, 1, 2, m1.conj().T @ m2)
+        add_sesquilinear(h, 2, 0, m2.conj().T @ m0)
+    elif kernel == "transcribed":
+        mode1 = np.diag([1.0, 0.0]).astype(complex)
+        add_sesquilinear(h, 0, 0, -(m0.conj().T @ m0))
+        add_sesquilinear(h, 1, 1, -2.0 * (m1.conj().T @ mode1 @ m1))
+        add_sesquilinear(h, 2, 2, 2.0 * (m2.conj().T @ m2))
+        add_sesquilinear(h, 0, 1, m0.conj().T @ m1)
+        add_sesquilinear(h, 1, 2, m1.conj().T @ m2)
+    else:
+        raise ValueError(f"unknown kernel {kernel!r}")
+    for i, env in enumerate(envelopes):
+        if env:
+            for v in range(4 * i, 4 * i + 4):
+                h[v, v] += 2.0
+    return h
+
+
+def hermite_moment(counts: tuple, g: list, h_rows: list, memo: dict) -> complex:
+    """exp(-Q) d^counts exp(Q) at the expansion point, by recursion.
+
+    With g = grad Q and H = Hess Q (constant), removing one derivative i:
+    M(S + i) = g_i M(S) + sum_j mult_j H_ij M(S - j).
+    """
+    val = memo.get(counts)
+    if val is not None:
+        return val
+    i = 0
+    while counts[i] == 0:
+        i += 1
+    rest = list(counts)
+    rest[i] -= 1
+    rest_t = tuple(rest)
+    total = g[i] * hermite_moment(rest_t, g, h_rows, memo)
+    hi = h_rows[i]
+    for j, mult in enumerate(rest_t):
+        if mult:
+            lower = list(rest_t)
+            lower[j] -= 1
+            total += mult * hi[j] * hermite_moment(tuple(lower), g, h_rows, memo)
+    memo[counts] = total
+    return total
+
+
+def real_coordinate_pairing(ps, maps, kernel: str = "derived") -> complex:
+    """Distributional value of the triple phase-space integral of three P objects.
+
+    ps are three QuasiProbability objects, maps the three 2x2 label maps
+    composed into the cyclic coherent-overlap kernel.
+    """
+    h = kernel_quadratic(maps, tuple(p.envelope for p in ps), kernel)
+    h_rows = [[complex(x) for x in row] for row in h]
+    total = 0.0 + 0.0j
+    stations: dict = {}
+    for t1, t2, t3 in itertools.product(ps[0].terms, ps[1].terms, ps[2].terms):
+        centers = t1.centers + t2.centers + t3.centers
+        station = stations.get(centers)
+        if station is None:
+            x0 = np.asarray(centers, dtype=float)
+            b = np.zeros(12, dtype=complex)
+            const = 0.0
+            for i, (p, t) in enumerate(zip(ps, (t1, t2, t3))):
+                if p.envelope:
+                    for k, c in enumerate(t.centers):
+                        b[4 * i + k] = -2.0 * c
+                        const += c * c
+            g = [complex(x) for x in (h @ x0 + b)]
+            base = cmath.exp(complex(0.5 * x0 @ h @ x0 + b @ x0 + const))
+            station = (g, base, {(0,) * 12: 1.0 + 0.0j})
+            stations[centers] = station
+        g, base, memo = station
+        counts = t1.orders + t2.orders + t3.orders
+        sign = -1.0 if sum(counts) % 2 else 1.0
+        moment = hermite_moment(counts, g, h_rows, memo)
+        total += t1.coeff * t2.coeff * t3.coeff * sign * moment * base
+    return complex(total)

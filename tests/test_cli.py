@@ -136,6 +136,24 @@ def test_non_finite_invariant_is_usage_error_not_disagree(capsys):
     assert "phase_space_pairing route returned a non-finite invariant" in err
 
 
+@pytest.mark.parametrize("occupation", ["1,1", "0,0"])
+def test_phase_huge_angle_routes_agree(capsys, occupation):
+    # the Fock route reduces the angle modulo 2 pi exactly and every route
+    # composes the third slot as M(theta1) M(theta2); unreduced, the Fock
+    # phases drift by |theta| * 1e-15, and theta1 + theta2 rounds by 0.06 rad
+    code, out, _ = run_cli(
+        capsys,
+        "phase",
+        "--occupation", occupation,
+        "--centers", "0.3,0.1,0,0.2",
+        "--theta1", "1e15",
+        "--theta2", "0.4",
+        "--n-max", "12",
+    )
+    assert code == 0
+    assert "flag: ok" in out
+
+
 def test_phase_truncation_leakage_flags_disagreement(capsys):
     with pytest.warns(TruncationLeakageWarning):
         code, out, _ = run_cli(
@@ -228,6 +246,14 @@ def test_validate_passes(capsys):
     assert code == 0
     assert "/19 checks passed" in out
     assert "[FAIL]" not in out
+
+
+def test_validate_rejects_n_max_above_bound(capsys):
+    # validate's dense matrices grow as n_max^4; phase and sweep stay unbounded
+    code, out, err = run_cli(capsys, "validate", "--n-max", "31")
+    assert code == 1
+    assert out == ""
+    assert "--n-max" in err
 
 
 def test_validate_json(capsys):

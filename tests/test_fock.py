@@ -153,6 +153,20 @@ def test_displaced_vacuum_matches_coherent_amplitudes():
     np.testing.assert_allclose(col, oracles.coherent_amplitudes(z, n_max), atol=1e-12)
 
 
+def test_displacement_matches_per_z_eigh():
+    # one eigenbasis of i(a† - a) per cutoff, phase-conjugated per z
+    dim = TruncationDim(30)
+    rng = np.random.default_rng(23)
+    grid = [complex(*rng.uniform(-2.0, 2.0, 2)) for _ in range(24)]
+    for z in grid + [0j, 2 + 2j, -2 + 0.5j, 1e-9j]:
+        want = oracles.displacement_by_eigh(z, dim.n_max)
+        assert np.max(np.abs(single_mode_displacement(z, dim.n_max) - want)) <= 1e-13
+        for n in (0, 1):
+            # mode 2 in vacuum at z = 0: the mode-1 column sits at stride n_max + 1
+            col = displaced_fock_state(z, n, 0.0, 0, dim)[:: dim.states_per_mode]
+            assert np.max(np.abs(col - want[:, n])) <= 1e-13
+
+
 def test_two_mode_coherent_state_amplitudes():
     dim = TruncationDim(20)
     z1, z2 = 0.2 + 0.1j, -0.15 + 0.25j

@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from bargmann_phase import geomphase
+from bargmann_phase.coherent import label_map_matrix
 from bargmann_phase.fock import (
     DensityOperator,
     TruncationDim,
@@ -28,7 +32,7 @@ from bargmann_phase.geomphase import (
     random_independent_scenarios,
     run_reconciliation,
 )
-from bargmann_phase.pdistribution import ORIGIN, PhaseSpacePoint
+from bargmann_phase.pdistribution import ORIGIN, PhaseSpacePoint, mehta_p_function
 
 
 def spec(occupation, z1, z2):
@@ -162,6 +166,57 @@ def test_fock_invariant_converges_at_n_max_60():
     fock = scenario.fock_invariant(TruncationDim(60))
     pairing = scenario.pairing_invariant()
     assert circular_delta(fock.phase, pairing.phase) <= 1e-9
+
+
+def real_coordinate_invariant(scenario, kernel):
+    """The pairing in (q, p) coordinates by the derivative recursion of tests/oracles.py."""
+    if scenario.is_evolved:
+        p = scenario.initial_state.quasi_probability()
+        m1 = label_map_matrix(scenario.theta1)
+        maps = (np.eye(2), m1, m1 @ label_map_matrix(scenario.theta2))
+        return oracles.real_coordinate_pairing((p, p, p), maps, kernel)
+    vertices = (scenario.vertex_a, scenario.vertex_b, scenario.vertex_c)
+    ps = tuple(StateSpec(scenario.occupation, *v).quasi_probability() for v in vertices)
+    return oracles.real_coordinate_pairing(ps, (np.eye(2),) * 3, kernel)
+
+
+@pytest.mark.parametrize("kernel", ["derived", "transcribed"])
+def test_pairing_matches_real_coordinate_oracle(kernel):
+    scenarios = random_evolved_scenarios(40, seed=11) + random_independent_scenarios(40, seed=12)
+    assert {(s.is_evolved, s.occupation) for s in scenarios} == {
+        (evolved, (n1, n2)) for evolved in (True, False) for n1 in (0, 1) for n2 in (0, 1)
+    }
+    for scenario in scenarios:
+        want = real_coordinate_invariant(scenario, kernel)
+        got = scenario.pairing_invariant(kernel).invariant
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    occupation=st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]),
+    centers=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    theta1=st.floats(-math.pi, math.pi),
+    theta2=st.floats(-math.pi, math.pi),
+    kernel=st.sampled_from(["derived", "transcribed"]),
+)
+def test_pairing_matches_real_coordinate_oracle_property(occupation, centers, theta1, theta2, kernel):
+    vertex = (PhaseSpacePoint(*centers[:2]), PhaseSpacePoint(*centers[2:]))
+    scenario = PhaseScenario.evolved(occupation, vertex, theta1, theta2)
+    want = real_coordinate_invariant(scenario, kernel)
+    got = scenario.pairing_invariant(kernel).invariant
+    # relative where |invariant| >= 1; an invariant crossing zero has no relative scale
+    assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+
+
+def test_wirtinger_form_of_single_photons_is_one_term():
+    # (1/4)(d_q^2 + d_p^2) = d_z d_zbar per mode: the four (q, p) terms of
+    # |1, 1> collect into one, with z and zbar derivatives on both modes
+    p = mehta_p_function((1, 1), shift=(PhaseSpacePoint(0.3, -0.1), ORIGIN))
+    assert len(p.terms) == 4
+    assert geomphase._wirtinger_terms(p, 2) == [(1.0, (0.3 - 0.1j, 0j), (2, 3), (2, 3))]
+    vacuum = mehta_p_function((0, 0))
+    assert geomphase._wirtinger_terms(vacuum, 0) == [(1.0, (0j, 0j), (), ())]
 
 
 def test_evolved_pairing_zero_angles_gives_unit_invariant():

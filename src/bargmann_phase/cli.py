@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -28,6 +29,13 @@ VALIDATE_N_MAX = 30
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes only plain negative numbers as values, so
+        # "--theta1 -1e-3" or "--centers -0.3,0.1,0,0" would read as an
+        # unknown option; no option here starts with "-<digit>" or "-."
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
+
     # argparse exits 2 on usage errors; the contract here reserves 2 for
     # numerical disagreement, so remap to 1.
     def error(self, message):

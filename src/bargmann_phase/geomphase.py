@@ -24,12 +24,11 @@ L1 = 1, L2 = M(theta1), L3 = M(theta1) M(theta2) composed into the
 kernel. This is exact; no shape assumption is made about the evolved P
 (the polarizer does not map Fock states to Fock states).
 
-The engine works in Wirtinger coordinates (z, conj z) per slot and mode,
-where (1/4)(d_q^2 + d_p^2) = d_z d_zbar, so the P of |1> is one term.
-Kernel and envelopes are exp of one quadratic Q = conj(z)·B·z + linear,
-with no z-z or zbar-zbar part; each term triple is therefore a mixed
-derivative of e^Q at the centers, a sum over partial matchings of the
-z derivatives with the zbar derivatives (_matching_sum). See
+In Wirtinger coordinates (z, conj z) per slot and mode the kernel is
+exp(conj(z)·B·z) with B = L† W L, a Gaussian with no z-z or zbar-zbar
+part. The pairing engine of module pdistribution (pair_product, the same
+loop that reconstructs density elements) evaluates it exactly as a sum
+over partial matchings of z with zbar derivatives. See
 docs/derivations.md.
 """
 from __future__ import annotations
@@ -38,7 +37,6 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -54,7 +52,14 @@ from .fock import (
     principal_phase,
     triple_overlap,
 )
-from .pdistribution import ORIGIN, PhaseSpacePoint, QuasiProbability, mehta_p_function
+from .pdistribution import (
+    ORIGIN,
+    GaussianFunction,
+    PhaseSpacePoint,
+    QuasiProbability,
+    mehta_p_function,
+    pair_product,
+)
 
 __all__ = [
     "ModePair",
@@ -154,79 +159,15 @@ _KERNEL_WEIGHTS = {
 }
 
 
-@lru_cache(maxsize=None)
-def _wirtinger_expansion(orders: tuple, offset: int) -> dict:
-    """(-1)^order d^orders over (q1, p1, q2, p2) as {(z vars, zbar vars): coeff}, by
-    d_q = d_z + d_zbar and d_p = i(d_z - d_zbar); mode m is variable offset + m."""
-    factors = [(offset + a // 2, ((1.0, 1.0), (1j, -1j))[a % 2])
-               for a, order in enumerate(orders) for _ in range(order)]
-    expansion: dict = {}
-    for picks in itertools.product((0, 1), repeat=len(factors)):  # 0: d_z, 1: d_zbar
-        key = tuple(tuple(v for (v, _), pick in zip(factors, picks) if pick == side) for side in (0, 1))
-        w = (-1.0) ** len(factors) * math.prod(ws[pick] for (_, ws), pick in zip(factors, picks))
-        expansion[key] = expansion.get(key, 0.0) + w
-    return expansion
-
-
-def _wirtinger_terms(p: QuasiProbability, offset: int) -> list:
-    """P's terms as (coeff, centers, z vars, zbar vars); equal terms are collected,
-    so the four (q, p) terms of |1, 1> become d_z d_zbar per mode."""
-    collected: dict = {}
-    for t in p.terms:
-        centers = (t.center1.to_complex(), t.center2.to_complex())
-        for (z, zbar), w in _wirtinger_expansion(t.orders, offset).items():
-            collected[centers, z, zbar] = collected.get((centers, z, zbar), 0.0) + t.coeff * w
-    return [(w, *key) for key, w in collected.items() if w != 0]
-
-
-@lru_cache(maxsize=None)
-def _mask_tables(n: int) -> tuple:
-    """For subsets of n slots: source[j, mask] = mask less j (2^n if j not in mask), in_mask."""
-    masks = np.arange(1 << n)
-    in_mask = (masks >> np.arange(n)[:, None]) & 1 == 1
-    return np.where(in_mask, masks ^ (1 << np.arange(n))[:, None], 1 << n), in_mask
-
-
-def _matching_sum(z_vars, zbar_vars, grad_z, grad_zbar, hess) -> complex:
-    """exp(-Q) d^z_vars d^zbar_vars exp(Q), Q quadratic with no z-z or zbar-zbar part.
-
-    The sum over partial matchings of z slots with zbar slots: a pair weighs
-    hess[zbar, z], an unmatched slot its gradient entry. sums[mask] covers the
-    z slots so far with the zbar slots in mask matched; sums[-1] stays 0.
-    """
-    source, in_mask = _mask_tables(len(zbar_vars))
-    sums = np.zeros(source.shape[1] + 1, dtype=complex)
-    sums[0] = 1.0
-    pair_weights = hess[np.ix_(zbar_vars, z_vars)]
-    for k, v in enumerate(z_vars):
-        sums[:-1] = sums[:-1] * grad_z[v] + pair_weights[:, k] @ sums[source]
-    unmatched = np.where(in_mask, 1.0, grad_zbar[list(zbar_vars)][:, None]).prod(axis=0)
-    return complex(sums[:-1] @ unmatched)
-
-
 def _triple_pairing(ps, labels: np.ndarray, kernel: str = "derived") -> complex:
-    """Distributional value of the triple phase-space integral.
-
-    Over the P variables z (index 2*slot + mode) the kernel is exp(conj(z)·B·z),
-    B = L† W L with L = labels, block diagonal over the slots' label maps.
-    Each enveloped slot adds |z - c|^2 to the exponent Q. At the centers c:
-    grad_z Q = conj(c)·B, grad_zbar Q = B·c, Q = conj(c)·B·c, and the
-    zbar-z curvature is B plus 1 on the enveloped slots' diagonal.
-    """
+    """Distributional value of the triple phase-space integral: the P objects
+    paired with the kernel exp(conj(z)·B·z), B = L† W L with L = labels block
+    diagonal over the slots' label maps, over the P variables 2*slot + mode."""
     if kernel not in _KERNEL_WEIGHTS:
         raise ValueError(f"unknown kernel {kernel!r}")
-    form = labels.conj().T @ _KERNEL_WEIGHTS[kernel] @ labels
-    hess = form + np.diag(np.repeat([float(p.envelope) for p in ps], 2))
-    total = 0.0 + 0.0j
-    # overflow yields a non-finite invariant, which method_reconciliation rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        for terms in itertools.product(*(_wirtinger_terms(p, 2 * i) for i, p in enumerate(ps))):
-            c = np.array([z for t in terms for z in t[1]])
-            z_vars, zbar_vars = (sum((t[k] for t in terms), ()) for k in (2, 3))
-            moment = _matching_sum(z_vars, zbar_vars, c.conj() @ form, form @ c, hess)
-            base = cmath.exp(complex(c.conj() @ form @ c))
-            total += math.prod(t[0] for t in terms) * moment * base
-    return complex(total)
+    form = np.zeros((7, 7), dtype=complex)  # no linear or constant part
+    form[:6, :6] = labels.conj().T @ _KERNEL_WEIGHTS[kernel] @ labels
+    return pair_product(ps, GaussianFunction(form))
 
 
 def _chain_labels(theta1: float, theta2: float) -> np.ndarray:

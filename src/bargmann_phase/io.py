@@ -190,32 +190,58 @@ def pfunc_document(
     }
 
 
-def pfunc_from_document(doc: dict) -> tuple[tuple[int, int], tuple[PhaseSpacePoint, PhaseSpacePoint], QuasiProbability]:
+def _numbers(obj, name: str, length: int, kind=float) -> list:
+    """obj[name] as a list of `length` numbers of the given kind, unchanged by
+    the conversion (so 1.5 is no int); a ValueError names the field otherwise."""
+    if name not in obj:
+        raise ValueError(f"pfunc document lacks the field {name!r}")
+    value = obj[name]
+    if isinstance(value, list) and len(value) == length:
+        try:
+            numbers = [kind(x) for x in value]
+        except (TypeError, ValueError):
+            numbers = None
+        if numbers == value:
+            return numbers
+    raise ValueError(f"pfunc field {name!r} must be {length} {kind.__name__} values, got {value!r}")
+
+
+def pfunc_from_document(doc) -> tuple[tuple[int, int], tuple[PhaseSpacePoint, PhaseSpacePoint], QuasiProbability]:
     """Parse a pfunc document; verifies the terms match the metadata.
 
     The occupation and shift are what downstream consumers (the matrix
     oracle in particular) need; the explicit term list must agree with
     the one they generate, otherwise the document is inconsistent.
+    Malformed documents raise ValueError naming the offending field.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"a pfunc document is a JSON object, got {type(doc).__name__}")
     if doc.get("schema") != SCHEMA:
         raise ValueError(f"unsupported schema {doc.get('schema')!r}")
     if doc.get("kind") != "pfunc":
         raise ValueError(f"expected a pfunc document, got kind {doc.get('kind')!r}")
-    occupation = tuple(int(n) for n in doc["occupation"])
-    s = [float(x) for x in doc["shift"]]
+    # the phase-space route pairs enveloped P objects only
+    if doc.get("envelope", True) is not True:
+        raise ValueError(f"pfunc field 'envelope' must be true, got {doc['envelope']!r}")
+    occupation = tuple(_numbers(doc, "occupation", 2, int))
+    s = _numbers(doc, "shift", 4)
     shift = (PhaseSpacePoint(s[0], s[1]), PhaseSpacePoint(s[2], s[3]))
+    if not isinstance(doc.get("terms"), list):
+        raise ValueError(f"pfunc field 'terms' must be a list of terms, got {doc.get('terms')!r}")
     terms = []
     for t in doc["terms"]:
-        c = t["center"]
+        if not isinstance(t, dict):
+            raise ValueError(f"each pfunc term is a JSON object, got {t!r}")
+        coeff, c = _numbers(t, "coeff", 2), _numbers(t, "center", 4)
         terms.append(
             DeltaDerivativeTerm(
-                coeff=complex(t["coeff"][0], t["coeff"][1]),
-                center1=PhaseSpacePoint(float(c[0]), float(c[1])),
-                center2=PhaseSpacePoint(float(c[2]), float(c[3])),
-                orders=tuple(int(o) for o in t["orders"]),
+                coeff=complex(coeff[0], coeff[1]),
+                center1=PhaseSpacePoint(c[0], c[1]),
+                center2=PhaseSpacePoint(c[2], c[3]),
+                orders=tuple(_numbers(t, "orders", 4, int)),
             )
         )
-    p = QuasiProbability(terms=tuple(terms), envelope=bool(doc.get("envelope", True)))
+    p = QuasiProbability(terms=tuple(terms))
     expected = mehta_p_function(occupation, shift)
     if len(expected.terms) != len(p.terms):
         raise ValueError("pfunc terms do not match the declared state")

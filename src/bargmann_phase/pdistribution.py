@@ -1,4 +1,5 @@
-"""Diagonal coherent-state (P) representations of low Fock states.
+"""Diagonal coherent-state (P) representations of low Fock states, and the
+engine that pairs them with Gaussian test functions.
 
 A state rho is written rho = integral P(z1, z2) |z1, z2><z1, z2| d^2z1 d^2z2
 with z = q + ip per mode. For Fock states the weight P is a finite sum of
@@ -19,28 +20,41 @@ the per-mode factors are
     |0>:  delta(q - q0) delta(p - p0)
     |1>:  (1/4) [ d^2/dq^2 + d^2/dp^2 ] applied to the deltas
 
-against the recentred envelope. Second derivatives paired with f pick up
-envelope curvature: the effective weights at the center are f for order
-0, f' for order 1, and f'' + 2 f for order 2.
+against the recentred envelope.
+
+Pairing engine. In Wirtinger coordinates (z, conj z) per mode,
+(1/4)(d_q^2 + d_p^2) = d_z d_zbar, so the P of |1> is one term. Every
+test function is exp Q with Q(w) = conj(w)·H·w + a·w + b·conj(w) + c,
+which has no z-z or zbar-zbar part; a polynomial prefactor is a
+derivative in generator variables g, as in
+z^m conj(z)^n e^{-|z|^2} = d_gbar^m d_g^n exp(-|z|^2 + conj(z) g + conj(g) z)
+at g = 0. The envelopes add |z - c|^2 to Q. Each product of P terms is
+therefore a mixed derivative of e^Q at the centers, a sum over partial
+matchings of the z derivatives with the zbar derivatives (_matching_sum).
+pair_product pairs several P objects at once; geomphase uses it with the
+coherent-overlap kernel. See docs/derivations.md.
 
 Two-mode states are tensor products of the per-mode factors. Occupations
 above 1 are outside the supported family.
 """
 from __future__ import annotations
 
+import cmath
+import collections
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
-
-from .polyexp import PolyExpFunction, SparsePoly
 
 __all__ = [
     "PhaseSpacePoint",
     "DeltaDerivativeTerm",
     "QuasiProbability",
     "mehta_p_function",
+    "GaussianFunction",
+    "pair_product",
     "pair",
     "fock_element_function",
     "gaussian_smear_function",
@@ -174,92 +188,176 @@ def mehta_p_function(
     return QuasiProbability(terms=tuple(terms))
 
 
-# Envelope Leibniz weights at the term center: pairing a delta derivative
-# of the given order against envelope * f contracts to these (f-order,
-# weight) pairs. g(t) = e^{t^2} has g(0)=1, g'(0)=0, g''(0)=2.
-_ENVELOPE_CONTRACTION = {
-    0: ((0, 1.0),),
-    1: ((1, 1.0),),
-    2: ((2, 1.0), (0, 2.0)),
-}
-_BARE_CONTRACTION = {o: ((o, 1.0),) for o in (0, 1, 2)}
+# ---------------------------------------------------------------------------
+# Pairing engine
 
 
-def pair(p: QuasiProbability, f) -> complex:
-    """Distributional pairing integral P(x) f(x) dx in the absorbed measure.
+@lru_cache(maxsize=None)
+def _wirtinger_expansion(orders: tuple, offset: int) -> dict:
+    """(-1)^order d^orders over (q1, p1, q2, p2) as {(z vars, zbar vars): coeff}, by
+    d_q = d_z + d_zbar and d_p = i(d_z - d_zbar); mode m is variable offset + m."""
+    factors = [(offset + a // 2, ((1.0, 1.0), (1j, -1j))[a % 2])
+               for a, order in enumerate(orders) for _ in range(order)]
+    expansion: dict = {}
+    for picks in itertools.product((0, 1), repeat=len(factors)):  # 0: d_z, 1: d_zbar
+        key = tuple(tuple(v for (v, _), pick in zip(factors, picks) if pick == side) for side in (0, 1))
+        w = (-1.0) ** len(factors) * math.prod(ws[pick] for (_, ws), pick in zip(factors, picks))
+        expansion[key] = expansion.get(key, 0.0) + w
+    return expansion
 
-    f must expose partial(orders, point). Each delta derivative of order o
-    contributes (-1)^o times the o-th derivative of (envelope * f) at the
-    term center; the envelope contraction reduces that to derivatives of f
-    alone via the weights above.
+
+def _wirtinger_terms(p: QuasiProbability, offset: int) -> list:
+    """P's terms as (coeff, centers, z vars, zbar vars); equal terms are collected,
+    so the four (q, p) terms of |1, 1> become d_z d_zbar per mode."""
+    collected: dict = {}
+    for t in p.terms:
+        centers = (t.center1.to_complex(), t.center2.to_complex())
+        for (z, zbar), w in _wirtinger_expansion(t.orders, offset).items():
+            collected[centers, z, zbar] = collected.get((centers, z, zbar), 0.0) + t.coeff * w
+    return [(w, *key) for key, w in collected.items() if w != 0]
+
+
+@lru_cache(maxsize=None)
+def _count_tables(counts: tuple) -> tuple:
+    """States s with 0 <= s[u] <= counts[u], flat in C order: source[u, s] = s less one u
+    (the state count if s[u] = 0), free = counts - s, and scale = 1 / prod(free!)."""
+    dims = tuple(c + 1 for c in counts)
+    states = np.indices(dims).reshape(len(dims), math.prod(dims))
+    strides = np.array([math.prod(dims[u + 1:]) for u in range(len(dims))], dtype=int)
+    source = np.where(states > 0, np.arange(states.shape[1]) - strides[:, None], states.shape[1])
+    free = np.array(counts, dtype=int)[:, None] - states
+    factorials = np.cumprod([1.0, *range(1, max(counts, default=0) + 1)])
+    return source, free, 1.0 / factorials[free].prod(axis=0)
+
+
+def _matching_sum(z_vars, zbar_vars, grad_z, grad_zbar, hess) -> complex:
+    """exp(-Q) d^z_vars d^zbar_vars exp(Q), Q quadratic with no z-z or zbar-zbar part.
+
+    The sum over partial matchings of z slots with zbar slots: a pair weighs
+    hess[zbar, z], an unmatched slot its gradient entry. Slots of one zbar
+    variable are interchangeable, so a state counts the matched slots per
+    distinct zbar variable. sums[s] covers the z slots so far, times
+    prod(free!) so that each step is a plain sum over the variables;
+    sums[-1] stays 0.
     """
-    contraction = _ENVELOPE_CONTRACTION if p.envelope else _BARE_CONTRACTION
+    counted = collections.Counter(zbar_vars)
+    zbar_u = tuple(counted)
+    source, free, scale = _count_tables(tuple(counted.values()))
+    sums = np.zeros(source.shape[1] + 1, dtype=complex)
+    sums[0] = 1.0 / scale[0]
+    pair_weights = hess[np.ix_(zbar_u, z_vars)]
+    for k, v in enumerate(z_vars):
+        sums[:-1] = sums[:-1] * grad_z[v] + pair_weights[:, k] @ sums[source]
+    unmatched = scale * (grad_zbar[list(zbar_u)][:, None] ** free).prod(axis=0)
+    return complex(sums[:-1] @ unmatched)
+
+
+@dataclass(frozen=True, eq=False)
+class GaussianFunction:
+    """d^z_slots d^zbar_slots exp Q(w) at generator variables 0, where
+    Q(w) = conj(w)·H·w + a·w + b·conj(w) + c is held as one sesquilinear
+    form over w' = (w, 1): form = [[H, b], [a, c]].
+
+    w stacks the complex P variables, 2*i + mode - 1 for the i-th paired P
+    object, and then the generator variables that the slots differentiate.
+    """
+
+    form: np.ndarray
+    z_slots: tuple = ()
+    zbar_slots: tuple = ()
+
+    def partial(self, orders, point) -> complex:
+        """d^orders f at point over (q1, p1, q2, p2): the pairing against one bare
+        delta-derivative term with coefficient (-1)^|orders|."""
+        term = DeltaDerivativeTerm((-1.0) ** sum(orders), PhaseSpacePoint(*point[:2]),
+                                   PhaseSpacePoint(*point[2:]), tuple(orders))
+        return pair(QuasiProbability((term,), envelope=False), self)
+
+    def value(self, point) -> complex:
+        return self.partial((0, 0, 0, 0), point)
+
+    def translated(self, offset) -> "GaussianFunction":
+        """f(x + offset) with offset over (q1, p1, q2, p2). Shifting w by delta is
+        linear in w' = (w, 1), so only the last row and column (a, b, c) change."""
+        offset = np.asarray(offset, dtype=float)
+        shift = np.eye(len(self.form), dtype=complex)
+        shift[:2, -1] = offset[0::2] + 1j * offset[1::2]
+        return replace(self, form=shift.conj().T @ self.form @ shift)
+
+
+def pair_product(ps, f: GaussianFunction) -> complex:
+    """integral P_1(x_1) ... P_k(x_k) f(x_1, ..., x_k) dx in the absorbed measure.
+
+    Each enveloped P adds |z - c|^2 to Q, which at its centers c changes
+    neither Q nor its gradients. So each product of Wirtinger terms is the
+    matching sum with gradients grad_z Q = conj(w')·form and
+    grad_zbar Q = form·w' at w' = (centers, 0, 1), times exp Q; the zbar-z
+    curvature is H plus 1 on the enveloped variables' diagonal.
+    """
+    envelope = [float(p.envelope) for p in ps for _ in range(2)]
+    n_p = len(envelope)
+    hess = f.form + np.diag(envelope + [0.0] * (len(f.form) - n_p))
+    w = np.zeros(len(f.form), dtype=complex)
+    w[-1] = 1.0
     total = 0.0 + 0.0j
-    for term in p.terms:
-        sign = -1.0 if sum(term.orders) % 2 else 1.0
-        point = term.centers
-        acc = 0.0 + 0.0j
-        for parts in itertools.product(*(contraction[o] for o in term.orders)):
-            weight = 1.0
-            for _, w in parts:
-                weight *= w
-            f_orders = tuple(k for k, _ in parts)
-            acc += weight * f.partial(f_orders, point)
-        total += term.coeff * sign * acc
+    # overflow yields a non-finite invariant, which method_reconciliation rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for terms in itertools.product(*(_wirtinger_terms(p, 2 * i) for i, p in enumerate(ps))):
+            w[:n_p] = [z for t in terms for z in t[1]]
+            z_vars = sum((t[2] for t in terms), ()) + f.z_slots
+            zbar_vars = sum((t[3] for t in terms), ()) + f.zbar_slots
+            grad_zbar = f.form @ w
+            moment = _matching_sum(z_vars, zbar_vars, w.conj() @ f.form, grad_zbar, hess)
+            base = cmath.exp(complex(w.conj() @ grad_zbar))
+            total += math.prod(t[0] for t in terms) * moment * base
     return complex(total)
 
 
-def constant_function(value: complex = 1.0) -> PolyExpFunction:
-    return PolyExpFunction.gaussian_exponent(4, poly=SparsePoly.constant(4, value))
+def pair(p: QuasiProbability, f: GaussianFunction) -> complex:
+    """Distributional pairing integral P(x) f(x) dx in the absorbed measure."""
+    return pair_product((p,), f)
 
 
-def fock_element_function(bra: tuple[int, int], ket: tuple[int, int]) -> PolyExpFunction:
+def constant_function() -> GaussianFunction:
+    return GaussianFunction(np.zeros((3, 3)))
+
+
+def fock_element_function(bra: tuple[int, int], ket: tuple[int, int]) -> GaussianFunction:
     """f(x) = <bra|z><z|ket> as a function of (q1, p1, q2, p2).
 
-    Per mode, <m|z><z|n> = e^{-|z|^2} z^m conj(z)^n / sqrt(m! n!).
-    Pairing the P of rho against this yields <bra|rho|ket> directly.
+    Per mode, <m|z><z|n> = e^{-|z|^2} z^m conj(z)^n / sqrt(m! n!), which is
+    d_gbar^m d_g^n exp(-|z|^2 + conj(z) g + conj(g) z) / sqrt(m! n!) at
+    g = 0, with generator g_k as variable 2 + k. Pairing the P of rho
+    against this yields <bra|rho|ket> directly.
     """
-    poly = SparsePoly.constant(4)
-    for mode, (m, n) in enumerate(zip(bra, ket)):
-        if m < 0 or n < 0:
-            raise ValueError("occupations must be nonnegative")
-        vq, vp = 2 * mode, 2 * mode + 1
-        z_plus = SparsePoly.linear(4, [1.0 if v == vq else (1j if v == vp else 0.0) for v in range(4)])
-        z_minus = SparsePoly.linear(4, [1.0 if v == vq else (-1j if v == vp else 0.0) for v in range(4)])
-        for _ in range(m):
-            poly = poly * z_plus
-        for _ in range(n):
-            poly = poly * z_minus
-        poly = poly.scaled(1.0 / math.sqrt(math.factorial(m) * math.factorial(n)))
-    quad = -2.0 * np.eye(4)
-    return PolyExpFunction.gaussian_exponent(4, quad=quad, poly=poly)
+    if min(*bra, *ket) < 0:
+        raise ValueError("occupations must be nonnegative")
+    form = np.zeros((5, 5))
+    # H: -|z_1|^2 - |z_2|^2 + sum_k conj(z_k) g_k + conj(g_k) z_k; c: the normalisation
+    form[:4, :4] = np.kron([[-1.0, 1.0], [1.0, 0.0]], np.eye(2))
+    form[4, 4] = -0.5 * math.log(math.prod(math.factorial(k) for k in (*bra, *ket)))
+    return GaussianFunction(
+        form, z_slots=(2,) * ket[0] + (3,) * ket[1], zbar_slots=(2,) * bra[0] + (3,) * bra[1]
+    )
 
 
-def gaussian_smear_function(
-    sigma: float,
-    center: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0),
-    modes: tuple[int, ...] = (1, 2),
-) -> PolyExpFunction:
-    """Normalized-height Gaussian exp{-(x - c)^2 / (2 sigma^2)} on the
-    selected modes' phase planes, constant in the other variables.
+def gaussian_smear_function(sigma: float, modes: tuple[int, ...] = (1, 2)) -> GaussianFunction:
+    """Normalized-height Gaussian exp{-|z|^2 / (2 sigma^2)} on the selected
+    modes' phase planes, constant in the other variables.
 
     With modes=(1,) this is the mode-1 marginal smear used as the
     nonclassicality witness; its pairing against a single-photon P is
-    1 - 1/(2 sigma^2), strictly negative for sigma < 1/sqrt(2).
+    1 - 1/(2 sigma^2), strictly negative for sigma < 1/sqrt(2). A smear
+    centred at c is gaussian_smear_function(sigma).translated(-c).
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError("sigma must be positive")
-    quad = np.zeros((4, 4), dtype=complex)
-    lin = np.zeros(4, dtype=complex)
-    const = 0.0 + 0.0j
+    form = np.zeros((3, 3))
     for mode in modes:
         if mode not in (1, 2):
             raise ValueError("modes are numbered 1 and 2")
-        for v in (2 * (mode - 1), 2 * (mode - 1) + 1):
-            quad[v, v] = -1.0 / sigma**2
-            lin[v] = center[v] / sigma**2
-            const += -center[v] ** 2 / (2.0 * sigma**2)
-    return PolyExpFunction.gaussian_exponent(4, quad=quad, lin=lin, const=const)
+        form[mode - 1, mode - 1] = -0.5 / sigma**2
+    return GaussianFunction(form)
 
 
 def reconstruct_density_element(

@@ -7,15 +7,15 @@ the test suite additionally compares against fully independent oracles.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import coherent, fock, geomphase, pdistribution
-from .polyexp import NumericalFunction
 
-__all__ = ["CheckResult", "run_all"]
+__all__ = ["CheckResult", "NumericalFunction", "run_all"]
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,44 @@ class CheckResult:
     def from_defect(cls, name: str, value: float, threshold: float, detail: str) -> "CheckResult":
         return cls(name=name, passed=bool(value <= threshold), value=float(value),
                    threshold=float(threshold), detail=detail)
+
+
+_EPS = 2.22e-16
+
+
+@dataclass
+class NumericalFunction:
+    """Central finite differences on a black-box function of nvars reals.
+
+    The reference for the engine's exact partials. The base step (default
+    1e-5) balances truncation against cancellation for first and second
+    derivatives of order-one functions; for higher total orders the
+    product stencil widens the step to eps^{1/(order+2)}, the usual
+    balance point.
+    """
+
+    func: object
+    nvars: int
+    step: float = 1e-5
+
+    def partial(self, orders, point) -> complex:
+        if len(orders) != self.nvars:
+            raise ValueError("orders length must match variable count")
+        if not set(orders) <= {0, 1, 2}:
+            raise ValueError("finite differences support orders 0..2 per variable")
+        point = tuple(float(x) for x in point)
+        total = sum(orders)
+        h = self.step if total <= 2 else max(self.step, _EPS ** (1.0 / (total + 2)))
+        stencils = {
+            0: ((0.0, 1.0),),
+            1: ((h, 0.5 / h), (-h, -0.5 / h)),
+            2: ((h, 1.0 / (h * h)), (0.0, -2.0 / (h * h)), (-h, 1.0 / (h * h))),
+        }
+        return sum(
+            math.prod(w for _, w in combo)
+            * complex(self.func(tuple(p + s for p, (s, _) in zip(point, combo))))
+            for combo in itertools.product(*(stencils[o] for o in orders))
+        )
 
 
 def _check_polarizer_unitarity(dim, rng) -> CheckResult:

@@ -311,6 +311,48 @@ def test_pfunc_from_tampered_document_rejected(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "tamper, field",
+    [
+        (lambda doc: [doc], "JSON object"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "terms"}, "'terms'"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "shift"}, "'shift'"),
+        (lambda doc: {**doc, "shift": doc["shift"][:3]}, "'shift'"),
+        (lambda doc: {**doc, "envelope": False}, "'envelope'"),
+        (lambda doc: {**doc, "occupation": [1.9, 0.2]}, "'occupation'"),
+    ],
+    ids=["not-an-object", "missing-terms", "missing-shift", "short-shift", "envelope-false",
+         "fractional-occupation"],
+)
+def test_pfunc_from_malformed_document_is_usage_error(tmp_path, capsys, tamper, field):
+    path = tmp_path / "p.json"
+    assert run_cli(capsys, "pfunc", "--occupation", "1,0", "--out", str(path))[0] == 0
+    path.write_text(json.dumps(tamper(json.loads(path.read_text()))))
+    code, out, err = run_cli(capsys, "phase", "--from-pfunc", str(path), str(path), str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("bargmann-phase: error:")
+    assert field in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("phase", "--theta1", "0.1", "--theta2", "0.2", "--centers", "-0.3,0.1,0,0.2"),
+        ("phase", "--theta2", "0.2", "--theta1", "-1e-3"),
+        ("sweep", "--theta2", "0.2", "--theta1", "-1:1:8"),
+        ("pfunc", "--centers", "-0.2,0,0,0"),
+    ],
+    ids=["phase-centers", "phase-theta-exponent", "sweep-grid", "pfunc-centers"],
+)
+def test_negative_values_are_values_not_options(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--n-max", "10")
+    assert code == 0, err
+    # the --flag=value form reads the same negative value
+    flag, value = argv[-2:]
+    assert run_cli(capsys, *argv[:-2], f"{flag}={value}", "--n-max", "10")[1] == out
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "result.json"
     code, out, _ = run_cli(

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bargmann_phase import geomphase
+from bargmann_phase import pdistribution
 from bargmann_phase.coherent import label_map_matrix
 from bargmann_phase.fock import (
     DensityOperator,
@@ -214,9 +214,9 @@ def test_wirtinger_form_of_single_photons_is_one_term():
     # |1, 1> collect into one, with z and zbar derivatives on both modes
     p = mehta_p_function((1, 1), shift=(PhaseSpacePoint(0.3, -0.1), ORIGIN))
     assert len(p.terms) == 4
-    assert geomphase._wirtinger_terms(p, 2) == [(1.0, (0.3 - 0.1j, 0j), (2, 3), (2, 3))]
+    assert pdistribution._wirtinger_terms(p, 2) == [(1.0, (0.3 - 0.1j, 0j), (2, 3), (2, 3))]
     vacuum = mehta_p_function((0, 0))
-    assert geomphase._wirtinger_terms(vacuum, 0) == [(1.0, (0j, 0j), (), ())]
+    assert pdistribution._wirtinger_terms(vacuum, 0) == [(1.0, (0j, 0j), (), ())]
 
 
 def test_evolved_pairing_zero_angles_gives_unit_invariant():

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from bargmann_phase.fock import DensityOperator, TruncationDim
+from bargmann_phase.geomphase import StateSpec
 from bargmann_phase.pdistribution import (
     ORIGIN,
     DeltaDerivativeTerm,
@@ -17,7 +20,7 @@ from bargmann_phase.pdistribution import (
     pair,
     reconstruct_density_element,
 )
-from bargmann_phase.polyexp import NumericalFunction, PolyExpFunction, SparsePoly
+from bargmann_phase.validation import NumericalFunction
 
 ALL_OCCUPATIONS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -199,16 +202,6 @@ def test_fock_element_function_values():
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_sparse_poly_algebra():
-    x = SparsePoly.linear(2, [1.0, 0.0])
-    y = SparsePoly.linear(2, [0.0, 1.0])
-    f = (x + y) * (x + y.scaled(-1.0))  # x^2 - y^2
-    assert f.evaluate((0.7, 0.4)) == pytest.approx(0.7**2 - 0.4**2, abs=1e-15)
-    dfdx = f.derivative(0)
-    assert dfdx.evaluate((0.7, 0.4)) == pytest.approx(1.4, abs=1e-15)
-    assert f.derivative(1).evaluate((0.7, 0.4)) == pytest.approx(-0.8, abs=1e-15)
-
-
 def test_polyexp_translated_matches_shifted_argument():
     rng = np.random.default_rng(73)
     f = fock_element_function((1, 1), (0, 1))
@@ -254,6 +247,62 @@ def test_pair_agrees_with_numerical_route():
         sign = -1.0 if sum(term.orders) % 2 else 1.0
         num += term.coeff * sign * EnvelopedNumerical().partial(term.orders, term.centers)
     assert sym == pytest.approx(num, rel=1e-3, abs=1e-4)
+
+
+occupations = st.sampled_from(ALL_OCCUPATIONS)
+mode_numbers = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    occupation=occupations,
+    centers=st.lists(st.floats(-0.4, 0.4), min_size=4, max_size=4),
+    bra=mode_numbers,
+    ket=mode_numbers,
+)
+def test_reconstruction_matches_state_vector_outer_product(occupation, centers, bra, ket):
+    dim = TruncationDim(20)
+    state = StateSpec.from_complex(occupation, complex(*centers[:2]), complex(*centers[2:]))
+    psi = state.state_vector(dim)
+    want = psi[dim.index(*bra)] * np.conjugate(psi[dim.index(*ket)])
+    got = reconstruct_density_element(state.quasi_probability(), bra, ket)
+    assert abs(got - want) <= 1e-8
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    occupation=occupations,
+    offset=st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4),
+    bra=mode_numbers,
+    ket=mode_numbers,
+    sigma=st.floats(0.3, 2.0),
+    modes=st.sampled_from([(1,), (2,), (1, 2)]),
+)
+def test_translation_covariance_property(occupation, offset, bra, ket, sigma, modes):
+    p = mehta_p_function(occupation)
+    shift = (PhaseSpacePoint(*offset[:2]), PhaseSpacePoint(*offset[2:]))
+    for f in (fock_element_function(bra, ket), gaussian_smear_function(sigma, modes)):
+        lhs = pair(p.shifted(*shift), f)
+        rhs = pair(p, f.translated(offset))
+        assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1.0)
+        # a translated function translates again
+        twice = pair(p.shifted(*shift).shifted(*shift), f)
+        assert abs(twice - pair(p, f.translated(offset).translated(offset))) <= 1e-12 * max(abs(twice), 1.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    point=st.lists(st.floats(-1.5, 1.5), min_size=4, max_size=4),
+    bra=mode_numbers,
+    ket=mode_numbers,
+)
+def test_fock_element_value_matches_closed_form(point, bra, ket):
+    want = 1.0 + 0.0j
+    for z, m, n in zip((complex(*point[:2]), complex(*point[2:])), bra, ket):
+        want *= math.exp(-abs(z) ** 2) * z**m * z.conjugate() ** n
+        want /= math.sqrt(math.factorial(m) * math.factorial(n))
+    got = fock_element_function(bra, ket).value(point)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_oracle_central_difference_self_check():

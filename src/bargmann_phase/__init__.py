@@ -25,6 +25,7 @@ from .fock import (
     PhaseResult,
     TruncationDim,
     TruncationLeakageWarning,
+    chain_invariant,
     coherent_state,
     displaced_fock_state,
     displacement_operator,

@@ -24,8 +24,12 @@ from .validation import run_all
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DISAGREE = 2
+# phase and sweep hold the stacked sector eigenbases, which grow as n_max^3
+N_MAX = 100
 # validate builds dense (n_max+1)^2-square matrices: memory grows as n_max^4
 VALIDATE_N_MAX = 30
+# a sweep builds count1 * count2 rows
+GRID_COUNT_MAX = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,8 +98,8 @@ def _parse_theta(text: str, flag: str, allow_grid: bool):
             raise ValueError(f"grid is 'start:stop:count', got {text!r}")
         start, stop = float(parts[0]), float(parts[1])
         count = int(parts[2])
-        if count < 1:
-            raise ValueError("grid count must be positive")
+        if not 1 <= count <= GRID_COUNT_MAX:
+            raise ValueError(f"{flag} grid count must be in [1, {GRID_COUNT_MAX}], got {count}")
         step = (stop - start) / count
         values = [start + i * step for i in range(count)]
         checked = (start, stop, step)
@@ -115,9 +119,11 @@ def _add_common(parser, default_n_max=25):
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
-def _run_config(args, fmt: str) -> RunConfig:
+def _run_config(args, fmt: str, n_max_bound: int | None = None) -> RunConfig:
     if args.n_max < 5:
         raise ValueError(f"--n-max must be >= 5, got {args.n_max}")
+    if n_max_bound is not None and args.n_max > n_max_bound:
+        raise ValueError(f"--n-max must be <= {n_max_bound} for {args.command}, got {args.n_max}")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be finite and positive, got {args.tol!r}")
     return RunConfig(n_max=args.n_max, tol=args.tol, seed=args.seed, fmt=fmt, out=args.out)
@@ -184,7 +190,7 @@ def _phase_text(row, config: RunConfig) -> str:
 
 
 def cmd_phase(args) -> int:
-    config = _run_config(args, args.format)
+    config = _run_config(args, args.format, N_MAX)
     if args.from_pfunc:
         if args.centers != "0,0,0,0" or args.theta1 is not None or args.theta2 is not None:
             raise ValueError("--from-pfunc replaces --centers and angles")
@@ -205,7 +211,7 @@ def cmd_phase(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _run_config(args, args.format)
+    config = _run_config(args, args.format, N_MAX)
     occupation = _parse_occupation(args.occupation)
     vertices = _parse_centers(args.centers)
     if len(vertices) != 1:
@@ -235,9 +241,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    config = _run_config(args, args.format)
-    if config.n_max > VALIDATE_N_MAX:
-        raise ValueError(f"--n-max must be <= {VALIDATE_N_MAX} for validate, got {config.n_max}")
+    config = _run_config(args, args.format, VALIDATE_N_MAX)
     checks = run_all(n_max=config.n_max, seed=config.seed)
     ok = all(c.passed for c in checks)
     if config.fmt == "json":

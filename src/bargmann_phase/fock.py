@@ -12,16 +12,20 @@ Unitaries are built from eigendecompositions of Hermitian generators, so
 they are exactly unitary in floating point (no series truncation):
 
 * the polarizer exp{i theta (a1†a2 + a2†a1)} conserves total photon
-  number and is assembled block-per-sector, which also makes the
-  between-sector entries exact zeros;
+  number; its sector eigenbases are computed once per cutoff and stacked,
+  zero-padded, into one array (_polarizer_sectors), so every polarizer
+  action is a few batched matmuls and the dense form has exact zeros
+  between sectors;
 * a displacement exp{z a† - conj(z) a} is a diagonal phase conjugation of
   exp(|z|(a† - a)), whose eigenbasis is computed once per cutoff.
 
 The oracle works on pure-state vectors: the invariant is
-<psi1|psi2><psi2|psi3><psi3|psi1> (triple_overlap), and a polarizer step
-psi -> U† psi is a matvec per sector in the cached eigenbasis
-(evolve_state). No dense unitary is cached; the operator forms serve the
-operator identity checks.
+<psi1|psi2><psi2|psi3><psi3|psi1> (triple_overlap). A polarizer chain
+needs no evolved state: its invariant is f(theta1) f(theta2)
+conj f(theta1 + theta2) with f(t) = <psi1|e^{-i t G}|psi1>, three sums
+over the sector weights |V^T psi1|^2 (chain_invariant). evolve_state
+applies psi -> U† psi in the same basis. No dense unitary is cached; the
+operator forms serve the operator identity checks.
 
 Truncation is the only approximation. Displacements with |z| beyond
 n_max/10 leak noticeable weight past the cutoff and trigger a
@@ -57,6 +61,7 @@ __all__ = [
     "displaced_fock_state",
     "coherent_state",
     "evolve_state",
+    "chain_invariant",
     "triple_overlap",
     "DensityOperator",
     "evolve",
@@ -178,40 +183,57 @@ def polarizer_generator() -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _polarizer_sectors(n_max: int) -> tuple:
-    """Eigendecompositions of the generator restricted to each N-sector.
+    """Eigendecompositions of the generator restricted to each N-sector, stacked.
 
     Sector N has basis |n1, N-n1> for n1 in [max(0, N-n_max), min(N, n_max)].
     The restricted generator is real symmetric tridiagonal with
     <n1+1, n2-1| a1†a2 |n1, n2> = sqrt((n1+1) n2). Each eigenbasis V is
     checked orthogonal, so every V exp(i theta lambda) V^T is unitary.
+
+    Returns (indices, vecs, vals) of shapes (2n_max+1, n_max+1),
+    (2n_max+1, n_max+1, n_max+1) and (2n_max+1, n_max+1): sector N fills the
+    leading block, and the padding is zero in vecs and vals while its
+    indices point at slot d = (n_max+1)^2, a zero appended to the state.
     """
     m = n_max + 1
-    sectors = []
+    indices = np.full((2 * n_max + 1, m), m * m)
+    vecs = np.zeros((2 * n_max + 1, m, m))
+    vals = np.zeros((2 * n_max + 1, m))
     for total in range(2 * n_max + 1):
-        lo = max(0, total - n_max)
-        hi = min(total, n_max)
-        occ1 = np.arange(lo, hi + 1)
-        indices = occ1 * m + (total - occ1)
+        occ1 = np.arange(max(0, total - n_max), min(total, n_max) + 1)
         size = len(occ1)
-        gen = np.zeros((size, size))
-        for row in range(size - 1):
-            n1 = occ1[row]
-            gen[row, row + 1] = gen[row + 1, row] = math.sqrt((n1 + 1) * (total - n1))
-        vals, vecs = np.linalg.eigh(gen)
-        defect = float(np.max(np.abs(vecs.T @ vecs - np.eye(size))))
+        off = np.sqrt((occ1[:-1] + 1.0) * (total - occ1[:-1]))
+        vals_n, vecs_n = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        defect = float(np.max(np.abs(vecs_n.T @ vecs_n - np.eye(size))))
         if defect > 1e-10:
             raise ValueError(f"sector {total} eigenbasis not orthogonal: {defect:.3e}")
-        indices.flags.writeable = False
-        vals.flags.writeable = False
-        vecs.flags.writeable = False
-        sectors.append((indices, vals, vecs))
-    return tuple(sectors)
+        indices[total, :size] = occ1 * m + (total - occ1)
+        vecs[total, :size, :size] = vecs_n
+        vals[total, :size] = vals_n
+    for arr in (indices, vecs, vals):
+        arr.flags.writeable = False
+    return indices, vecs, vals
 
 
 def _reduced_angle(theta: float) -> float:
     """theta modulo 2 pi in [-pi, pi]: sin and cos reduce exactly, theta % (2 pi)
-    does not. The sector eigenvalues are integers only to about 1e-15."""
+    does not. The spectra of the full sectors N <= n_max are integers only to
+    about 2.5e-14 at n_max 25, and those of the cut sectors N > n_max are not
+    integers at all, so there the reduction is a convention (see
+    docs/derivations.md)."""
     return math.atan2(math.sin(theta), math.cos(theta))
+
+
+def _sector_coefficients(psi: np.ndarray, dim: TruncationDim) -> np.ndarray:
+    """V^T psi in every sector, shape (2n_max+1, n_max+1). The real and imaginary
+    parts are the two columns of one real matmul; a complex-by-real matmul
+    would copy the stacked basis to complex."""
+    if psi.shape != (dim.dim,):
+        raise ValueError(f"vector shape {psi.shape} does not match dim {dim.dim}")
+    indices, vecs, _ = _polarizer_sectors(dim.n_max)
+    gathered = np.append(np.asarray(psi, dtype=complex), 0.0)[indices]
+    pairs = gathered.view(float).reshape(*indices.shape, 2)
+    return (vecs.transpose(0, 2, 1) @ pairs).view(complex)[..., 0]
 
 
 def polarizer_unitary(theta: float, dim: TruncationDim) -> np.ndarray:
@@ -220,11 +242,13 @@ def polarizer_unitary(theta: float, dim: TruncationDim) -> np.ndarray:
     Exactly unitary and exactly block diagonal over total photon number.
     Dense, for operator identities; states evolve with evolve_state.
     """
-    theta = _reduced_angle(theta)
-    u = np.zeros((dim.dim, dim.dim), dtype=complex)
-    for indices, vals, vecs in _polarizer_sectors(dim.n_max):
-        u[np.ix_(indices, indices)] = (vecs * np.exp(1j * theta * vals)) @ vecs.T
-    return u
+    indices, vecs, vals = _polarizer_sectors(dim.n_max)
+    phases = np.exp(1j * _reduced_angle(theta) * vals)[:, None, :]
+    blocks = (vecs * phases) @ vecs.transpose(0, 2, 1)
+    # padding rows and columns land in row and column d, which are cut off
+    u = np.zeros((dim.dim + 1, dim.dim + 1), dtype=complex)
+    u[indices[:, :, None], indices[:, None, :]] = blocks
+    return np.ascontiguousarray(u[:-1, :-1])
 
 
 def _displacement_guard(z: complex, n_max: int):
@@ -291,13 +315,31 @@ def evolve_state(psi: np.ndarray, theta: float, dim: TruncationDim) -> np.ndarra
     Per photon-number sector, U† = V exp(-i theta lambda) V^T, theta reduced
     modulo 2 pi first.
     """
-    if psi.shape != (dim.dim,):
-        raise ValueError(f"vector shape {psi.shape} does not match dim {dim.dim}")
-    theta = _reduced_angle(theta)
-    out = np.empty(dim.dim, dtype=complex)
-    for indices, vals, vecs in _polarizer_sectors(dim.n_max):
-        out[indices] = vecs @ (np.exp(-1j * theta * vals) * (vecs.T @ psi[indices]))
-    return out
+    indices, vecs, vals = _polarizer_sectors(dim.n_max)
+    coeffs = _sector_coefficients(psi, dim) * np.exp(-1j * _reduced_angle(theta) * vals)
+    pairs = coeffs.view(float).reshape(*indices.shape, 2)
+    out = np.zeros(dim.dim + 1, dtype=complex)
+    out[indices] = (vecs @ pairs).view(complex)[..., 0]
+    return out[:-1]
+
+
+def chain_invariant(
+    psi1: np.ndarray, theta1: float, theta2: float, dim: TruncationDim
+) -> PhaseResult:
+    """triple_overlap of psi1, psi2 = evolve_state(psi1, theta1), evolve_state(psi2, theta2).
+
+    All three states share the generator's eigenbasis, so the invariant is
+    f(theta1) f(theta2) conj f(theta1 + theta2) with
+    f(theta) = <psi1|e^{-i theta G}|psi1> = sum_k w_k e^{-i theta lambda_k} and
+    w = |V^T psi1|^2 per sector. The third factor is built from e1 e2, the
+    product of the two reduced angle factors, never from the float sum.
+    """
+    _, _, vals = _polarizer_sectors(dim.n_max)
+    weights = np.abs(_sector_coefficients(psi1, dim)).ravel() ** 2
+    e1 = np.exp(-1j * _reduced_angle(theta1) * vals.ravel())
+    e2 = np.exp(-1j * _reduced_angle(theta2) * vals.ravel())
+    inv = (weights @ e1) * (weights @ e2) * np.conj(weights @ (e1 * e2))
+    return phase_result(inv, METHOD_FOCK_ORACLE)
 
 
 def triple_overlap(psi1: np.ndarray, psi2: np.ndarray, psi3: np.ndarray) -> PhaseResult:

@@ -2,8 +2,10 @@
 
 Three routes to arg Tr(rho1 rho2 rho3) are implemented and reconciled:
 
-* fock route (oracle): truncated state vectors, the polarizer applied per
-  photon-number sector (fock.evolve_state) and fock.triple_overlap;
+* fock route (oracle): truncated state vectors; a polarizer chain's
+  invariant is read from one projection of the initial state onto the
+  polarizer's sector eigenbases (fock.chain_invariant), three independent
+  states go through fock.triple_overlap;
 * phase-space route: exact distributional evaluation of the sextuple
   integral of P1 P2 P3 against the coherent-overlap kernel, see below;
 * reference closed form: a transcription of a published arctan formula
@@ -46,8 +48,8 @@ from .fock import (
     METHOD_PRINTED_CLOSED_FORM,
     PhaseResult,
     TruncationDim,
+    chain_invariant,
     displaced_fock_state,
-    evolve_state,
     phase_result,
     principal_phase,
     triple_overlap,
@@ -351,8 +353,7 @@ class PhaseScenario:
     def fock_invariant(self, dim: TruncationDim) -> PhaseResult:
         if self.is_evolved:
             psi1 = self.initial_state.state_vector(dim)
-            psi2 = evolve_state(psi1, self.theta1, dim)
-            return triple_overlap(psi1, psi2, evolve_state(psi2, self.theta2, dim))
+            return chain_invariant(psi1, self.theta1, self.theta2, dim)
         vertices = (self.vertex_a, self.vertex_b, self.vertex_c)
         return triple_overlap(*(StateSpec(self.occupation, *v).state_vector(dim) for v in vertices))
 

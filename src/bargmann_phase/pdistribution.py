@@ -299,10 +299,21 @@ def pair_product(ps, f: GaussianFunction) -> complex:
     hess = f.form + np.diag(envelope + [0.0] * (len(f.form) - n_p))
     w = np.zeros(len(f.form), dtype=complex)
     w[-1] = 1.0
+    # a chain passes one P to every slot: expand each object once, then move
+    # its variables to slot i
+    expanded = {}
+    for p in ps:
+        if id(p) not in expanded:
+            expanded[id(p)] = _wirtinger_terms(p, 0)
+    slots = [
+        [(c, centers, tuple(v + 2 * i for v in z), tuple(v + 2 * i for v in zbar))
+         for c, centers, z, zbar in expanded[id(p)]]
+        for i, p in enumerate(ps)
+    ]
     total = 0.0 + 0.0j
     # overflow yields a non-finite invariant, which method_reconciliation rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        for terms in itertools.product(*(_wirtinger_terms(p, 2 * i) for i, p in enumerate(ps))):
+        for terms in itertools.product(*slots):
             w[:n_p] = [z for t in terms for z in t[1]]
             z_vars = sum((t[2] for t in terms), ()) + f.z_slots
             zbar_vars = sum((t[3] for t in terms), ()) + f.zbar_slots

@@ -249,11 +249,37 @@ def test_validate_passes(capsys):
 
 
 def test_validate_rejects_n_max_above_bound(capsys):
-    # validate's dense matrices grow as n_max^4; phase and sweep stay unbounded
+    # validate's dense matrices grow as n_max^4, so its bound is below cli.N_MAX
     code, out, err = run_cli(capsys, "validate", "--n-max", "31")
     assert code == 1
     assert out == ""
     assert "--n-max" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("phase", "--n-max", str(cli.N_MAX + 1)), "--n-max"),
+        (("sweep", "--n-max", str(cli.N_MAX + 1), "--theta1", "0.1", "--theta2", "0.2"), "--n-max"),
+        (("sweep", "--theta1", f"0:1:{cli.GRID_COUNT_MAX + 1}", "--theta2", "0.2", "--n-max", "5"),
+         "--theta1"),
+        (("sweep", "--theta1", "0.1", "--theta2", f"0:1:{cli.GRID_COUNT_MAX + 1}", "--n-max", "5"),
+         "--theta2"),
+        (("sweep", "--theta1", "0:1:0", "--theta2", "0.2"), "--theta1"),
+    ],
+)
+def test_input_size_bounds_are_usage_errors(capsys, argv, flag):
+    # each case is just past its bound, so that a missing check costs a
+    # second here rather than an unbounded allocation
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert flag in err
+
+
+def test_grid_count_bound_is_inclusive():
+    grid = cli._parse_theta(f"0:1:{cli.GRID_COUNT_MAX}", "--theta1", allow_grid=True)
+    assert len(grid) == cli.GRID_COUNT_MAX
 
 
 def test_validate_json(capsys):

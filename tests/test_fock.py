@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from bargmann_phase import fock
@@ -11,6 +13,7 @@ from bargmann_phase.fock import (
     PhaseResult,
     TruncationDim,
     TruncationLeakageWarning,
+    chain_invariant,
     coherent_state,
     displaced_fock_state,
     displacement_operator,
@@ -135,6 +138,56 @@ def test_polarizer_sectors_reject_non_orthogonal_basis(monkeypatch):
     monkeypatch.setattr(fock.np.linalg, "eigh", skewed_eigh)
     with pytest.raises(ValueError, match="not orthogonal"):
         evolve_state(psi, 0.5, dim)
+
+
+def random_state(seed, dim):
+    """A normalised state with weight in every sector, the cut ones N > n_max included."""
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=dim.dim) + 1j * rng.normal(size=dim.dim)
+    return psi / np.linalg.norm(psi)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    n_max=st.integers(5, 30),
+    seed=st.integers(0, 2**32 - 1),
+    theta1=st.one_of(st.floats(-10.0, 10.0), st.just(1e15)),
+    theta2=st.one_of(st.floats(-10.0, 10.0), st.just(1e15)),
+)
+def test_chain_invariant_matches_two_evolutions(n_max, seed, theta1, theta2):
+    dim = TruncationDim(n_max)
+    psi1 = random_state(seed, dim)
+    psi2 = evolve_state(psi1, theta1, dim)
+    want = triple_overlap(psi1, psi2, evolve_state(psi2, theta2, dim)).invariant
+    assert abs(chain_invariant(psi1, theta1, theta2, dim).invariant - want) <= 1e-13
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    n_max=st.integers(5, 30),
+    seed=st.integers(0, 2**32 - 1),
+    theta1=st.floats(-10.0, 10.0),
+    theta2=st.floats(-10.0, 10.0),
+    k=st.integers(-10**6, 10**6),
+)
+def test_chain_invariant_is_2pi_periodic(n_max, seed, theta1, theta2, k):
+    # the cut sectors' spectra are not integers, so only the exact angle
+    # reduction makes the chain periodic there
+    dim = TruncationDim(n_max)
+    psi1 = random_state(seed, dim)
+    shifted = theta1 + k * math.tau
+    # the float shifted misses theta1 + 2 pi k by at most this; the invariant
+    # moves by at most 2 max|lambda| <= 4 n_max per radian of theta1
+    angle_error = 3e-16 * (abs(theta1) + math.tau * abs(k))
+    got = chain_invariant(psi1, shifted, theta2, dim).invariant
+    want = chain_invariant(psi1, theta1, theta2, dim).invariant
+    assert abs(got - want) <= 1e-13 + 4 * n_max * angle_error
+
+
+def test_chain_invariant_rejects_wrong_shape():
+    dim = TruncationDim(6)
+    with pytest.raises(ValueError):
+        chain_invariant(coherent_state(0.1, 0.0, TruncationDim(5)), 0.3, 0.4, dim)
 
 
 def test_displacement_unitarity():

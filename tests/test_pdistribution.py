@@ -202,7 +202,7 @@ def test_fock_element_function_values():
     assert got == pytest.approx(want, rel=1e-12)
 
 
-def test_polyexp_translated_matches_shifted_argument():
+def test_gaussian_function_translated_matches_shifted_argument():
     rng = np.random.default_rng(73)
     f = fock_element_function((1, 1), (0, 1))
     for _ in range(5):

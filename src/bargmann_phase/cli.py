@@ -9,11 +9,12 @@ disagreement beyond tolerance.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import io as io_mod
 from .fock import TruncationDim
@@ -218,22 +219,32 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweep takes a single initial vertex")
     grid1 = _parse_theta(args.theta1, "--theta1", allow_grid=True)
     grid2 = _parse_theta(args.theta2, "--theta2", allow_grid=True)
-    scenarios = [
-        PhaseScenario.evolved(occupation, vertices[0], t1, t2) for t1 in grid1 for t2 in grid2
-    ]
+    first = PhaseScenario.evolved(occupation, vertices[0], grid1[0], grid2[0])
+    flags = set()
 
-    rows = [method_reconciliation(s, dim=config.dim, tolerance=config.tol) for s in scenarios]
-    sweep_rows = [io_mod.sweep_row(r) for r in rows]
+    def sweep_rows():
+        # every grid point shares first's initial state; a row is built,
+        # formatted and dropped before the next one starts
+        for t1 in grid1:
+            for t2 in grid2:
+                scenario = replace(first, theta1=t1, theta2=t2)
+                row = io_mod.sweep_row(
+                    method_reconciliation(scenario, dim=config.dim, tolerance=config.tol)
+                )
+                flags.add(row["flag"])
+                yield row
+
+    # the whole grid is formatted before anything is written, so a failing
+    # row leaves no partial output
     if config.fmt == "json":
-        doc = io_mod.sweep_document(sweep_rows, config.n_max, config.tol)
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", config.out)
+        doc = io_mod.sweep_document(sweep_rows(), config.n_max, config.tol)
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
-        import io as _stringio
-
-        buf = _stringio.StringIO()
-        io_mod.write_sweep_csv(sweep_rows, buf)
-        _emit(buf.getvalue(), config.out)
-    return EXIT_DISAGREE if any(r["flag"] == "disagree" for r in sweep_rows) else EXIT_OK
+        buf = io.StringIO()
+        io_mod.write_sweep_csv(sweep_rows(), buf)
+        text = buf.getvalue()
+    _emit(text, config.out)
+    return EXIT_DISAGREE if "disagree" in flags else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,11 @@ The oracle works on pure-state vectors: the invariant is
 <psi1|psi2><psi2|psi3><psi3|psi1> (triple_overlap). A polarizer chain
 needs no evolved state: its invariant is f(theta1) f(theta2)
 conj f(theta1 + theta2) with f(t) = <psi1|e^{-i t G}|psi1>, three sums
-over the sector weights |V^T psi1|^2 (chain_invariant). evolve_state
-applies psi -> U† psi in the same basis. No dense unitary is cached; the
-operator forms serve the operator identity checks.
+over the sector weights |V^T psi1|^2. sector_weights projects psi1 once,
+and chain_invariant takes those weights, so every chain that starts from
+psi1 shares one projection. evolve_state applies psi -> U† psi in the
+same basis. No dense unitary is cached; the operator forms serve the
+operator identity checks.
 
 Truncation is the only approximation. Displacements with |z| beyond
 n_max/10 leak noticeable weight past the cutoff and trigger a
@@ -61,6 +63,7 @@ __all__ = [
     "displaced_fock_state",
     "coherent_state",
     "evolve_state",
+    "sector_weights",
     "chain_invariant",
     "triple_overlap",
     "DensityOperator",
@@ -190,10 +193,12 @@ def _polarizer_sectors(n_max: int) -> tuple:
     <n1+1, n2-1| a1†a2 |n1, n2> = sqrt((n1+1) n2). Each eigenbasis V is
     checked orthogonal, so every V exp(i theta lambda) V^T is unitary.
 
-    Returns (indices, vecs, vals) of shapes (2n_max+1, n_max+1),
-    (2n_max+1, n_max+1, n_max+1) and (2n_max+1, n_max+1): sector N fills the
-    leading block, and the padding is zero in vecs and vals while its
-    indices point at slot d = (n_max+1)^2, a zero appended to the state.
+    Returns (indices, vecs, vals, live_vals) of shapes (2n_max+1, n_max+1),
+    (2n_max+1, n_max+1, n_max+1), (2n_max+1, n_max+1) and (d,): sector N
+    fills the leading block, and the padding is zero in vecs and vals while
+    its indices point at slot d = (n_max+1)^2, a zero appended to the state.
+    live_vals are the d eigenvalues off the padding, in the order of
+    sector_weights.
     """
     m = n_max + 1
     indices = np.full((2 * n_max + 1, m), m * m)
@@ -210,9 +215,10 @@ def _polarizer_sectors(n_max: int) -> tuple:
         indices[total, :size] = occ1 * m + (total - occ1)
         vecs[total, :size, :size] = vecs_n
         vals[total, :size] = vals_n
-    for arr in (indices, vecs, vals):
+    live_vals = vals[indices < m * m]
+    for arr in (indices, vecs, vals, live_vals):
         arr.flags.writeable = False
-    return indices, vecs, vals
+    return indices, vecs, vals, live_vals
 
 
 def _reduced_angle(theta: float) -> float:
@@ -230,7 +236,7 @@ def _sector_coefficients(psi: np.ndarray, dim: TruncationDim) -> np.ndarray:
     would copy the stacked basis to complex."""
     if psi.shape != (dim.dim,):
         raise ValueError(f"vector shape {psi.shape} does not match dim {dim.dim}")
-    indices, vecs, _ = _polarizer_sectors(dim.n_max)
+    indices, vecs, _, _ = _polarizer_sectors(dim.n_max)
     gathered = np.append(np.asarray(psi, dtype=complex), 0.0)[indices]
     pairs = gathered.view(float).reshape(*indices.shape, 2)
     return (vecs.transpose(0, 2, 1) @ pairs).view(complex)[..., 0]
@@ -242,7 +248,7 @@ def polarizer_unitary(theta: float, dim: TruncationDim) -> np.ndarray:
     Exactly unitary and exactly block diagonal over total photon number.
     Dense, for operator identities; states evolve with evolve_state.
     """
-    indices, vecs, vals = _polarizer_sectors(dim.n_max)
+    indices, vecs, vals, _ = _polarizer_sectors(dim.n_max)
     phases = np.exp(1j * _reduced_angle(theta) * vals)[:, None, :]
     blocks = (vecs * phases) @ vecs.transpose(0, 2, 1)
     # padding rows and columns land in row and column d, which are cut off
@@ -274,10 +280,11 @@ def _displacement_generator_basis(n_max: int) -> tuple:
 
 def _displacement_columns(z: complex, n_max: int, cols) -> np.ndarray:
     """Columns cols of D(z) = R exp(r(a† - a)) R†, z = r e^{i phi}, R = diag(e^{i phi n}),
-    with exp(r(a† - a)) = V e^{-i r lambda} V† in the shared eigenbasis."""
+    with exp(r(a† - a)) = V e^{-i r lambda} V† in the shared eigenbasis; only the
+    requested columns of V† are scaled."""
     _displacement_guard(z, n_max)
     vals, vecs = _displacement_generator_basis(n_max)
-    radial = (vecs * np.exp(-1j * abs(z) * vals)) @ vecs[cols].conj().T
+    radial = vecs @ (vecs[cols].conj() * np.exp(-1j * abs(z) * vals)).T
     return np.exp(1j * cmath.phase(z) * np.subtract.outer(np.arange(n_max + 1), cols)) * radial
 
 
@@ -301,7 +308,7 @@ def displaced_fock_state(
         raise ValueError(f"occupation ({n1}, {n2}) outside cutoff {dim.n_max}")
     col1 = _displacement_columns(complex(z1), dim.n_max, n1)
     col2 = _displacement_columns(complex(z2), dim.n_max, n2)
-    return np.kron(col1, col2)
+    return np.multiply.outer(col1, col2).ravel()
 
 
 def coherent_state(z1: complex, z2: complex, dim: TruncationDim) -> np.ndarray:
@@ -315,7 +322,7 @@ def evolve_state(psi: np.ndarray, theta: float, dim: TruncationDim) -> np.ndarra
     Per photon-number sector, U† = V exp(-i theta lambda) V^T, theta reduced
     modulo 2 pi first.
     """
-    indices, vecs, vals = _polarizer_sectors(dim.n_max)
+    indices, vecs, vals, _ = _polarizer_sectors(dim.n_max)
     coeffs = _sector_coefficients(psi, dim) * np.exp(-1j * _reduced_angle(theta) * vals)
     pairs = coeffs.view(float).reshape(*indices.shape, 2)
     out = np.zeros(dim.dim + 1, dtype=complex)
@@ -323,21 +330,28 @@ def evolve_state(psi: np.ndarray, theta: float, dim: TruncationDim) -> np.ndarra
     return out[:-1]
 
 
+def sector_weights(psi: np.ndarray, dim: TruncationDim) -> np.ndarray:
+    """|V^T psi|^2 over the d live sector slots, the padding dropped: the weight of
+    psi on each polarizer eigenvector, in the order of the live eigenvalues."""
+    indices = _polarizer_sectors(dim.n_max)[0]
+    return np.abs(_sector_coefficients(psi, dim)[indices < dim.dim]) ** 2
+
+
 def chain_invariant(
-    psi1: np.ndarray, theta1: float, theta2: float, dim: TruncationDim
+    weights: np.ndarray, theta1: float, theta2: float, dim: TruncationDim
 ) -> PhaseResult:
-    """triple_overlap of psi1, psi2 = evolve_state(psi1, theta1), evolve_state(psi2, theta2).
+    """triple_overlap of psi1, psi2 = evolve_state(psi1, theta1), evolve_state(psi2, theta2),
+    from weights = sector_weights(psi1, dim).
 
     All three states share the generator's eigenbasis, so the invariant is
     f(theta1) f(theta2) conj f(theta1 + theta2) with
-    f(theta) = <psi1|e^{-i theta G}|psi1> = sum_k w_k e^{-i theta lambda_k} and
-    w = |V^T psi1|^2 per sector. The third factor is built from e1 e2, the
+    f(theta) = <psi1|e^{-i theta G}|psi1> = sum_k w_k e^{-i theta lambda_k}
+    over the live eigenvalues. The third factor is built from e1 e2, the
     product of the two reduced angle factors, never from the float sum.
     """
-    _, _, vals = _polarizer_sectors(dim.n_max)
-    weights = np.abs(_sector_coefficients(psi1, dim)).ravel() ** 2
-    e1 = np.exp(-1j * _reduced_angle(theta1) * vals.ravel())
-    e2 = np.exp(-1j * _reduced_angle(theta2) * vals.ravel())
+    vals = _polarizer_sectors(dim.n_max)[3]
+    e1 = np.exp(-1j * _reduced_angle(theta1) * vals)
+    e2 = np.exp(-1j * _reduced_angle(theta2) * vals)
     inv = (weights @ e1) * (weights @ e2) * np.conj(weights @ (e1 * e2))
     return phase_result(inv, METHOD_FOCK_ORACLE)
 

@@ -3,9 +3,9 @@
 Three routes to arg Tr(rho1 rho2 rho3) are implemented and reconciled:
 
 * fock route (oracle): truncated state vectors; a polarizer chain's
-  invariant is read from one projection of the initial state onto the
-  polarizer's sector eigenbases (fock.chain_invariant), three independent
-  states go through fock.triple_overlap;
+  invariant is read from the initial state's weights on the polarizer's
+  sector eigenbases (fock.sector_weights, fock.chain_invariant), three
+  independent states go through fock.triple_overlap;
 * phase-space route: exact distributional evaluation of the sextuple
   integral of P1 P2 P3 against the coherent-overlap kernel, see below;
 * reference closed form: a transcription of a published arctan formula
@@ -32,13 +32,20 @@ part. The pairing engine of module pdistribution (pair_product, the same
 loop that reconstructs density elements) evaluates it exactly as a sum
 over partial matchings of z with zbar derivatives. See
 docs/derivations.md.
+
+A state's derived data, its P object with that object's Wirtinger terms
+and its Fock sector weights per cutoff, is computed once per StateSpec
+and kept on it. A PhaseScenario holds its initial StateSpec for its
+lifetime, and the grid points of a sweep share one, so a sweep prepares
+its initial state once and each point pays only for its angles.
 """
 from __future__ import annotations
 
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +59,7 @@ from .fock import (
     displaced_fock_state,
     phase_result,
     principal_phase,
+    sector_weights,
     triple_overlap,
 )
 from .pdistribution import (
@@ -87,7 +95,12 @@ ModePair = tuple[PhaseSpacePoint, PhaseSpacePoint]
 
 @dataclass(frozen=True)
 class StateSpec:
-    """A displaced Fock state: occupation per mode plus phase-space centers."""
+    """A displaced Fock state: occupation per mode plus phase-space centers.
+
+    Its P object and its Fock sector weights are computed once per instance
+    (per cutoff for the weights) and kept on it; equality and hashing see the
+    fields only.
+    """
 
     occupation: tuple[int, int]
     center1: PhaseSpacePoint = ORIGIN
@@ -114,6 +127,10 @@ class StateSpec:
         return CoherentLabel(self.center1.to_complex(), self.center2.to_complex())
 
     def quasi_probability(self) -> QuasiProbability:
+        return self._quasi_probability
+
+    @cached_property
+    def _quasi_probability(self) -> QuasiProbability:
         return mehta_p_function(self.occupation, shift=self.centers)
 
     def state_vector(self, dim: TruncationDim) -> np.ndarray:
@@ -124,6 +141,19 @@ class StateSpec:
             self.occupation[1],
             dim,
         )
+
+    def sector_weights(self, dim: TruncationDim) -> np.ndarray:
+        """fock.sector_weights of the state vector, built once per cutoff."""
+        weights = self._sector_weights.get(dim.n_max)
+        if weights is None:
+            weights = sector_weights(self.state_vector(dim), dim)
+            weights.flags.writeable = False
+            self._sector_weights[dim.n_max] = weights
+        return weights
+
+    @cached_property
+    def _sector_weights(self) -> dict:
+        return {}
 
 
 @dataclass(frozen=True)
@@ -172,12 +202,18 @@ def _triple_pairing(ps, labels: np.ndarray, kernel: str = "derived") -> complex:
     return pair_product(ps, GaussianFunction(form))
 
 
+def _chain_maps(theta1: float, theta2: float) -> tuple:
+    """M(theta1) and M(theta1) M(theta2), the label maps of a polarizer chain's second
+    and third slots; composed because the float sum theta1 + theta2 rounds at large
+    angles."""
+    m1 = label_map_matrix(theta1)
+    return m1, m1 @ label_map_matrix(theta2)
+
+
 def _chain_labels(theta1: float, theta2: float) -> np.ndarray:
-    """diag(1, M(theta1), M(theta1) M(theta2)), the label maps of a polarizer chain's
-    slots; composed because the float sum theta1 + theta2 rounds at large angles."""
+    """diag(1, M(theta1), M(theta1) M(theta2)), the label maps of the chain's slots."""
     labels = np.eye(6, dtype=complex)
-    labels[2:4, 2:4] = label_map_matrix(theta1)
-    labels[4:6, 4:6] = labels[2:4, 2:4] @ label_map_matrix(theta2)
+    labels[2:4, 2:4], labels[4:6, 4:6] = _chain_maps(theta1, theta2)
     return labels
 
 
@@ -303,6 +339,11 @@ class PhaseScenario:
     vertices shown by triangle() are the label-mapped centers, which the
     closed forms consume. Independent scenarios carry three vertices and
     no angles. The same occupation applies to every state in the chain.
+
+    initial_state, the StateSpec at vertex_a, is built once and held for the
+    scenario's lifetime; it does not take part in equality. Scenarios made
+    from one another with dataclasses.replace share it, and with it the
+    state's derived data, as the grid points of a sweep do.
     """
 
     occupation: tuple[int, int]
@@ -311,6 +352,14 @@ class PhaseScenario:
     theta2: float | None = None
     vertex_b: ModePair | None = None
     vertex_c: ModePair | None = None
+    initial_state: StateSpec | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        state = self.initial_state
+        if state is None:
+            object.__setattr__(self, "initial_state", StateSpec(self.occupation, *self.vertex_a))
+        elif (state.occupation, state.centers) != (tuple(self.occupation), tuple(self.vertex_a)):
+            raise ValueError("initial_state does not match occupation and vertex_a")
 
     @classmethod
     def evolved(
@@ -338,22 +387,24 @@ class PhaseScenario:
     def is_evolved(self) -> bool:
         return self.theta1 is not None
 
-    @property
-    def initial_state(self) -> StateSpec:
-        return StateSpec(self.occupation, *self.vertex_a)
-
     def triangle(self) -> TriangleConfig:
+        return self._triangle
+
+    @cached_property
+    def _triangle(self) -> TriangleConfig:
         if self.is_evolved:
             label = self.initial_state.label().as_array()
-            w = _chain_labels(self.theta1, self.theta2) @ np.tile(label, 3)
-            mapped = [tuple(PhaseSpacePoint.from_complex(complex(x)) for x in w[k : k + 2]) for k in (2, 4)]
+            mapped = [
+                tuple(PhaseSpacePoint.from_complex(complex(x)) for x in m @ label)
+                for m in _chain_maps(self.theta1, self.theta2)
+            ]
             return TriangleConfig(self.vertex_a, *mapped)
         return TriangleConfig(self.vertex_a, self.vertex_b, self.vertex_c)
 
     def fock_invariant(self, dim: TruncationDim) -> PhaseResult:
         if self.is_evolved:
-            psi1 = self.initial_state.state_vector(dim)
-            return chain_invariant(psi1, self.theta1, self.theta2, dim)
+            weights = self.initial_state.sector_weights(dim)
+            return chain_invariant(weights, self.theta1, self.theta2, dim)
         vertices = (self.vertex_a, self.vertex_b, self.vertex_c)
         return triple_overlap(*(StateSpec(self.occupation, *v).state_vector(dim) for v in vertices))
 
@@ -363,7 +414,7 @@ class PhaseScenario:
                 self.initial_state, self.theta1, self.theta2, kernel=kernel
             )
         return phase_space_trace(
-            StateSpec(self.occupation, *self.vertex_a),
+            self.initial_state,
             StateSpec(self.occupation, *self.vertex_b),
             StateSpec(self.occupation, *self.vertex_c),
             kernel=kernel,

@@ -44,7 +44,7 @@ import collections
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -130,6 +130,11 @@ class QuasiProbability:
     def __post_init__(self):
         if not self.terms:
             raise ValueError("a QuasiProbability needs at least one term")
+
+    @cached_property
+    def _wirtinger(self) -> tuple:
+        """_wirtinger_terms(self, 0), expanded once per P object for pair_product."""
+        return tuple(_wirtinger_terms(self, 0))
 
     def shifted(self, d1: PhaseSpacePoint, d2: PhaseSpacePoint) -> "QuasiProbability":
         """Rigid translation by a displacement (d1 on mode 1, d2 on mode 2)."""
@@ -299,15 +304,10 @@ def pair_product(ps, f: GaussianFunction) -> complex:
     hess = f.form + np.diag(envelope + [0.0] * (len(f.form) - n_p))
     w = np.zeros(len(f.form), dtype=complex)
     w[-1] = 1.0
-    # a chain passes one P to every slot: expand each object once, then move
-    # its variables to slot i
-    expanded = {}
-    for p in ps:
-        if id(p) not in expanded:
-            expanded[id(p)] = _wirtinger_terms(p, 0)
+    # each object's terms are expanded once; slot i moves their variables by 2i
     slots = [
         [(c, centers, tuple(v + 2 * i for v in z), tuple(v + 2 * i for v in zbar))
-         for c, centers, z, zbar in expanded[id(p)]]
+         for c, centers, z, zbar in p._wirtinger]
         for i, p in enumerate(ps)
     ]
     total = 0.0 + 0.0j

@@ -1,3 +1,4 @@
+import io as stdio
 import json
 import math
 import os
@@ -5,8 +6,10 @@ import warnings
 
 import pytest
 
-from bargmann_phase import cli
-from bargmann_phase.fock import TruncationLeakageWarning
+from bargmann_phase import cli, fock, pdistribution
+from bargmann_phase import io as io_mod
+from bargmann_phase.fock import TruncationDim, TruncationLeakageWarning
+from bargmann_phase.geomphase import PhaseScenario, method_reconciliation
 
 SLOW = os.environ.get("BARGMANN_PHASE_SLOW_TESTS") != "1"
 
@@ -214,6 +217,87 @@ def test_sweep_single_angle_values(capsys):
     assert float(fields[0]) == pytest.approx(0.8)
     assert float(fields[1]) == pytest.approx(1.3)
     assert abs(float(fields[2]) - float(fields[3])) < 1e-6
+
+
+@pytest.mark.parametrize("n_max", ["12", "25"])
+@pytest.mark.parametrize("occupation", [(1, 1), (1, 0), (0, 0)])
+def test_sweep_matches_fresh_scenarios(capsys, occupation, n_max):
+    # the grid points share one initial state; rows built from scratch,
+    # one state per point, must give the same bytes
+    grid1 = cli._parse_theta("0.2:2.9:3", "--theta1", allow_grid=True)
+    grid2 = cli._parse_theta("-1:1.5:2", "--theta2", allow_grid=True)
+    centers = "0.3,-0.2,0.1,0.25"
+    vertex = cli._parse_vertex(centers)
+    rows = [
+        io_mod.sweep_row(method_reconciliation(
+            PhaseScenario.evolved(occupation, vertex, t1, t2), dim=TruncationDim(int(n_max))
+        ))
+        for t1 in grid1
+        for t2 in grid2
+    ]
+    want = stdio.StringIO()
+    io_mod.write_sweep_csv(rows, want)
+    code, out, _ = run_cli(
+        capsys, "sweep", "--theta1", "0.2:2.9:3", "--theta2", "-1:1.5:2", "--centers", centers,
+        "--occupation", "%d,%d" % occupation, "--n-max", n_max,
+    )
+    assert code == 0
+    assert out == want.getvalue()
+
+
+def test_sweep_prepares_its_initial_state_once(capsys, monkeypatch):
+    calls = {"columns": 0, "terms": 0}
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fock, "_displacement_columns", counted("columns", fock._displacement_columns))
+    monkeypatch.setattr(
+        pdistribution, "_wirtinger_terms", counted("terms", pdistribution._wirtinger_terms)
+    )
+    code, out, _ = run_cli(
+        capsys, "sweep", "--theta1", "0:3:4", "--theta2", "0.5:2:4",
+        "--centers", "0.3,-0.2,0.1,0.25", "--n-max", "12",
+    )
+    assert code == 0
+    assert len(out.strip().split("\n")) == 17
+    # one displacement column per mode and one Wirtinger expansion per sweep
+    assert calls == {"columns": 2, "terms": 1}
+
+
+def test_sweep_beyond_the_guard_warns(capsys):
+    with pytest.warns(TruncationLeakageWarning):
+        code, _, _ = run_cli(
+            capsys, "sweep", "--theta1", "0:3:2", "--theta2", "0:3:2",
+            "--centers", "0.7,0,0,0", "--n-max", "5",
+        )
+    assert code in (0, 2)
+
+
+def test_sweep_failing_mid_grid_writes_nothing(tmp_path, capsys, monkeypatch):
+    real = cli.method_reconciliation
+    seen = []
+
+    def failing_third(*args, **kwargs):
+        seen.append(None)
+        if len(seen) == 3:
+            raise ValueError("the fock_oracle route returned a non-finite invariant")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "method_reconciliation", failing_third)
+    target = tmp_path / "sweep.csv"
+    for extra in ((), ("--out", str(target)), ("--format", "json")):
+        seen.clear()
+        code, out, err = run_cli(
+            capsys, "sweep", "--theta1", "0:3:2", "--theta2", "0:3:2", "--n-max", "8", *extra
+        )
+        assert code == 1
+        assert out == ""
+        assert "non-finite invariant" in err
+    assert not target.exists()
 
 
 def test_sweep_json_document(capsys):

@@ -24,6 +24,7 @@ from bargmann_phase.fock import (
     polarizer_generator,
     polarizer_unitary,
     principal_phase,
+    sector_weights,
     single_mode_displacement,
     triple_overlap,
     triple_product_trace,
@@ -159,7 +160,8 @@ def test_chain_invariant_matches_two_evolutions(n_max, seed, theta1, theta2):
     psi1 = random_state(seed, dim)
     psi2 = evolve_state(psi1, theta1, dim)
     want = triple_overlap(psi1, psi2, evolve_state(psi2, theta2, dim)).invariant
-    assert abs(chain_invariant(psi1, theta1, theta2, dim).invariant - want) <= 1e-13
+    weights = sector_weights(psi1, dim)
+    assert abs(chain_invariant(weights, theta1, theta2, dim).invariant - want) <= 1e-13
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -179,15 +181,25 @@ def test_chain_invariant_is_2pi_periodic(n_max, seed, theta1, theta2, k):
     # the float shifted misses theta1 + 2 pi k by at most this; the invariant
     # moves by at most 2 max|lambda| <= 4 n_max per radian of theta1
     angle_error = 3e-16 * (abs(theta1) + math.tau * abs(k))
-    got = chain_invariant(psi1, shifted, theta2, dim).invariant
-    want = chain_invariant(psi1, theta1, theta2, dim).invariant
+    weights = sector_weights(psi1, dim)
+    got = chain_invariant(weights, shifted, theta2, dim).invariant
+    want = chain_invariant(weights, theta1, theta2, dim).invariant
     assert abs(got - want) <= 1e-13 + 4 * n_max * angle_error
 
 
 def test_chain_invariant_rejects_wrong_shape():
     dim = TruncationDim(6)
     with pytest.raises(ValueError):
-        chain_invariant(coherent_state(0.1, 0.0, TruncationDim(5)), 0.3, 0.4, dim)
+        chain_invariant(sector_weights(coherent_state(0.1, 0.0, TruncationDim(5)), dim), 0.3, 0.4, dim)
+
+
+def test_sector_weights_drop_the_padding():
+    # one weight per live eigenvalue; each sector basis is orthogonal, so
+    # the weights sum to |psi|^2
+    dim = TruncationDim(7)
+    weights = sector_weights(random_state(5, dim), dim)
+    assert weights.shape == fock._polarizer_sectors(7)[3].shape == (dim.dim,)
+    assert abs(weights.sum() - 1.0) <= 1e-13
 
 
 def test_displacement_unitarity():

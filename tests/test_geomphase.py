@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -59,6 +60,27 @@ def test_state_spec_validation_and_views():
     assert s.label().z2 == 0.1j
     with pytest.raises(ValueError):
         StateSpec((2, 0), ORIGIN, ORIGIN)
+
+
+def test_state_spec_memo_leaves_equality_and_hash_on_fields():
+    a = spec((1, 1), 0.3 - 0.2j, 0.1 + 0.25j)
+    b = spec((1, 1), 0.3 - 0.2j, 0.1 + 0.25j)
+    dim = TruncationDim(12)
+    assert a.quasi_probability() is a.quasi_probability()
+    assert a.sector_weights(dim) is a.sector_weights(dim)
+    assert a == b and hash(a) == hash(b)
+    assert a != spec((1, 0), 0.3 - 0.2j, 0.1 + 0.25j)
+
+
+def test_scenario_holds_a_matching_initial_state():
+    vertex = (PhaseSpacePoint(0.3, -0.2), PhaseSpacePoint(0.1, 0.25))
+    first = PhaseScenario.evolved((1, 1), vertex, 0.4, 0.7)
+    assert first.initial_state == StateSpec((1, 1), *vertex)
+    moved = dataclasses.replace(first, theta1=1.1)
+    assert moved.initial_state is first.initial_state
+    assert moved == PhaseScenario.evolved((1, 1), vertex, 1.1, 0.7)
+    with pytest.raises(ValueError, match="initial_state"):
+        dataclasses.replace(first, vertex_a=(ORIGIN, ORIGIN))
 
 
 def test_state_spec_state_vector_matches_label():

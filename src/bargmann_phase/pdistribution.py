@@ -34,6 +34,12 @@ matchings of the z derivatives with the zbar derivatives (_matching_sum).
 pair_product pairs several P objects at once; geomphase uses it with the
 coherent-overlap kernel. See docs/derivations.md.
 
+What depends only on structure is built once per structure: the
+matching-sum plan (_matching_plan) per slot structure, and the collected
+Wirtinger expansion (_collected_expansion) per group orders and offset.
+Neither is keyed on centers or coefficients; those enter each call as
+numbers.
+
 Two-mode states are tensor products of the per-mode factors. Occupations
 above 1 are outside the supported family.
 """
@@ -104,7 +110,7 @@ class DeltaDerivativeTerm:
     def __post_init__(self):
         if len(self.orders) != 4 or any(o not in (0, 1, 2) for o in self.orders):
             raise ValueError(f"orders must be four values in 0..2, got {self.orders}")
-        if not np.isfinite(self.coeff) or self.coeff == 0:
+        if not cmath.isfinite(self.coeff) or self.coeff == 0:
             raise ValueError(f"term coefficient must be finite and nonzero, got {self.coeff}")
 
     @property
@@ -135,6 +141,23 @@ class QuasiProbability:
     def _wirtinger(self) -> tuple:
         """_wirtinger_terms(self, 0), expanded once per P object for pair_product."""
         return tuple(_wirtinger_terms(self, 0))
+
+    def _slot_terms(self, slot: int) -> tuple:
+        """_wirtinger with every variable moved by 2 * slot, as pair_product's slot-th
+        object; built once per slot from the offset-0 expansion."""
+        terms = self._slots.get(slot)
+        if terms is None:
+            shift = 2 * slot
+            terms = tuple(
+                (c, centers, tuple(v + shift for v in z), tuple(v + shift for v in zbar))
+                for c, centers, z, zbar in self._wirtinger
+            )
+            self._slots[slot] = terms
+        return terms
+
+    @cached_property
+    def _slots(self) -> dict:
+        return {0: self._wirtinger}
 
     def shifted(self, d1: PhaseSpacePoint, d2: PhaseSpacePoint) -> "QuasiProbability":
         """Rigid translation by a displacement (d1 on mode 1, d2 on mode 2)."""
@@ -211,15 +234,33 @@ def _wirtinger_expansion(orders: tuple, offset: int) -> dict:
     return expansion
 
 
+@lru_cache(maxsize=1024)
+def _collected_expansion(orders: tuple, offset: int) -> tuple:
+    """The (z vars, zbar vars) keys that terms of these orders expand to, in first-seen
+    order, and the matrix whose row t is term t's _wirtinger_expansion over them."""
+    expansions = [_wirtinger_expansion(o, offset) for o in orders]
+    keys = tuple(dict.fromkeys(key for e in expansions for key in e))
+    matrix = np.array([[e.get(key, 0.0) for key in keys] for e in expansions], dtype=complex)
+    matrix.flags.writeable = False
+    return keys, matrix
+
+
 def _wirtinger_terms(p: QuasiProbability, offset: int) -> list:
     """P's terms as (coeff, centers, z vars, zbar vars); equal terms are collected,
-    so the four (q, p) terms of |1, 1> become d_z d_zbar per mode."""
-    collected: dict = {}
+    so the four (q, p) terms of |1, 1> become d_z d_zbar per mode. Terms are
+    collected per shared centers: the coefficient vector times the cached
+    expansion matrix of the group's orders."""
+    groups: dict = {}
     for t in p.terms:
-        centers = (t.center1.to_complex(), t.center2.to_complex())
-        for (z, zbar), w in _wirtinger_expansion(t.orders, offset).items():
-            collected[centers, z, zbar] = collected.get((centers, z, zbar), 0.0) + t.coeff * w
-    return [(w, *key) for key, w in collected.items() if w != 0]
+        c1, c2 = t.center1, t.center2
+        groups.setdefault((c1.q, c1.p, c2.q, c2.p), []).append(t)
+    out = []
+    for (q1, p1, q2, p2), group in groups.items():
+        keys, matrix = _collected_expansion(tuple(t.orders for t in group), offset)
+        weights = np.dot([t.coeff for t in group], matrix).tolist()
+        centers = (complex(q1, p1), complex(q2, p2))
+        out += [(w, centers, z, zbar) for (z, zbar), w in zip(keys, weights) if w != 0]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -235,6 +276,25 @@ def _count_tables(counts: tuple) -> tuple:
     return source, free, 1.0 / factorials[free].prod(axis=0)
 
 
+@lru_cache(maxsize=1024)
+def _matching_plan(z_vars: tuple, zbar_vars: tuple, size: int) -> tuple:
+    """What _matching_sum needs of its slots alone, for a size x size hess: the z
+    variables, the distinct zbar variables zbar_u, the flat index into hess of
+    the pair weights hess[zbar_u, z] (z slot k in column k), the _count_tables
+    source and scale, and the index into the table of gradient powers g[u]^e
+    (u by e, flat) of each unmatched factor g[u]^free[u, s]."""
+    counted = collections.Counter(zbar_vars)
+    zbar_u = np.array(tuple(counted), dtype=int)
+    z = np.array(z_vars, dtype=int)
+    source, free, scale = _count_tables(tuple(counted.values()))
+    exponents = np.arange(max(counted.values(), default=0) + 1)
+    plan = (z, zbar_u, size * zbar_u[:, None] + z, source, scale, exponents,
+            len(exponents) * np.arange(len(zbar_u))[:, None] + free)
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
 def _matching_sum(z_vars, zbar_vars, grad_z, grad_zbar, hess) -> complex:
     """exp(-Q) d^z_vars d^zbar_vars exp(Q), Q quadratic with no z-z or zbar-zbar part.
 
@@ -243,18 +303,19 @@ def _matching_sum(z_vars, zbar_vars, grad_z, grad_zbar, hess) -> complex:
     variable are interchangeable, so a state counts the matched slots per
     distinct zbar variable. sums[s] covers the z slots so far, times
     prod(free!) so that each step is a plain sum over the variables;
-    sums[-1] stays 0.
+    sums[-1] stays 0. The indices come from _matching_plan, built once per
+    slot structure.
     """
-    counted = collections.Counter(zbar_vars)
-    zbar_u = tuple(counted)
-    source, free, scale = _count_tables(tuple(counted.values()))
-    sums = np.zeros(source.shape[1] + 1, dtype=complex)
+    z, zbar_u, pairs, source, scale, exponents, powers = _matching_plan(
+        tuple(z_vars), tuple(zbar_vars), len(hess))
+    sums = np.zeros(len(scale) + 1, dtype=complex)
     sums[0] = 1.0 / scale[0]
-    pair_weights = hess[np.ix_(zbar_u, z_vars)]
-    for k, v in enumerate(z_vars):
-        sums[:-1] = sums[:-1] * grad_z[v] + pair_weights[:, k] @ sums[source]
-    unmatched = scale * (grad_zbar[list(zbar_u)][:, None] ** free).prod(axis=0)
-    return complex(sums[:-1] @ unmatched)
+    head = sums[:-1]
+    for g, pair_weights in zip(grad_z.take(z).tolist(), hess.take(pairs).T):
+        # the right side reads every source before head is overwritten
+        head[:] = head * g + pair_weights @ sums.take(source)
+    table = grad_zbar.take(zbar_u)[:, None] ** exponents
+    return complex(head @ (scale * table.take(powers).prod(axis=0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,6 +351,15 @@ class GaussianFunction:
         return replace(self, form=shift.conj().T @ self.form @ shift)
 
 
+@lru_cache(maxsize=1024)
+def _envelope_diagonal(envelope: tuple, size: int) -> np.ndarray:
+    """The size x size diagonal that is 1 on both variables of each enveloped P object."""
+    flags = [float(e) for e in envelope for _ in range(2)]
+    diag = np.diag(flags + [0.0] * (size - len(flags)))
+    diag.flags.writeable = False
+    return diag
+
+
 def pair_product(ps, f: GaussianFunction) -> complex:
     """integral P_1(x_1) ... P_k(x_k) f(x_1, ..., x_k) dx in the absorbed measure.
 
@@ -299,17 +369,11 @@ def pair_product(ps, f: GaussianFunction) -> complex:
     grad_zbar Q = form·w' at w' = (centers, 0, 1), times exp Q; the zbar-z
     curvature is H plus 1 on the enveloped variables' diagonal.
     """
-    envelope = [float(p.envelope) for p in ps for _ in range(2)]
-    n_p = len(envelope)
-    hess = f.form + np.diag(envelope + [0.0] * (len(f.form) - n_p))
+    n_p = 2 * len(ps)
+    hess = f.form + _envelope_diagonal(tuple(p.envelope for p in ps), len(f.form))
     w = np.zeros(len(f.form), dtype=complex)
     w[-1] = 1.0
-    # each object's terms are expanded once; slot i moves their variables by 2i
-    slots = [
-        [(c, centers, tuple(v + 2 * i for v in z), tuple(v + 2 * i for v in zbar))
-         for c, centers, z, zbar in p._wirtinger]
-        for i, p in enumerate(ps)
-    ]
+    slots = [p._slot_terms(i) for i, p in enumerate(ps)]
     total = 0.0 + 0.0j
     # overflow yields a non-finite invariant, which method_reconciliation rejects
     with np.errstate(over="ignore", invalid="ignore"):
@@ -317,9 +381,10 @@ def pair_product(ps, f: GaussianFunction) -> complex:
             w[:n_p] = [z for t in terms for z in t[1]]
             z_vars = sum((t[2] for t in terms), ()) + f.z_slots
             zbar_vars = sum((t[3] for t in terms), ()) + f.zbar_slots
+            w_bar = w.conj()
             grad_zbar = f.form @ w
-            moment = _matching_sum(z_vars, zbar_vars, w.conj() @ f.form, grad_zbar, hess)
-            base = cmath.exp(complex(w.conj() @ grad_zbar))
+            moment = _matching_sum(z_vars, zbar_vars, w_bar @ f.form, grad_zbar, hess)
+            base = cmath.exp(complex(w_bar @ grad_zbar))
             total += math.prod(t[0] for t in terms) * moment * base
     return complex(total)
 

@@ -235,3 +235,29 @@ def real_coordinate_pairing(ps, maps, kernel: str = "derived") -> complex:
         moment = hermite_moment(counts, g, h_rows, memo)
         total += t1.coeff * t2.coeff * t3.coeff * sign * moment * base
     return complex(total)
+
+
+def matching_sum_by_enumeration(z_vars, zbar_vars, grad_z, grad_zbar, hess) -> complex:
+    """exp(-Q) d^z_vars d^zbar_vars exp(Q) as a plain sum over every partial
+    matching of z slots with zbar slots.
+
+    A repeated variable is several distinct slots. A matched pair of a z slot
+    on variable z and a zbar slot on variable zbar weighs hess[zbar, z]; an
+    unmatched slot weighs its gradient entry. Each matching is listed once:
+    its z slots in increasing order, each given a distinct zbar slot.
+    """
+    total = 0.0 + 0.0j
+    for k in range(min(len(z_vars), len(zbar_vars)) + 1):
+        for z_slots in itertools.combinations(range(len(z_vars)), k):
+            for zbar_slots in itertools.permutations(range(len(zbar_vars)), k):
+                term = 1.0 + 0.0j
+                for i, j in zip(z_slots, zbar_slots):
+                    term *= hess[zbar_vars[j], z_vars[i]]
+                for i, v in enumerate(z_vars):
+                    if i not in z_slots:
+                        term *= grad_z[v]
+                for j, v in enumerate(zbar_vars):
+                    if j not in zbar_slots:
+                        term *= grad_zbar[v]
+                total += term
+    return complex(total)

@@ -6,8 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from bargmann_phase import pdistribution
 from bargmann_phase.fock import DensityOperator, TruncationDim
-from bargmann_phase.geomphase import StateSpec
+from bargmann_phase.geomphase import (
+    StateSpec,
+    random_evolved_scenarios,
+    random_independent_scenarios,
+)
 from bargmann_phase.pdistribution import (
     ORIGIN,
     DeltaDerivativeTerm,
@@ -310,3 +315,53 @@ def test_oracle_central_difference_self_check():
     assert val == pytest.approx(math.cos(0.3), abs=1e-9)
     val2 = oracles.central_difference(math.sin, 0.3, 2)
     assert val2 == pytest.approx(-math.sin(0.3), abs=1e-5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    size=st.integers(1, 4),
+    z_slots=st.lists(st.integers(0, 3), max_size=5),
+    zbar_slots=st.lists(st.integers(0, 3), max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matching_sum_matches_enumeration(size, z_slots, zbar_slots, seed):
+    # slots of one variable repeat freely, which exercises the counted states
+    z_vars = tuple(v % size for v in z_slots)
+    zbar_vars = tuple(v % size for v in zbar_slots)
+    rng = np.random.default_rng(seed)
+    hess, grad_z, grad_zbar = (
+        rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for shape in ((size, size), size, size)
+    )
+    got = pdistribution._matching_sum(z_vars, zbar_vars, grad_z, grad_zbar, hess)
+    want = oracles.matching_sum_by_enumeration(z_vars, zbar_vars, grad_z, grad_zbar, hess)
+    # the same enumeration over absolute values is the sum of |terms|
+    scale = oracles.matching_sum_by_enumeration(
+        z_vars, zbar_vars, abs(grad_z), abs(grad_zbar), abs(hess)
+    ).real
+    assert abs(got - want) <= 1e-12 * scale
+
+
+def test_pairing_caches_are_keyed_on_structure_only():
+    # fresh centers and coefficients every round; only term structures repeat
+    caches = {
+        name: obj for name, obj in vars(pdistribution).items() if hasattr(obj, "cache_info")
+    }
+    assert {"_collected_expansion", "_matching_plan", "_envelope_diagonal"} <= set(caches)
+
+    def one_round(seed):
+        for s in random_evolved_scenarios(200, seed) + random_independent_scenarios(200, seed + 1):
+            s.pairing_invariant()
+        rng = np.random.default_rng(seed + 2)
+        f = fock_element_function((1, 0), (0, 1))
+        for i in range(50):
+            centers = [PhaseSpacePoint(*xy) for xy in rng.uniform(-0.5, 0.5, size=(2, 2))]
+            factor = complex(*rng.uniform(0.5, 2.0, size=2))
+            pair(mehta_p_function(ALL_OCCUPATIONS[i % 4], centers).scaled(factor), f)
+        return {name: cache.cache_info() for name, cache in caches.items()}
+
+    first = one_round(31)
+    second = one_round(71)
+    for name, info in second.items():
+        assert info.currsize == first[name].currsize, name
+        assert info.misses == first[name].misses, name

@@ -8,8 +8,10 @@ with 0 <= n1, n2 <= n_max maps to the flat index
 so mode-1 is the slow (row-major outer) axis. This matches the Kronecker
 convention used throughout: a1 = kron(a, I), a2 = kron(I, a).
 
-Unitaries are built from eigendecompositions of Hermitian generators, so
-they are exactly unitary in floating point (no series truncation):
+Unitaries are built from eigenpairs of Hermitian generators, so they are
+exactly unitary in floating point (no series truncation). Both generators
+are, up to a diagonal similarity, tridiagonal with a zero diagonal, and
+_zero_diagonal_eigh takes their eigenpairs from half-size SVDs:
 
 * the polarizer exp{i theta (a1†a2 + a2†a1)} conserves total photon
   number; its sector eigenbases are computed once per cutoff and stacked,
@@ -61,6 +63,7 @@ __all__ = [
     "single_mode_displacement",
     "displacement_operator",
     "displaced_fock_state",
+    "displaced_fock_states",
     "coherent_state",
     "evolve_state",
     "sector_weights",
@@ -159,18 +162,11 @@ def phase_result(invariant: complex, method: str, phase: float | None = None) ->
     return PhaseResult(invariant=invariant, phase=phase, method=method)
 
 
-@lru_cache(maxsize=32)
-def _single_mode_ladder(n_max: int) -> np.ndarray:
-    a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1).astype(complex)
-    a.flags.writeable = False
-    return a
-
-
 def mode_annihilation(mode: int, dim: TruncationDim) -> np.ndarray:
     """Truncated annihilation operator for mode 1 or 2 on the joint space."""
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
-    a = _single_mode_ladder(dim.n_max)
+    a = np.diag(np.sqrt(np.arange(1.0, dim.n_max + 1)), k=1).astype(complex)
     eye = np.eye(dim.states_per_mode)
     return np.kron(a, eye) if mode == 1 else np.kron(eye, a)
 
@@ -184,41 +180,70 @@ def polarizer_generator() -> np.ndarray:
     return np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
+def _zero_diagonal_eigh(off: np.ndarray) -> tuple:
+    """Eigenpairs (vals, vecs) of real symmetric tridiagonal matrices T with zero
+    diagonal and off-diagonals off (..., size - 1), from one SVD of half the size.
+
+    In even/odd index order T is [[0, B], [B^T, 0]] with B = T[0::2, 1::2], so a
+    singular triplet (u, s, v) of B gives the eigenvalues +s and -s with vectors
+    (u, +-v)/sqrt(2), and an odd size adds a 0 on the left null vector of B.
+    The eigenvalues come as +sigma, then -sigma, then the 0 if any."""
+    size = off.shape[-1] + 1
+    t = np.zeros(off.shape[:-1] + (size, size))
+    i = np.arange(size - 1)
+    t[..., i, i + 1] = t[..., i + 1, i] = off
+    u, sigma, vt = np.linalg.svd(t[..., 0::2, 1::2])
+    k = size // 2
+    vals, vecs = np.zeros(t.shape[:-1]), np.zeros_like(t)
+    vals[..., :k], vals[..., k : 2 * k] = sigma, -sigma
+    vecs[..., 0::2, :k] = vecs[..., 0::2, k : 2 * k] = math.sqrt(0.5) * u[..., :k]
+    vecs[..., 1::2, :k] = math.sqrt(0.5) * vt.swapaxes(-1, -2)
+    vecs[..., 1::2, k : 2 * k] = -vecs[..., 1::2, :k]
+    vecs[..., 0::2, 2 * k :] = u[..., k:]
+    return vals, vecs
+
+
 @lru_cache(maxsize=128)
 def _polarizer_sectors(n_max: int) -> tuple:
     """Eigendecompositions of the generator restricted to each N-sector, stacked.
 
-    Sector N has basis |n1, N-n1> for n1 in [max(0, N-n_max), min(N, n_max)].
-    The restricted generator is real symmetric tridiagonal with
-    <n1+1, n2-1| a1†a2 |n1, n2> = sqrt((n1+1) n2). Each eigenbasis V is
-    checked orthogonal, so every V exp(i theta lambda) V^T is unitary.
+    Sector N has basis |n1, N-n1> for n1 in [max(0, N-n_max), min(N, n_max)]; the
+    restricted generator is tridiagonal with zero diagonal and
+    <n1+1, n2-1| a1†a2 |n1, n2> = sqrt((n1+1) n2). Sectors N and 2 n_max - N have
+    one size and share a _zero_diagonal_eigh call. Each eigenbasis V is checked
+    orthogonal, so every V exp(i theta lambda) V^T is unitary.
 
-    Returns (indices, vecs, vals, live_vals) of shapes (2n_max+1, n_max+1),
-    (2n_max+1, n_max+1, n_max+1), (2n_max+1, n_max+1) and (d,): sector N
-    fills the leading block, and the padding is zero in vecs and vals while
-    its indices point at slot d = (n_max+1)^2, a zero appended to the state.
-    live_vals are the d eigenvalues off the padding, in the order of
-    sector_weights.
+    Returns (indices, vecs, vals, live, sigma): sector N fills the leading block
+    of indices (2n_max+1, n_max+1), vecs (2n_max+1, n_max+1, n_max+1) and vals;
+    padding is zero in vecs and vals and its indices point at slot
+    d = (n_max+1)^2, a zero appended to the state. live holds the flat indices
+    of the d slots off the padding in the order of sector_weights: +sigma, then
+    -sigma in the same order, then the zeros of the odd-sized sectors.
     """
     m = n_max + 1
     indices = np.full((2 * n_max + 1, m), m * m)
     vecs = np.zeros((2 * n_max + 1, m, m))
     vals = np.zeros((2 * n_max + 1, m))
-    for total in range(2 * n_max + 1):
-        occ1 = np.arange(max(0, total - n_max), min(total, n_max) + 1)
-        size = len(occ1)
-        off = np.sqrt((occ1[:-1] + 1.0) * (total - occ1[:-1]))
-        vals_n, vecs_n = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-        defect = float(np.max(np.abs(vecs_n.T @ vecs_n - np.eye(size))))
-        if defect > 1e-10:
-            raise ValueError(f"sector {total} eigenbasis not orthogonal: {defect:.3e}")
-        indices[total, :size] = occ1 * m + (total - occ1)
-        vecs[total, :size, :size] = vecs_n
-        vals[total, :size] = vals_n
-    live_vals = vals[indices < m * m]
-    for arr in (indices, vecs, vals, live_vals):
+    for size in range(1, m + 1):
+        totals = np.array(sorted({size - 1, 2 * n_max + 1 - size}))
+        occ1 = np.maximum(totals - n_max, 0)[:, None] + np.arange(size)
+        occ2 = totals[:, None] - occ1
+        vals_n, vecs_n = _zero_diagonal_eigh(np.sqrt((occ1[:, :-1] + 1.0) * occ2[:, :-1]))
+        defects = np.abs(vecs_n.swapaxes(1, 2) @ vecs_n - np.eye(size)).max(axis=(1, 2))
+        for total, defect in zip(totals, defects):
+            if defect > 1e-10:
+                raise ValueError(f"sector {total} eigenbasis not orthogonal: {defect:.3e}")
+        indices[totals, :size] = occ1 * m + occ2
+        vecs[totals, :size, :size] = vecs_n
+        vals[totals, :size] = vals_n
+    # slot kind per sector: 0 for +sigma, 1 for -sigma, 2 for a zero, 3 for padding
+    half, slot = (indices < m * m).sum(axis=1, keepdims=True) // 2, np.arange(m)
+    kind = (slot >= half).astype(int) + (slot >= 2 * half) + (indices == m * m)
+    live = np.argsort(kind, axis=None, kind="stable")[: m * m]
+    sigma = vals.ravel()[live[: np.count_nonzero(kind == 0)]]
+    for arr in (indices, vecs, vals, live, sigma):
         arr.flags.writeable = False
-    return indices, vecs, vals, live_vals
+    return indices, vecs, vals, live, sigma
 
 
 def _reduced_angle(theta: float) -> float:
@@ -236,7 +261,7 @@ def _sector_coefficients(psi: np.ndarray, dim: TruncationDim) -> np.ndarray:
     would copy the stacked basis to complex."""
     if psi.shape != (dim.dim,):
         raise ValueError(f"vector shape {psi.shape} does not match dim {dim.dim}")
-    indices, vecs, _, _ = _polarizer_sectors(dim.n_max)
+    indices, vecs = _polarizer_sectors(dim.n_max)[:2]
     gathered = np.append(np.asarray(psi, dtype=complex), 0.0)[indices]
     pairs = gathered.view(float).reshape(*indices.shape, 2)
     return (vecs.transpose(0, 2, 1) @ pairs).view(complex)[..., 0]
@@ -248,7 +273,7 @@ def polarizer_unitary(theta: float, dim: TruncationDim) -> np.ndarray:
     Exactly unitary and exactly block diagonal over total photon number.
     Dense, for operator identities; states evolve with evolve_state.
     """
-    indices, vecs, vals, _ = _polarizer_sectors(dim.n_max)
+    indices, vecs, vals = _polarizer_sectors(dim.n_max)[:3]
     phases = np.exp(1j * _reduced_angle(theta) * vals)[:, None, :]
     blocks = (vecs * phases) @ vecs.transpose(0, 2, 1)
     # padding rows and columns land in row and column d, which are cut off
@@ -257,10 +282,10 @@ def polarizer_unitary(theta: float, dim: TruncationDim) -> np.ndarray:
     return np.ascontiguousarray(u[:-1, :-1])
 
 
-def _displacement_guard(z: complex, n_max: int):
-    if abs(z) > DISPLACEMENT_GUARD_RATIO * n_max:
+def _displacement_guard(r: float, n_max: int):
+    if r > DISPLACEMENT_GUARD_RATIO * n_max:
         warnings.warn(
-            f"displacement |z|={abs(z):.3g} exceeds the guard "
+            f"displacement |z|={r:.3g} exceeds the guard "
             f"{DISPLACEMENT_GUARD_RATIO * n_max:.3g} at n_max={n_max}; "
             "truncation leakage may be significant",
             TruncationLeakageWarning,
@@ -270,27 +295,33 @@ def _displacement_guard(z: complex, n_max: int):
 
 @lru_cache(maxsize=32)
 def _displacement_generator_basis(n_max: int) -> tuple:
-    """Eigenbasis of the Hermitian i(a† - a), shared by every displacement."""
-    a = _single_mode_ladder(n_max)
-    vals, vecs = np.linalg.eigh(1j * (a.T - a))
+    """Eigenbasis of the Hermitian i(a† - a), shared by every displacement. With
+    S = diag(i^n), S† i(a† - a) S is real tridiagonal with zero diagonal and
+    off-diagonal sqrt(n), so V = S times its _zero_diagonal_eigh basis."""
+    vals, vecs = _zero_diagonal_eigh(np.sqrt(np.arange(1.0, n_max + 1)))
+    vecs = np.array([1, 1j, -1, -1j])[np.arange(n_max + 1) % 4, None] * vecs
     vals.flags.writeable = False
     vecs.flags.writeable = False
     return vals, vecs
 
 
-def _displacement_columns(z: complex, n_max: int, cols) -> np.ndarray:
-    """Columns cols of D(z) = R exp(r(a† - a)) R†, z = r e^{i phi}, R = diag(e^{i phi n}),
-    with exp(r(a† - a)) = V e^{-i r lambda} V† in the shared eigenbasis; only the
-    requested columns of V† are scaled."""
-    _displacement_guard(z, n_max)
+def _displacement_columns(zs, cols, n_max: int) -> np.ndarray:
+    """Row j is column cols[j] of D(zs[j]) = R exp(r(a† - a)) R†, z = r e^{i phi},
+    R = diag(e^{i phi n}), with exp(r(a† - a)) = V e^{-i r lambda} V† in the shared
+    eigenbasis. Only the requested rows of V† are scaled, and one stacked phase
+    array and one product with V form every column at once."""
+    zs, cols = np.asarray(zs, dtype=complex), np.asarray(cols)
+    r = np.abs(zs)
+    _displacement_guard(r.max(), n_max)
     vals, vecs = _displacement_generator_basis(n_max)
-    radial = vecs @ (vecs[cols].conj() * np.exp(-1j * abs(z) * vals)).T
-    return np.exp(1j * cmath.phase(z) * np.subtract.outer(np.arange(n_max + 1), cols)) * radial
+    scaled = vecs[cols].conj() * np.exp(-1j * np.multiply.outer(r, vals))
+    phases = np.exp(1j * np.angle(zs)[:, None] * (np.arange(n_max + 1) - cols[:, None]))
+    return phases * (scaled @ vecs.T)
 
 
 def single_mode_displacement(z: complex, n_max: int) -> np.ndarray:
     """Truncated single-mode displacement exp{z a† - conj(z) a}."""
-    return _displacement_columns(complex(z), n_max, np.arange(n_max + 1))
+    return _displacement_columns(np.full(n_max + 1, complex(z)), np.arange(n_max + 1), n_max).T
 
 
 def displacement_operator(z1: complex, z2: complex, dim: TruncationDim) -> np.ndarray:
@@ -300,15 +331,24 @@ def displacement_operator(z1: complex, z2: complex, dim: TruncationDim) -> np.nd
     return np.kron(d1, d2)
 
 
+def displaced_fock_states(states, dim: TruncationDim) -> np.ndarray:
+    """Rows D(z1, z2)|n1, n2> on the truncated joint space, one per (z1, n1, z2, n2) in
+    states; one _displacement_columns call builds every mode of every state."""
+    zs, cols = [], []
+    for z1, n1, z2, n2 in states:
+        if not (0 <= n1 <= dim.n_max and 0 <= n2 <= dim.n_max):
+            raise ValueError(f"occupation ({n1}, {n2}) outside cutoff {dim.n_max}")
+        zs += (z1, z2)
+        cols += (n1, n2)
+    modes = _displacement_columns(zs, cols, dim.n_max).reshape(-1, 2, dim.states_per_mode)
+    return (modes[:, 0, :, None] * modes[:, 1, None, :]).reshape(-1, dim.dim)
+
+
 def displaced_fock_state(
     z1: complex, n1: int, z2: complex, n2: int, dim: TruncationDim
 ) -> np.ndarray:
     """State vector D(z1, z2)|n1, n2> on the truncated joint space."""
-    if not (0 <= n1 <= dim.n_max and 0 <= n2 <= dim.n_max):
-        raise ValueError(f"occupation ({n1}, {n2}) outside cutoff {dim.n_max}")
-    col1 = _displacement_columns(complex(z1), dim.n_max, n1)
-    col2 = _displacement_columns(complex(z2), dim.n_max, n2)
-    return np.multiply.outer(col1, col2).ravel()
+    return displaced_fock_states([(z1, n1, z2, n2)], dim)[0]
 
 
 def coherent_state(z1: complex, z2: complex, dim: TruncationDim) -> np.ndarray:
@@ -322,7 +362,7 @@ def evolve_state(psi: np.ndarray, theta: float, dim: TruncationDim) -> np.ndarra
     Per photon-number sector, U† = V exp(-i theta lambda) V^T, theta reduced
     modulo 2 pi first.
     """
-    indices, vecs, vals, _ = _polarizer_sectors(dim.n_max)
+    indices, vecs, vals = _polarizer_sectors(dim.n_max)[:3]
     coeffs = _sector_coefficients(psi, dim) * np.exp(-1j * _reduced_angle(theta) * vals)
     pairs = coeffs.view(float).reshape(*indices.shape, 2)
     out = np.zeros(dim.dim + 1, dtype=complex)
@@ -332,9 +372,9 @@ def evolve_state(psi: np.ndarray, theta: float, dim: TruncationDim) -> np.ndarra
 
 def sector_weights(psi: np.ndarray, dim: TruncationDim) -> np.ndarray:
     """|V^T psi|^2 over the d live sector slots, the padding dropped: the weight of
-    psi on each polarizer eigenvector, in the order of the live eigenvalues."""
-    indices = _polarizer_sectors(dim.n_max)[0]
-    return np.abs(_sector_coefficients(psi, dim)[indices < dim.dim]) ** 2
+    psi on each polarizer eigenvector, in the order of _polarizer_sectors' live."""
+    live = _polarizer_sectors(dim.n_max)[3]
+    return np.abs(_sector_coefficients(psi, dim).take(live)) ** 2
 
 
 def chain_invariant(
@@ -346,14 +386,20 @@ def chain_invariant(
     All three states share the generator's eigenbasis, so the invariant is
     f(theta1) f(theta2) conj f(theta1 + theta2) with
     f(theta) = <psi1|e^{-i theta G}|psi1> = sum_k w_k e^{-i theta lambda_k}
-    over the live eigenvalues. The third factor is built from e1 e2, the
-    product of the two reduced angle factors, never from the float sum.
+    over the live eigenvalues. These are +sigma, -sigma and zeros, so
+    f = w_0 + sum (w_+ e + w_- conj e) with e = e^{-i theta sigma}, and only
+    the sigma half is exponentiated. The third factor is built from e1 e2,
+    the product of the two reduced angle factors, never from the float sum.
     """
-    vals = _polarizer_sectors(dim.n_max)[3]
-    e1 = np.exp(-1j * _reduced_angle(theta1) * vals)
-    e2 = np.exp(-1j * _reduced_angle(theta2) * vals)
-    inv = (weights @ e1) * (weights @ e2) * np.conj(weights @ (e1 * e2))
-    return phase_result(inv, METHOD_FOCK_ORACLE)
+    live, sigma = _polarizer_sectors(dim.n_max)[3:]
+    if weights.shape != live.shape:
+        raise ValueError(f"weights shape {weights.shape} does not match dim {dim.dim}")
+    k = len(sigma)
+    angles = [-1j * _reduced_angle(theta1), -1j * _reduced_angle(theta2)]
+    e1, e2 = np.exp(np.multiply.outer(angles, sigma))
+    e = np.stack([e1, e2, e1 * e2])
+    f1, f2, f12 = weights[2 * k :].sum() + e @ weights[:k] + e.conj() @ weights[k : 2 * k]
+    return phase_result(f1 * f2 * np.conj(f12), METHOD_FOCK_ORACLE)
 
 
 def triple_overlap(psi1: np.ndarray, psi2: np.ndarray, psi3: np.ndarray) -> PhaseResult:

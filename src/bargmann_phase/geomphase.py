@@ -33,9 +33,9 @@ loop that reconstructs density elements) evaluates it exactly as a sum
 over partial matchings of z with zbar derivatives. See
 docs/derivations.md.
 
-A state's derived data, its P object with that object's Wirtinger terms
-and its Fock sector weights per cutoff, is computed once per StateSpec
-and kept on it. A PhaseScenario holds its initial StateSpec for its
+A state's derived data, its P object (born in Wirtinger form) and its
+Fock sector weights per cutoff, is computed once per StateSpec and kept on
+it. A PhaseScenario holds its initial StateSpec for its
 lifetime, and the grid points of a sweep share one, so a sweep prepares
 its initial state once and each point pays only for its angles.
 """
@@ -45,7 +45,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -57,6 +57,7 @@ from .fock import (
     TruncationDim,
     chain_invariant,
     displaced_fock_state,
+    displaced_fock_states,
     phase_result,
     principal_phase,
     sector_weights,
@@ -134,13 +135,8 @@ class StateSpec:
         return mehta_p_function(self.occupation, shift=self.centers)
 
     def state_vector(self, dim: TruncationDim) -> np.ndarray:
-        return displaced_fock_state(
-            self.center1.to_complex(),
-            self.occupation[0],
-            self.center2.to_complex(),
-            self.occupation[1],
-            dim,
-        )
+        (n1, n2), (c1, c2) = self.occupation, self.centers
+        return displaced_fock_state(c1.to_complex(), n1, c2.to_complex(), n2, dim)
 
     def sector_weights(self, dim: TruncationDim) -> np.ndarray:
         """fock.sector_weights of the state vector, built once per cutoff."""
@@ -163,10 +159,6 @@ class TriangleConfig:
     vertex_a: ModePair
     vertex_b: ModePair
     vertex_c: ModePair
-
-    @classmethod
-    def from_specs(cls, a: StateSpec, b: StateSpec, c: StateSpec) -> "TriangleConfig":
-        return cls(a.centers, b.centers, c.centers)
 
     def mode_vertices(self, mode: int) -> tuple[PhaseSpacePoint, PhaseSpacePoint, PhaseSpacePoint]:
         i = mode - 1
@@ -191,15 +183,23 @@ _KERNEL_WEIGHTS = {
 }
 
 
-def _triple_pairing(ps, labels: np.ndarray, kernel: str = "derived") -> complex:
-    """Distributional value of the triple phase-space integral: the P objects
-    paired with the kernel exp(conj(z)·B·z), B = L† W L with L = labels block
-    diagonal over the slots' label maps, over the P variables 2*slot + mode."""
+def _kernel_function(maps: tuple, kernel: str) -> GaussianFunction:
+    """The kernel exp(conj(z)·B·z) over the P variables 2*slot + mode as a
+    GaussianFunction, B = L† W L with L = diag(1, *maps) the slots' label maps."""
     if kernel not in _KERNEL_WEIGHTS:
         raise ValueError(f"unknown kernel {kernel!r}")
+    labels = np.eye(6, dtype=complex)
+    labels[2:4, 2:4], labels[4:6, 4:6] = maps
     form = np.zeros((7, 7), dtype=complex)  # no linear or constant part
     form[:6, :6] = labels.conj().T @ _KERNEL_WEIGHTS[kernel] @ labels
-    return pair_product(ps, GaussianFunction(form))
+    form.flags.writeable = False
+    return GaussianFunction(form)
+
+
+@lru_cache(maxsize=None)
+def _independent_kernel(kernel: str) -> GaussianFunction:
+    """_kernel_function with L = 1 (independent states), built once per kernel."""
+    return _kernel_function((np.eye(2), np.eye(2)), kernel)
 
 
 def _chain_maps(theta1: float, theta2: float) -> tuple:
@@ -210,19 +210,12 @@ def _chain_maps(theta1: float, theta2: float) -> tuple:
     return m1, m1 @ label_map_matrix(theta2)
 
 
-def _chain_labels(theta1: float, theta2: float) -> np.ndarray:
-    """diag(1, M(theta1), M(theta1) M(theta2)), the label maps of the chain's slots."""
-    labels = np.eye(6, dtype=complex)
-    labels[2:4, 2:4], labels[4:6, 4:6] = _chain_maps(theta1, theta2)
-    return labels
-
-
 def phase_space_trace(
     s1: StateSpec, s2: StateSpec, s3: StateSpec, *, kernel: str = "derived"
 ) -> PhaseResult:
     """Bargmann invariant of three independent states via their P objects."""
     ps = (s1.quasi_probability(), s2.quasi_probability(), s3.quasi_probability())
-    return phase_result(_triple_pairing(ps, np.eye(6), kernel), METHOD_PHASE_SPACE_PAIRING)
+    return phase_result(pair_product(ps, _independent_kernel(kernel)), METHOD_PHASE_SPACE_PAIRING)
 
 
 def phase_space_trace_evolved(
@@ -233,9 +226,8 @@ def phase_space_trace_evolved(
     The initial P is reused in every slot; evolution is composed into the
     kernel through the label maps. Exact at the distributional level.
     """
-    ps = (s1.quasi_probability(),) * 3
-    labels = _chain_labels(theta1, theta2)
-    return phase_result(_triple_pairing(ps, labels, kernel), METHOD_PHASE_SPACE_PAIRING)
+    f = _kernel_function(_chain_maps(theta1, theta2), kernel)
+    return phase_result(pair_product((s1.quasi_probability(),) * 3, f), METHOD_PHASE_SPACE_PAIRING)
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +383,17 @@ class PhaseScenario:
         return self._triangle
 
     @cached_property
+    def _chain_maps(self) -> tuple:
+        """_chain_maps of the angles, shared by triangle() and the pairing route."""
+        return _chain_maps(self.theta1, self.theta2)
+
+    @cached_property
     def _triangle(self) -> TriangleConfig:
         if self.is_evolved:
             label = self.initial_state.label().as_array()
             mapped = [
-                tuple(PhaseSpacePoint.from_complex(complex(x)) for x in m @ label)
-                for m in _chain_maps(self.theta1, self.theta2)
+                tuple(PhaseSpacePoint(z.real, z.imag) for z in (m @ label).tolist())
+                for m in self._chain_maps
             ]
             return TriangleConfig(self.vertex_a, *mapped)
         return TriangleConfig(self.vertex_a, self.vertex_b, self.vertex_c)
@@ -405,14 +402,16 @@ class PhaseScenario:
         if self.is_evolved:
             weights = self.initial_state.sector_weights(dim)
             return chain_invariant(weights, self.theta1, self.theta2, dim)
-        vertices = (self.vertex_a, self.vertex_b, self.vertex_c)
-        return triple_overlap(*(StateSpec(self.occupation, *v).state_vector(dim) for v in vertices))
+        n1, n2 = self.occupation
+        states = [(v[0].to_complex(), n1, v[1].to_complex(), n2)
+                  for v in (self.vertex_a, self.vertex_b, self.vertex_c)]
+        return triple_overlap(*displaced_fock_states(states, dim))
 
     def pairing_invariant(self, kernel: str = "derived") -> PhaseResult:
         if self.is_evolved:
-            return phase_space_trace_evolved(
-                self.initial_state, self.theta1, self.theta2, kernel=kernel
-            )
+            f = _kernel_function(self._chain_maps, kernel)
+            ps = (self.initial_state.quasi_probability(),) * 3
+            return phase_result(pair_product(ps, f), METHOD_PHASE_SPACE_PAIRING)
         return phase_space_trace(
             self.initial_state,
             StateSpec(self.occupation, *self.vertex_b),

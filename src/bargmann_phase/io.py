@@ -7,14 +7,10 @@ inputs produce identical bytes.
 from __future__ import annotations
 
 import csv
+import itertools
 
 from .geomphase import PhaseScenario, ReconciliationRow
-from .pdistribution import (
-    DeltaDerivativeTerm,
-    PhaseSpacePoint,
-    QuasiProbability,
-    mehta_p_function,
-)
+from .pdistribution import DeltaDerivativeTerm, PhaseSpacePoint, QuasiProbability
 
 __all__ = [
     "SCHEMA",
@@ -168,11 +164,29 @@ def validation_document(checks, n_max: int, seed: int) -> dict:
     }
 
 
+# Per-mode (q, p) delta-derivative factors of the schema's terms, coefficients in
+# the absorbed-measure convention: (coefficient, (dq, dp)). |1> is
+# (1/4)(d_q^2 + d_p^2), which is the d_z d_zbar of mehta_p_function.
+_MODE_FACTORS = {0: ((1.0, (0, 0)),), 1: ((0.25, (2, 0)), (0.25, (0, 2)))}
+
+
+def _delta_terms(occupation, shift) -> tuple:
+    """The (q, p) terms of the P of D(shift)|occupation>, in the schema's order."""
+    if any(n not in _MODE_FACTORS for n in occupation):
+        raise ValueError(f"unsupported occupation {occupation}; modes must be 0 or 1")
+    return tuple(
+        DeltaDerivativeTerm(w1 * w2, shift[0], shift[1], (*o1, *o2))
+        for (w1, o1), (w2, o2) in itertools.product(*(_MODE_FACTORS[n] for n in occupation))
+    )
+
+
 def pfunc_document(
     occupation: tuple[int, int],
     shift: tuple[PhaseSpacePoint, PhaseSpacePoint],
     p: QuasiProbability,
 ) -> dict:
+    """The P object p of D(shift)|occupation> as a document; its terms are written
+    as the (q, p) delta derivatives of the schema."""
     return {
         "schema": SCHEMA,
         "kind": "pfunc",
@@ -185,7 +199,7 @@ def pfunc_document(
                 "center": list(t.centers),
                 "orders": list(t.orders),
             }
-            for t in p.terms
+            for t in _delta_terms(occupation, shift)
         ],
     }
 
@@ -233,23 +247,16 @@ def pfunc_from_document(doc) -> tuple[tuple[int, int], tuple[PhaseSpacePoint, Ph
         if not isinstance(t, dict):
             raise ValueError(f"each pfunc term is a JSON object, got {t!r}")
         coeff, c = _numbers(t, "coeff", 2), _numbers(t, "center", 4)
-        terms.append(
-            DeltaDerivativeTerm(
-                coeff=complex(coeff[0], coeff[1]),
-                center1=PhaseSpacePoint(c[0], c[1]),
-                center2=PhaseSpacePoint(c[2], c[3]),
-                orders=tuple(_numbers(t, "orders", 4, int)),
-            )
-        )
-    p = QuasiProbability(terms=tuple(terms))
-    expected = mehta_p_function(occupation, shift)
-    if len(expected.terms) != len(p.terms):
+        center1, center2 = PhaseSpacePoint(c[0], c[1]), PhaseSpacePoint(c[2], c[3])
+        orders = tuple(_numbers(t, "orders", 4, int))
+        terms.append(DeltaDerivativeTerm(complex(coeff[0], coeff[1]), center1, center2, orders))
+    expected = _delta_terms(occupation, shift)
+    if len(expected) != len(terms):
         raise ValueError("pfunc terms do not match the declared state")
-    for have, want in zip(p.terms, expected.terms):
+    for have, want in zip(terms, expected):
         if have.orders != want.orders or abs(have.coeff - want.coeff) > 1e-12:
             raise ValueError("pfunc terms do not match the declared state")
         for hc, wc in zip(have.centers, want.centers):
             if abs(hc - wc) > 1e-9:
                 raise ValueError("pfunc centers do not match the declared shift")
-    return occupation, shift, p
-
+    return occupation, shift, QuasiProbability.from_delta_terms(terms)

@@ -14,19 +14,17 @@ absorbed into the term coefficients, so that
     pair(P, f) = integral P(x) f(x) dx        (absorbed measure)
 
 reproduces matrix elements directly: pair(P, f_mn) = <m|rho|n> with
-f_mn(z) = <m|z><z|n>, and pair(P, 1) = Tr rho = 1. Under this convention
-the per-mode factors are
+f_mn(z) = <m|z><z|n>, and pair(P, 1) = Tr rho = 1.
 
-    |0>:  delta(q - q0) delta(p - p0)
-    |1>:  (1/4) [ d^2/dq^2 + d^2/dp^2 ] applied to the deltas
+P objects are born in Wirtinger form (z, conj z) per mode, where
+(1/4)(d_q^2 + d_p^2) = d_z d_zbar: mehta_p_function builds every supported
+state as one WirtingerTerm. (q, p) delta derivatives (DeltaDerivativeTerm)
+are a boundary form of the pfunc schema and GaussianFunction.partial, which
+QuasiProbability.from_delta_terms converts.
 
-against the recentred envelope.
-
-Pairing engine. In Wirtinger coordinates (z, conj z) per mode,
-(1/4)(d_q^2 + d_p^2) = d_z d_zbar, so the P of |1> is one term. Every
-test function is exp Q with Q(w) = conj(w)·H·w + a·w + b·conj(w) + c,
-which has no z-z or zbar-zbar part; a polynomial prefactor is a
-derivative in generator variables g, as in
+Pairing engine. Every test function is exp Q with
+Q(w) = conj(w)·H·w + a·w + b·conj(w) + c, which has no z-z or zbar-zbar
+part; a polynomial prefactor is a derivative in generator variables g, as in
 z^m conj(z)^n e^{-|z|^2} = d_gbar^m d_g^n exp(-|z|^2 + conj(z) g + conj(g) z)
 at g = 0. The envelopes add |z - c|^2 to Q. Each product of P terms is
 therefore a mixed derivative of e^Q at the centers, a sum over partial
@@ -35,10 +33,9 @@ pair_product pairs several P objects at once; geomphase uses it with the
 coherent-overlap kernel. See docs/derivations.md.
 
 What depends only on structure is built once per structure: the
-matching-sum plan (_matching_plan) per slot structure, and the collected
-Wirtinger expansion (_collected_expansion) per group orders and offset.
-Neither is keyed on centers or coefficients; those enter each call as
-numbers.
+matching-sum plan (_matching_plan), the variables of a product of terms
+(_product_vars) and the Wirtinger expansion of (q, p) orders. None is keyed
+on centers or coefficients; those enter each call as numbers.
 
 Two-mode states are tensor products of the per-mode factors. Occupations
 above 1 are outside the supported family.
@@ -50,13 +47,15 @@ import collections
 import itertools
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "PhaseSpacePoint",
     "DeltaDerivativeTerm",
+    "WirtingerTerm",
     "QuasiProbability",
     "mehta_p_function",
     "GaussianFunction",
@@ -95,11 +94,11 @@ ORIGIN = PhaseSpacePoint(0.0, 0.0)
 
 @dataclass(frozen=True)
 class DeltaDerivativeTerm:
-    """coeff * envelope * product of delta derivatives at a common center.
+    """coeff * envelope * product of (q, p) delta derivatives at a common center.
 
     orders = (dq1, dp1, dq2, dp2) are the delta derivative orders per axis,
-    each in {0, 1, 2}. The envelope (when the owning QuasiProbability has
-    it enabled) is exp{+(x - center)^2} per axis, centred with the deltas.
+    each in {0, 1, 2}. The envelope exp{+(x - center)^2} per axis, centred with
+    the deltas, is on unless QuasiProbability.from_delta_terms is told otherwise.
     """
 
     coeff: complex
@@ -117,76 +116,57 @@ class DeltaDerivativeTerm:
     def centers(self) -> tuple[float, float, float, float]:
         return (self.center1.q, self.center1.p, self.center2.q, self.center2.p)
 
-    def shifted(self, d1: PhaseSpacePoint, d2: PhaseSpacePoint) -> "DeltaDerivativeTerm":
-        return DeltaDerivativeTerm(
-            coeff=self.coeff,
-            center1=self.center1.shifted(d1.q, d1.p),
-            center2=self.center2.shifted(d2.q, d2.p),
-            orders=self.orders,
-        )
+
+class WirtingerTerm(NamedTuple):
+    """A P term in Wirtinger form: paired with f it gives coeff times d^z_vars d^zbar_vars
+    of envelope * f at the centers (c1, c2), so coeff holds the sign (-1)^order of the
+    delta derivatives. The vars name the differentiated modes, 0 and 1."""
+
+    coeff: complex
+    centers: tuple[complex, complex]
+    z_vars: tuple
+    zbar_vars: tuple
 
 
 @dataclass(frozen=True)
 class QuasiProbability:
-    """Finite delta-derivative representation of a P distribution."""
+    """Finite delta-derivative representation of a P distribution, as WirtingerTerms."""
 
-    terms: tuple[DeltaDerivativeTerm, ...]
+    terms: tuple[WirtingerTerm, ...]
     envelope: bool = True
 
     def __post_init__(self):
         if not self.terms:
             raise ValueError("a QuasiProbability needs at least one term")
 
-    @cached_property
-    def _wirtinger(self) -> tuple:
-        """_wirtinger_terms(self, 0), expanded once per P object for pair_product."""
-        return tuple(_wirtinger_terms(self, 0))
-
-    def _slot_terms(self, slot: int) -> tuple:
-        """_wirtinger with every variable moved by 2 * slot, as pair_product's slot-th
-        object; built once per slot from the offset-0 expansion."""
-        terms = self._slots.get(slot)
-        if terms is None:
-            shift = 2 * slot
-            terms = tuple(
-                (c, centers, tuple(v + shift for v in z), tuple(v + shift for v in zbar))
-                for c, centers, z, zbar in self._wirtinger
-            )
-            self._slots[slot] = terms
-        return terms
-
-    @cached_property
-    def _slots(self) -> dict:
-        return {0: self._wirtinger}
+    @classmethod
+    def from_delta_terms(cls, terms, envelope: bool = True) -> "QuasiProbability":
+        """The P object of (q, p) DeltaDerivativeTerms. Equal Wirtinger terms are
+        collected, so the four (q, p) terms of |1, 1> become d_z d_zbar per mode."""
+        collected: dict = {}
+        for t in terms:
+            centers = (t.center1.to_complex(), t.center2.to_complex())
+            for (z, zbar), w in _wirtinger_expansion(t.orders).items():
+                key = (centers, z, zbar)
+                collected[key] = collected.get(key, 0.0) + t.coeff * w
+        terms = tuple(WirtingerTerm(w, *key) for key, w in collected.items() if w != 0)
+        return cls(terms, envelope)
 
     def shifted(self, d1: PhaseSpacePoint, d2: PhaseSpacePoint) -> "QuasiProbability":
         """Rigid translation by a displacement (d1 on mode 1, d2 on mode 2)."""
-        return QuasiProbability(
-            terms=tuple(t.shifted(d1, d2) for t in self.terms), envelope=self.envelope
-        )
+        d = (d1.to_complex(), d2.to_complex())
+        return replace(self, terms=tuple(
+            t._replace(centers=(t.centers[0] + d[0], t.centers[1] + d[1])) for t in self.terms
+        ))
 
     def scaled(self, factor: complex) -> "QuasiProbability":
-        return QuasiProbability(
-            terms=tuple(
-                DeltaDerivativeTerm(t.coeff * factor, t.center1, t.center2, t.orders)
-                for t in self.terms
-            ),
-            envelope=self.envelope,
-        )
+        return replace(self, terms=tuple(t._replace(coeff=t.coeff * factor) for t in self.terms))
 
     def combined(self, other: "QuasiProbability") -> "QuasiProbability":
         """Formal sum; pairing is linear over it."""
         if self.envelope != other.envelope:
             raise ValueError("cannot combine representations with different envelopes")
         return QuasiProbability(terms=self.terms + other.terms, envelope=self.envelope)
-
-
-# Per-mode delta-derivative factors, coefficients in the absorbed-measure
-# convention: list of (coefficient, (dq, dp)).
-_MODE_FACTORS = {
-    0: ((1.0, (0, 0)),),
-    1: ((0.25, (2, 0)), (0.25, (0, 2))),
-}
 
 
 def mehta_p_function(
@@ -197,23 +177,14 @@ def mehta_p_function(
 
     Supported occupations are {0, 1} per mode. The shift places the state
     at phase-space centers (c1, c2), matching the displaced Fock state
-    D(c1, c2)|n1, n2> with c = q + ip.
+    D(c1, c2)|n1, n2> with c = q + ip. The P is one Wirtinger term with
+    coefficient 1: d_z d_zbar on each occupied mode.
     """
-    n1, n2 = occupation
-    if n1 not in _MODE_FACTORS or n2 not in _MODE_FACTORS:
+    if any(n not in (0, 1) for n in occupation):
         raise ValueError(f"unsupported occupation {occupation}; modes must be 0 or 1")
-    c1, c2 = shift
-    terms = []
-    for (w1, o1), (w2, o2) in itertools.product(_MODE_FACTORS[n1], _MODE_FACTORS[n2]):
-        terms.append(
-            DeltaDerivativeTerm(
-                coeff=w1 * w2,
-                center1=c1,
-                center2=c2,
-                orders=(o1[0], o1[1], o2[0], o2[1]),
-            )
-        )
-    return QuasiProbability(terms=tuple(terms))
+    modes = tuple(mode for mode, n in enumerate(occupation) if n)
+    centers = (shift[0].to_complex(), shift[1].to_complex())
+    return QuasiProbability(terms=(WirtingerTerm(1.0, centers, modes, modes),))
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +192,10 @@ def mehta_p_function(
 
 
 @lru_cache(maxsize=None)
-def _wirtinger_expansion(orders: tuple, offset: int) -> dict:
+def _wirtinger_expansion(orders: tuple) -> dict:
     """(-1)^order d^orders over (q1, p1, q2, p2) as {(z vars, zbar vars): coeff}, by
-    d_q = d_z + d_zbar and d_p = i(d_z - d_zbar); mode m is variable offset + m."""
-    factors = [(offset + a // 2, ((1.0, 1.0), (1j, -1j))[a % 2])
+    d_q = d_z + d_zbar and d_p = i(d_z - d_zbar); mode m is variable m."""
+    factors = [(a // 2, ((1.0, 1.0), (1j, -1j))[a % 2])
                for a, order in enumerate(orders) for _ in range(order)]
     expansion: dict = {}
     for picks in itertools.product((0, 1), repeat=len(factors)):  # 0: d_z, 1: d_zbar
@@ -234,33 +205,11 @@ def _wirtinger_expansion(orders: tuple, offset: int) -> dict:
     return expansion
 
 
-@lru_cache(maxsize=1024)
-def _collected_expansion(orders: tuple, offset: int) -> tuple:
-    """The (z vars, zbar vars) keys that terms of these orders expand to, in first-seen
-    order, and the matrix whose row t is term t's _wirtinger_expansion over them."""
-    expansions = [_wirtinger_expansion(o, offset) for o in orders]
-    keys = tuple(dict.fromkeys(key for e in expansions for key in e))
-    matrix = np.array([[e.get(key, 0.0) for key in keys] for e in expansions], dtype=complex)
-    matrix.flags.writeable = False
-    return keys, matrix
-
-
-def _wirtinger_terms(p: QuasiProbability, offset: int) -> list:
-    """P's terms as (coeff, centers, z vars, zbar vars); equal terms are collected,
-    so the four (q, p) terms of |1, 1> become d_z d_zbar per mode. Terms are
-    collected per shared centers: the coefficient vector times the cached
-    expansion matrix of the group's orders."""
-    groups: dict = {}
-    for t in p.terms:
-        c1, c2 = t.center1, t.center2
-        groups.setdefault((c1.q, c1.p, c2.q, c2.p), []).append(t)
-    out = []
-    for (q1, p1, q2, p2), group in groups.items():
-        keys, matrix = _collected_expansion(tuple(t.orders for t in group), offset)
-        weights = np.dot([t.coeff for t in group], matrix).tolist()
-        centers = (complex(q1, p1), complex(q2, p2))
-        out += [(w, centers, z, zbar) for (z, zbar), w in zip(keys, weights) if w != 0]
-    return out
+@lru_cache(maxsize=None)
+def _product_vars(structure: tuple) -> tuple:
+    """The z and the zbar variables of a product of terms with these (z vars, zbar vars):
+    the i-th term's mode m is pair_product's variable 2*i + m."""
+    return tuple(tuple(2 * i + v for i, t in enumerate(structure) for v in t[side]) for side in (0, 1))
 
 
 @lru_cache(maxsize=None)
@@ -337,7 +286,7 @@ class GaussianFunction:
         delta-derivative term with coefficient (-1)^|orders|."""
         term = DeltaDerivativeTerm((-1.0) ** sum(orders), PhaseSpacePoint(*point[:2]),
                                    PhaseSpacePoint(*point[2:]), tuple(orders))
-        return pair(QuasiProbability((term,), envelope=False), self)
+        return pair(QuasiProbability.from_delta_terms((term,), envelope=False), self)
 
     def value(self, point) -> complex:
         return self.partial((0, 0, 0, 0), point)
@@ -373,19 +322,18 @@ def pair_product(ps, f: GaussianFunction) -> complex:
     hess = f.form + _envelope_diagonal(tuple(p.envelope for p in ps), len(f.form))
     w = np.zeros(len(f.form), dtype=complex)
     w[-1] = 1.0
-    slots = [p._slot_terms(i) for i, p in enumerate(ps)]
     total = 0.0 + 0.0j
     # overflow yields a non-finite invariant, which method_reconciliation rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        for terms in itertools.product(*slots):
-            w[:n_p] = [z for t in terms for z in t[1]]
-            z_vars = sum((t[2] for t in terms), ()) + f.z_slots
-            zbar_vars = sum((t[3] for t in terms), ()) + f.zbar_slots
+        for terms in itertools.product(*(p.terms for p in ps)):
+            w[:n_p] = [z for t in terms for z in t.centers]
+            z_vars, zbar_vars = _product_vars(tuple(t[2:] for t in terms))
             w_bar = w.conj()
             grad_zbar = f.form @ w
-            moment = _matching_sum(z_vars, zbar_vars, w_bar @ f.form, grad_zbar, hess)
+            moment = _matching_sum(
+                z_vars + f.z_slots, zbar_vars + f.zbar_slots, w_bar @ f.form, grad_zbar, hess)
             base = cmath.exp(complex(w_bar @ grad_zbar))
-            total += math.prod(t[0] for t in terms) * moment * base
+            total += math.prod(t.coeff for t in terms) * moment * base
     return complex(total)
 
 

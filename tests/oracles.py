@@ -129,6 +129,19 @@ def single_mode_annihilation_reference(n_max: int) -> np.ndarray:
 # and mode), differentiated by the gradient-and-curvature recursion.
 
 
+def delta_terms(occupation, centers) -> list:
+    """The P of D(c1, c2)|n1, n2> in (q, p) coordinates, as (coeff, centers,
+    orders) with centers = (q1, p1, q2, p2) and orders = (dq1, dp1, dq2, dp2):
+    |0> is the delta, |1> is (1/4)(d_q^2 + d_p^2) of it, and the envelope
+    exp{+|x - center|^2} is understood."""
+    per_mode = {0: [(1.0, (0, 0))], 1: [(0.25, (2, 0)), (0.25, (0, 2))]}
+    return [
+        (w1 * w2, tuple(centers), o1 + o2)
+        for w1, o1 in per_mode[occupation[0]]
+        for w2, o2 in per_mode[occupation[1]]
+    ]
+
+
 def add_sesquilinear(h: np.ndarray, slot_i: int, slot_j: int, a: np.ndarray):
     """Add conj(z_i)·A·z_j to the quadratic form x·H·x/2, z = q + ip per mode."""
     for m in range(2):
@@ -203,37 +216,33 @@ def hermite_moment(counts: tuple, g: list, h_rows: list, memo: dict) -> complex:
     return total
 
 
-def real_coordinate_pairing(ps, maps, kernel: str = "derived") -> complex:
+def real_coordinate_pairing(states, maps, kernel: str = "derived") -> complex:
     """Distributional value of the triple phase-space integral of three P objects.
 
-    ps are three QuasiProbability objects, maps the three 2x2 label maps
-    composed into the cyclic coherent-overlap kernel.
+    states are three (occupation, (q1, p1, q2, p2)) pairs whose enveloped P
+    objects come from delta_terms, maps the three 2x2 label maps composed
+    into the cyclic coherent-overlap kernel.
     """
-    h = kernel_quadratic(maps, tuple(p.envelope for p in ps), kernel)
+    h = kernel_quadratic(maps, (True,) * 3, kernel)
     h_rows = [[complex(x) for x in row] for row in h]
     total = 0.0 + 0.0j
     stations: dict = {}
-    for t1, t2, t3 in itertools.product(ps[0].terms, ps[1].terms, ps[2].terms):
-        centers = t1.centers + t2.centers + t3.centers
+    for t1, t2, t3 in itertools.product(*(delta_terms(*s) for s in states)):
+        centers = t1[1] + t2[1] + t3[1]
         station = stations.get(centers)
         if station is None:
             x0 = np.asarray(centers, dtype=float)
-            b = np.zeros(12, dtype=complex)
-            const = 0.0
-            for i, (p, t) in enumerate(zip(ps, (t1, t2, t3))):
-                if p.envelope:
-                    for k, c in enumerate(t.centers):
-                        b[4 * i + k] = -2.0 * c
-                        const += c * c
+            b = -2.0 * x0.astype(complex)
+            const = float(x0 @ x0)
             g = [complex(x) for x in (h @ x0 + b)]
             base = cmath.exp(complex(0.5 * x0 @ h @ x0 + b @ x0 + const))
             station = (g, base, {(0,) * 12: 1.0 + 0.0j})
             stations[centers] = station
         g, base, memo = station
-        counts = t1.orders + t2.orders + t3.orders
+        counts = t1[2] + t2[2] + t3[2]
         sign = -1.0 if sum(counts) % 2 else 1.0
         moment = hermite_moment(counts, g, h_rows, memo)
-        total += t1.coeff * t2.coeff * t3.coeff * sign * moment * base
+        total += t1[0] * t2[0] * t3[0] * sign * moment * base
     return complex(total)
 
 

@@ -6,10 +6,17 @@ import warnings
 
 import pytest
 
-from bargmann_phase import cli, fock, pdistribution
+from bargmann_phase import cli, fock, geomphase, pdistribution
 from bargmann_phase import io as io_mod
 from bargmann_phase.fock import TruncationDim, TruncationLeakageWarning
 from bargmann_phase.geomphase import PhaseScenario, method_reconciliation
+from bargmann_phase.pdistribution import (
+    PhaseSpacePoint,
+    fock_element_function,
+    gaussian_smear_function,
+    mehta_p_function,
+    pair,
+)
 
 SLOW = os.environ.get("BARGMANN_PHASE_SLOW_TESTS") != "1"
 
@@ -246,7 +253,7 @@ def test_sweep_matches_fresh_scenarios(capsys, occupation, n_max):
 
 
 def test_sweep_prepares_its_initial_state_once(capsys, monkeypatch):
-    calls = {"columns": 0, "terms": 0}
+    calls = {"columns": 0, "p_objects": 0}
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -256,7 +263,7 @@ def test_sweep_prepares_its_initial_state_once(capsys, monkeypatch):
 
     monkeypatch.setattr(fock, "_displacement_columns", counted("columns", fock._displacement_columns))
     monkeypatch.setattr(
-        pdistribution, "_wirtinger_terms", counted("terms", pdistribution._wirtinger_terms)
+        geomphase, "mehta_p_function", counted("p_objects", geomphase.mehta_p_function)
     )
     code, out, _ = run_cli(
         capsys, "sweep", "--theta1", "0:3:4", "--theta2", "0.5:2:4",
@@ -264,8 +271,8 @@ def test_sweep_prepares_its_initial_state_once(capsys, monkeypatch):
     )
     assert code == 0
     assert len(out.strip().split("\n")) == 17
-    # one displacement column per mode and one Wirtinger expansion per sweep
-    assert calls == {"columns": 2, "terms": 1}
+    # one displacement call for both modes and one P object per sweep
+    assert calls == {"columns": 1, "p_objects": 1}
 
 
 def test_sweep_beyond_the_guard_warns(capsys):
@@ -386,6 +393,20 @@ def test_pfunc_document_shape(capsys):
     assert orders == [(0, 2, 0, 0), (2, 0, 0, 0)]
     for term in doc["terms"]:
         assert term["center"] == pytest.approx([0.3, 0.1, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("occupation", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_pfunc_document_round_trip_keeps_the_pairing(occupation):
+    # the document's (q, p) terms collect back into the Wirtinger form that
+    # mehta_p_function builds, so reading a written document pairs identically
+    shift = (PhaseSpacePoint(0.31, -0.17), PhaseSpacePoint(-0.05, 0.42))
+    p = mehta_p_function(occupation, shift)
+    doc = json.loads(json.dumps(io_mod.pfunc_document(occupation, shift, p)))
+    got_occupation, got_shift, got = io_mod.pfunc_from_document(doc)
+    assert (got_occupation, got_shift) == (occupation, shift)
+    assert got == p
+    for f in (fock_element_function((1, 0), (1, 1)), gaussian_smear_function(0.4)):
+        assert pair(got, f) == pair(p, f)
 
 
 def test_pfunc_round_trip_matches_direct(tmp_path, capsys):

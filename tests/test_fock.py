@@ -127,18 +127,88 @@ def test_evolve_state_matches_dense_polarizer(theta):
 
 
 def test_polarizer_sectors_reject_non_orthogonal_basis(monkeypatch):
-    real_eigh = np.linalg.eigh
+    real_solver = fock._zero_diagonal_eigh
 
-    def skewed_eigh(a):
-        vals, vecs = real_eigh(a)
+    def skewed_solver(off):
+        vals, vecs = real_solver(off)
         return vals, vecs * 1.001
 
     dim = TruncationDim(7)
     psi = coherent_state(0.1, 0.2j, dim)
     fock._polarizer_sectors.cache_clear()
-    monkeypatch.setattr(fock.np.linalg, "eigh", skewed_eigh)
+    monkeypatch.setattr(fock, "_zero_diagonal_eigh", skewed_solver)
     with pytest.raises(ValueError, match="not orthogonal"):
         evolve_state(psi, 0.5, dim)
+
+
+def sector_off_diagonals(n_max):
+    """The off-diagonal of every polarizer sector at n_max, and of i(a† - a) after
+    the similarity diag(i^n)."""
+    offs = [np.sqrt(np.arange(1.0, n_max + 1))]
+    for total in range(2 * n_max + 1):
+        occ1 = np.arange(max(0, total - n_max), min(total, n_max) + 1)
+        offs.append(np.sqrt((occ1[:-1] + 1.0) * (total - occ1[:-1])))
+    return offs
+
+
+def test_zero_diagonal_solver_matches_eigh():
+    sizes = set()
+    for n_max in range(1, 61):
+        for off in sector_off_diagonals(n_max):
+            t = np.diag(off, 1) + np.diag(off, -1)
+            want = np.linalg.eigh(t)[0]
+            vals, vecs = fock._zero_diagonal_eigh(off)
+            scale = max(np.max(np.abs(want)), 1.0)
+            assert np.max(np.abs(t @ vecs - vecs * vals)) <= 1e-12 * scale
+            assert np.max(np.abs(np.sort(vals) - want)) <= 1e-12 * scale
+            assert np.max(np.abs(vecs.T @ vecs - np.eye(len(t)))) <= 1e-12
+            sizes.add(len(t) % 2)
+    assert sizes == {0, 1}
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 7, 25, 40])
+def test_polarizer_spectrum_is_exactly_symmetric(n_max):
+    indices, _, vals, live, sigma = fock._polarizer_sectors(n_max)
+    k = len(sigma)
+    flat = vals.ravel()
+    assert np.all(sigma > 0)
+    assert np.array_equal(flat[live[:k]], sigma)
+    assert np.array_equal(flat[live[k : 2 * k]], -sigma)
+    assert np.all(flat[live[2 * k :]] == 0.0)
+    for total in range(2 * n_max + 1):
+        size = np.count_nonzero(indices[total] < (n_max + 1) ** 2)
+        assert np.array_equal(np.sort(vals[total, :size]), -np.sort(vals[total, :size])[::-1])
+
+
+@pytest.mark.parametrize("n_max", [10, 25, 40, 60])
+def test_full_sector_spectra_are_integers(n_max):
+    # sector N <= n_max is the spin-N/2 representation: eigenvalues -N, -N+2, ..., N
+    vals = fock._polarizer_sectors(n_max)[2]
+    for total in range(n_max + 1):
+        got = np.sort(vals[total, : total + 1])
+        assert np.max(np.abs(got - np.arange(-total, total + 1, 2))) <= 1e-12
+
+
+@pytest.mark.parametrize("n_max", [25, 40, 49])
+def test_cutoff_bases_pass_no_block_above_25_to_lapack(monkeypatch, n_max):
+    # LAPACK's divide-and-conquer path starts above 25, and threaded OpenBLAS
+    # calls made there can stall a fresh process
+    shapes = []
+
+    def recorded(real):
+        def wrapper(*args, **kwargs):
+            shapes.extend(np.shape(a) for a in args if isinstance(a, np.ndarray))
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("svd", "eigh", "eigvalsh", "eig", "eigvals", "qr", "solve", "inv", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
+    fock._polarizer_sectors.cache_clear()
+    fock._displacement_generator_basis.cache_clear()
+    fock._polarizer_sectors(n_max)
+    fock._displacement_generator_basis(n_max)
+    assert shapes
+    assert max(max(shape) for shape in shapes) <= 25
 
 
 def random_state(seed, dim):

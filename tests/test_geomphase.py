@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from bargmann_phase import io as io_mod
 from bargmann_phase import pdistribution
 from bargmann_phase.coherent import label_map_matrix
 from bargmann_phase.fock import (
@@ -33,7 +34,7 @@ from bargmann_phase.geomphase import (
     random_independent_scenarios,
     run_reconciliation,
 )
-from bargmann_phase.pdistribution import ORIGIN, PhaseSpacePoint, mehta_p_function
+from bargmann_phase.pdistribution import ORIGIN, PhaseSpacePoint, QuasiProbability, mehta_p_function
 
 
 def spec(occupation, z1, z2):
@@ -192,14 +193,15 @@ def test_fock_invariant_converges_at_n_max_60():
 
 def real_coordinate_invariant(scenario, kernel):
     """The pairing in (q, p) coordinates by the derivative recursion of tests/oracles.py."""
+    def state(vertex):
+        return scenario.occupation, (vertex[0].q, vertex[0].p, vertex[1].q, vertex[1].p)
+
     if scenario.is_evolved:
-        p = scenario.initial_state.quasi_probability()
         m1 = label_map_matrix(scenario.theta1)
         maps = (np.eye(2), m1, m1 @ label_map_matrix(scenario.theta2))
-        return oracles.real_coordinate_pairing((p, p, p), maps, kernel)
+        return oracles.real_coordinate_pairing((state(scenario.vertex_a),) * 3, maps, kernel)
     vertices = (scenario.vertex_a, scenario.vertex_b, scenario.vertex_c)
-    ps = tuple(StateSpec(scenario.occupation, *v).quasi_probability() for v in vertices)
-    return oracles.real_coordinate_pairing(ps, (np.eye(2),) * 3, kernel)
+    return oracles.real_coordinate_pairing([state(v) for v in vertices], (np.eye(2),) * 3, kernel)
 
 
 @pytest.mark.parametrize("kernel", ["derived", "transcribed"])
@@ -232,13 +234,21 @@ def test_pairing_matches_real_coordinate_oracle_property(occupation, centers, th
 
 
 def test_wirtinger_form_of_single_photons_is_one_term():
-    # (1/4)(d_q^2 + d_p^2) = d_z d_zbar per mode: the four (q, p) terms of
-    # |1, 1> collect into one, with z and zbar derivatives on both modes
-    p = mehta_p_function((1, 1), shift=(PhaseSpacePoint(0.3, -0.1), ORIGIN))
-    assert len(p.terms) == 4
-    assert pdistribution._wirtinger_terms(p, 2) == [(1.0, (0.3 - 0.1j, 0j), (2, 3), (2, 3))]
+    # (1/4)(d_q^2 + d_p^2) = d_z d_zbar per mode: the P of |1, 1> is born as
+    # one term with z and zbar derivatives on both modes, and the four (q, p)
+    # terms of the pfunc schema collect into that same term
+    shift = (PhaseSpacePoint(0.3, -0.1), ORIGIN)
+    p = mehta_p_function((1, 1), shift=shift)
+    assert p.terms == ((1.0, (0.3 - 0.1j, 0j), (0, 1), (0, 1)),)
+    # as the second P object of a pairing its variables are 2 and 3
+    assert pdistribution._product_vars((((), ()), p.terms[0][2:])) == ((2, 3), (2, 3))
+    schema_terms = io_mod._delta_terms((1, 1), shift)
+    assert len(schema_terms) == 4
+    assert QuasiProbability.from_delta_terms(schema_terms) == p
     vacuum = mehta_p_function((0, 0))
-    assert pdistribution._wirtinger_terms(vacuum, 0) == [(1.0, (0j, 0j), (), ())]
+    assert vacuum.terms == ((1.0, (0j, 0j), (), ()),)
+    vacuum_schema_terms = io_mod._delta_terms((0, 0), (ORIGIN, ORIGIN))
+    assert QuasiProbability.from_delta_terms(vacuum_schema_terms) == vacuum
 
 
 def test_evolved_pairing_zero_angles_gives_unit_invariant():

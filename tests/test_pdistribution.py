@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bargmann_phase import pdistribution
+from bargmann_phase import geomphase, pdistribution
 from bargmann_phase.fock import DensityOperator, TruncationDim
 from bargmann_phase.geomphase import (
     StateSpec,
@@ -54,18 +54,24 @@ def test_vacuum_p_is_single_delta():
     assert len(p.terms) == 1
     term = p.terms[0]
     assert term.coeff == 1.0
-    assert term.orders == (0, 0, 0, 0)
-    assert term.centers == (0.0, 0.0, 0.0, 0.0)
+    assert (term.z_vars, term.zbar_vars) == ((), ())
+    assert term.centers == (0j, 0j)
 
 
 def test_single_photon_p_term_structure():
+    # born in Wirtinger form: d_z d_zbar on each occupied mode, coefficient 1
     p = mehta_p_function((1, 0))
-    got = sorted((t.orders, t.coeff) for t in p.terms)
-    assert got == [((0, 2, 0, 0), 0.25), ((2, 0, 0, 0), 0.25)]
+    assert [(t.coeff, t.z_vars, t.zbar_vars) for t in p.terms] == [(1.0, (0,), (0,))]
     p11 = mehta_p_function((1, 1))
-    orders = sorted(t.orders for t in p11.terms)
-    assert orders == [(0, 2, 0, 2), (0, 2, 2, 0), (2, 0, 0, 2), (2, 0, 2, 0)]
-    assert all(t.coeff == 0.0625 for t in p11.terms)
+    assert [(t.coeff, t.z_vars, t.zbar_vars) for t in p11.terms] == [(1.0, (0, 1), (0, 1))]
+    # which is the (q, p) form (1/4)(d_q^2 + d_p^2) per mode
+    def from_orders(coeff, orders):
+        return QuasiProbability.from_delta_terms(
+            [DeltaDerivativeTerm(coeff, ORIGIN, ORIGIN, o) for o in orders]
+        )
+
+    assert from_orders(0.25, [(0, 2, 0, 0), (2, 0, 0, 0)]) == p
+    assert from_orders(0.0625, [(0, 2, 0, 2), (0, 2, 2, 0), (2, 0, 0, 2), (2, 0, 2, 0)]) == p11
 
 
 def test_mehta_p_rejects_higher_occupation():
@@ -79,9 +85,9 @@ def test_shift_moves_centers_only():
     direct = mehta_p_function((1, 1)).shifted(*shift)
     assert p == direct
     for term in p.terms:
-        assert term.centers == (0.3, -0.1, 0.0, 0.2)
+        assert term.centers == (0.3 - 0.1j, 0.2j)
     base = mehta_p_function((1, 1))
-    assert [t.orders for t in p.terms] == [t.orders for t in base.terms]
+    assert [t[2:] for t in p.terms] == [t[2:] for t in base.terms]
     assert [t.coeff for t in p.terms] == [t.coeff for t in base.terms]
 
 
@@ -248,9 +254,9 @@ def test_pair_agrees_with_numerical_route():
             return NumericalFunction(g, nvars=4).partial(orders, point)
 
     num = 0.0 + 0.0j
-    for term in p.terms:
-        sign = -1.0 if sum(term.orders) % 2 else 1.0
-        num += term.coeff * sign * EnvelopedNumerical().partial(term.orders, term.centers)
+    for coeff, centers, orders in oracles.delta_terms((1, 1), (0.1, -0.2, 0.0, 0.15)):
+        sign = -1.0 if sum(orders) % 2 else 1.0
+        num += coeff * sign * EnvelopedNumerical().partial(orders, centers)
     assert sym == pytest.approx(num, rel=1e-3, abs=1e-4)
 
 
@@ -345,9 +351,13 @@ def test_matching_sum_matches_enumeration(size, z_slots, zbar_slots, seed):
 def test_pairing_caches_are_keyed_on_structure_only():
     # fresh centers and coefficients every round; only term structures repeat
     caches = {
-        name: obj for name, obj in vars(pdistribution).items() if hasattr(obj, "cache_info")
+        name: obj
+        for module in (pdistribution, geomphase)
+        for name, obj in vars(module).items()
+        if hasattr(obj, "cache_info")
     }
-    assert {"_collected_expansion", "_matching_plan", "_envelope_diagonal"} <= set(caches)
+    assert {"_wirtinger_expansion", "_matching_plan", "_envelope_diagonal",
+            "_independent_kernel"} <= set(caches)
 
     def one_round(seed):
         for s in random_evolved_scenarios(200, seed) + random_independent_scenarios(200, seed + 1):
@@ -358,6 +368,8 @@ def test_pairing_caches_are_keyed_on_structure_only():
             centers = [PhaseSpacePoint(*xy) for xy in rng.uniform(-0.5, 0.5, size=(2, 2))]
             factor = complex(*rng.uniform(0.5, 2.0, size=2))
             pair(mehta_p_function(ALL_OCCUPATIONS[i % 4], centers).scaled(factor), f)
+            # (q, p) orders enter through the Wirtinger expansion
+            f.partial(((1, 0, 2, 0), (0, 2, 0, 1))[i % 2], rng.uniform(-0.5, 0.5, size=4))
         return {name: cache.cache_info() for name, cache in caches.items()}
 
     first = one_round(31)

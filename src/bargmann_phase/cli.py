@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
 import math
 import re
@@ -18,7 +19,7 @@ from dataclasses import dataclass, replace
 
 from . import io as io_mod
 from .fock import TruncationDim
-from .geomphase import PhaseScenario, method_reconciliation
+from .geomphase import PhaseScenario, evolved_grid_results, method_reconciliation
 from .pdistribution import PhaseSpacePoint, mehta_p_function
 from .validation import run_all
 
@@ -223,16 +224,17 @@ def cmd_sweep(args) -> int:
     flags = set()
 
     def sweep_rows():
-        # every grid point shares first's initial state; a row is built,
-        # formatted and dropped before the next one starts
-        for t1 in grid1:
-            for t2 in grid2:
-                scenario = replace(first, theta1=t1, theta2=t2)
-                row = io_mod.sweep_row(
-                    method_reconciliation(scenario, dim=config.dim, tolerance=config.tol)
-                )
-                flags.add(row["flag"])
-                yield row
+        # the routes run as arrays over blocks of the grid, from first's initial
+        # state; each point is then reconciled on its own, formatted, and only
+        # its formatted output is kept
+        routes = evolved_grid_results(first.initial_state, grid1, grid2, config.dim)
+        for (t1, t2), results in zip(itertools.product(grid1, grid2), routes):
+            scenario = replace(first, theta1=t1, theta2=t2)
+            row = io_mod.sweep_row(method_reconciliation(
+                scenario, dim=config.dim, tolerance=config.tol, results=results
+            ))
+            flags.add(row["flag"])
+            yield row
 
     # the whole grid is formatted before anything is written, so a failing
     # row leaves no partial output

@@ -27,8 +27,9 @@ needs no evolved state: its invariant is f(theta1) f(theta2)
 conj f(theta1 + theta2) with f(t) = <psi1|e^{-i t G}|psi1>, three sums
 over the sector weights |V^T psi1|^2. sector_weights projects psi1 once,
 and chain_invariant takes those weights, so every chain that starts from
-psi1 shares one projection. evolve_state applies psi -> U† psi in the
-same basis. No dense unitary is cached; the operator forms serve the
+psi1 shares one projection; chain_invariants takes a grid of angle pairs
+at once, with one row of angle factors per angle. evolve_state applies
+psi -> U† psi in the same basis. No dense unitary is cached; the operator forms serve the
 operator identity checks.
 
 Truncation is the only approximation. Displacements with |z| beyond
@@ -38,6 +39,7 @@ TruncationLeakageWarning.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -46,6 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "BLOCK_BYTES",
     "DISPLACEMENT_GUARD_RATIO",
     "UNDEFINED_PHASE_CUTOFF",
     "METHOD_FOCK_ORACLE",
@@ -68,6 +71,7 @@ __all__ = [
     "evolve_state",
     "sector_weights",
     "chain_invariant",
+    "chain_invariants",
     "triple_overlap",
     "DensityOperator",
     "evolve",
@@ -77,6 +81,10 @@ __all__ = [
 # Phases of invariants with modulus below this cutoff are reported as
 # undefined (None) instead of numerical noise.
 UNDEFINED_PHASE_CUTOFF = 1e-12
+
+# Bytes allowed for any one temporary of a grid evaluated in blocks of angles
+# (chain_invariants, and the pairing and printed routes of a sweep).
+BLOCK_BYTES = 2 << 20
 
 # Largest displacement magnitude considered safe at truncation n_max is
 # DISPLACEMENT_GUARD_RATIO * n_max; beyond it a warning is emitted.
@@ -153,7 +161,9 @@ def phase_result(invariant: complex, method: str, phase: float | None = None) ->
     cannot print a negative real invariant as -pi.
     """
     invariant = complex(invariant)
-    if abs(invariant) < UNDEFINED_PHASE_CUTOFF:
+    # abs of a NaN complex can raise OverflowError when errno is left at ERANGE
+    # by an earlier overflow (as np.exp leaves it), so only finite values reach it
+    if cmath.isfinite(invariant) and abs(invariant) < UNDEFINED_PHASE_CUTOFF:
         return PhaseResult(invariant=invariant, phase=None, method=method)
     if phase is None:
         phase = cmath.phase(invariant)
@@ -377,6 +387,70 @@ def sector_weights(psi: np.ndarray, dim: TruncationDim) -> np.ndarray:
     return np.abs(_sector_coefficients(psi, dim).take(live)) ** 2
 
 
+# chain_invariants weighs the angle rows (C, S, S, C) of theta1 by (u, -u, -v, -v),
+# which this matrix forms from the weights (w_+, w_-)
+_CHAIN_SIGNS = np.array([[1.0, 1.0], [-1.0, -1.0], [-1.0, 1.0], [-1.0, 1.0]])
+_CHAIN_ROWS = np.array([0, 1, 1, 0])
+
+
+def _angle_factors(reduced, sigma: np.ndarray) -> np.ndarray:
+    """Rows (cos r sigma, sin r sigma), the real and minus the imaginary part of
+    e^{-i r sigma}, one (2, k) row per reduced angle r."""
+    phase = np.multiply.outer(reduced, sigma)
+    out = np.empty((len(phase), 2, len(sigma)))
+    np.cos(phase, out=out[:, 0])
+    np.sin(phase, out=out[:, 1])
+    return out
+
+
+def chain_invariants(
+    weights: np.ndarray, thetas1, thetas2, dim: TruncationDim
+) -> np.ndarray:
+    """chain_invariant over the grid thetas1 x thetas2, as an (n1, n2) array.
+
+    With u = w_+ + w_- and v = w_+ - w_-, f(t) = w_0 + u·C - i v·S with
+    (C, S) = (cos t sigma, sin t sigma), one row per reduced angle. The third
+    factor takes the product e1 e2 of the angle factors, never the float sum
+    of the angles: f12 = w_0 + u·(C1 C2 - S1 S2) - i v·(S1 C2 + C1 S2). So one
+    real einsum of the theta1 rows (u C1, -u S1) and (-v S1, -v C1) with the
+    theta2 rows (C2, S2) gives every f12; the zero angle, (C, S) = (1, 0),
+    on each side gives f1 and f2 in the same einsum.
+
+    The grid goes in blocks of angles so that no temporary exceeds BLOCK_BYTES.
+    A point's sums do not depend on the block around it, and the products of
+    the three complex factors are Python's, one point at a time (numpy's
+    complex product fuses in some of its loops and not in others), so a 1 x 1
+    grid gives the same bits as any grid.
+    """
+    live, sigma = _polarizer_sectors(dim.n_max)[3:]
+    if weights.shape != live.shape:
+        raise ValueError(f"weights shape {weights.shape} does not match dim {dim.dim}")
+    k = len(sigma)
+    w0 = sum(weights[2 * k :].tolist())
+    # (u, -u, -v, -v) from (w_+, w_-): each row is a sum or difference of two
+    weighted = np.einsum("ij,jk->ik", _CHAIN_SIGNS, weights[: 2 * k].reshape(2, k))
+    r1, r2 = ([_reduced_angle(t) for t in thetas] for thetas in (thetas1, thetas2))
+    # theta1 rows of the (rows + 1, 4, k) weighted rows, and theta2 rows of the
+    # (rows + 1 + cols, 2, k) angle rows and the (rows + 1, 2, cols + 1) sums
+    rows = max(1, BLOCK_BYTES // (32 * k) - 1)
+    cols = max(1, min(BLOCK_BYTES // (16 * k) - rows - 1, BLOCK_BYTES // (16 * rows + 16) - 1))
+    out = np.empty((len(r1), len(r2)), dtype=complex)
+    for i, j in itertools.product(range(0, len(r1), rows), range(0, len(r2), cols)):
+        angles1, angles2 = r1[i : i + rows], r2[j : j + cols]
+        b1, b2 = len(angles1), len(angles2)
+        e = _angle_factors(angles1 + [0.0] + angles2, sigma)
+        # theta1 rows (u C1, -u S1) and (-v S1, -v C1), the zero angle's last
+        a = e[: b1 + 1, _CHAIN_ROWS] * weighted
+        sums = np.einsum("ipk,jk->ipj", a.reshape(b1 + 1, 2, 2 * k), e[b1:].reshape(b2 + 1, 2 * k))
+        # f[i][1 + j] is f12 of the block's angles, f[i][0] is f1, f[-1][1 + j] is f2
+        f = [[complex(w0 + x, y) for x, y in zip(xs, ys)] for xs, ys in sums.tolist()]
+        f2 = f[-1][1:]
+        out[i : i + b1, j : j + b2] = [
+            [row[0] * b * c.conjugate() for b, c in zip(f2, row[1:])] for row in f[:-1]
+        ]
+    return out
+
+
 def chain_invariant(
     weights: np.ndarray, theta1: float, theta2: float, dim: TruncationDim
 ) -> PhaseResult:
@@ -388,18 +462,10 @@ def chain_invariant(
     f(theta) = <psi1|e^{-i theta G}|psi1> = sum_k w_k e^{-i theta lambda_k}
     over the live eigenvalues. These are +sigma, -sigma and zeros, so
     f = w_0 + sum (w_+ e + w_- conj e) with e = e^{-i theta sigma}, and only
-    the sigma half is exponentiated. The third factor is built from e1 e2,
-    the product of the two reduced angle factors, never from the float sum.
+    the sigma half is exponentiated. This is the 1 x 1 grid of chain_invariants.
     """
-    live, sigma = _polarizer_sectors(dim.n_max)[3:]
-    if weights.shape != live.shape:
-        raise ValueError(f"weights shape {weights.shape} does not match dim {dim.dim}")
-    k = len(sigma)
-    angles = [-1j * _reduced_angle(theta1), -1j * _reduced_angle(theta2)]
-    e1, e2 = np.exp(np.multiply.outer(angles, sigma))
-    e = np.stack([e1, e2, e1 * e2])
-    f1, f2, f12 = weights[2 * k :].sum() + e @ weights[:k] + e.conj() @ weights[k : 2 * k]
-    return phase_result(f1 * f2 * np.conj(f12), METHOD_FOCK_ORACLE)
+    invariant = chain_invariants(weights, (theta1,), (theta2,), dim)[0, 0]
+    return phase_result(invariant, METHOD_FOCK_ORACLE)
 
 
 def triple_overlap(psi1: np.ndarray, psi2: np.ndarray, psi3: np.ndarray) -> PhaseResult:

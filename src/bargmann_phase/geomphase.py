@@ -35,9 +35,14 @@ docs/derivations.md.
 
 A state's derived data, its P object (born in Wirtinger form) and its
 Fock sector weights per cutoff, is computed once per StateSpec and kept on
-it. A PhaseScenario holds its initial StateSpec for its
-lifetime, and the grid points of a sweep share one, so a sweep prepares
-its initial state once and each point pays only for its angles.
+it. A PhaseScenario holds its initial StateSpec for its lifetime. A sweep's
+grid shares one initial state and varies only the two angles, so
+evolved_grid_results runs every route over blocks of the grid as arrays:
+the Fock chain as fock.chain_invariants, the pairing as one batched
+pair_product over the stacked chain kernels, and the labels and the printed
+form's terms as array arithmetic. method_reconciliation then reconciles
+each point from those results. A single scenario's routes run the same code
+on a grid of one, so a grid point and a fresh scenario give the same bits.
 """
 from __future__ import annotations
 
@@ -49,13 +54,16 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .coherent import CoherentLabel, bargmann_triple_coherent, label_map_matrix
+from . import fock
+from .coherent import CoherentLabel, bargmann_triple_coherent
 from .fock import (
+    METHOD_FOCK_ORACLE,
     METHOD_PHASE_SPACE_PAIRING,
     METHOD_PRINTED_CLOSED_FORM,
     PhaseResult,
     TruncationDim,
     chain_invariant,
+    chain_invariants,
     displaced_fock_state,
     displaced_fock_states,
     phase_result,
@@ -85,6 +93,7 @@ __all__ = [
     "ReconciliationRow",
     "ReconciliationReport",
     "method_reconciliation",
+    "evolved_grid_results",
     "random_evolved_scenarios",
     "random_independent_scenarios",
     "run_reconciliation",
@@ -183,31 +192,88 @@ _KERNEL_WEIGHTS = {
 }
 
 
-def _kernel_function(maps: tuple, kernel: str) -> GaussianFunction:
-    """The kernel exp(conj(z)·B·z) over the P variables 2*slot + mode as a
-    GaussianFunction, B = L† W L with L = diag(1, *maps) the slots' label maps."""
+def _kernel_weights(kernel: str) -> np.ndarray:
     if kernel not in _KERNEL_WEIGHTS:
         raise ValueError(f"unknown kernel {kernel!r}")
-    labels = np.eye(6, dtype=complex)
-    labels[2:4, 2:4], labels[4:6, 4:6] = maps
-    form = np.zeros((7, 7), dtype=complex)  # no linear or constant part
-    form[:6, :6] = labels.conj().T @ _KERNEL_WEIGHTS[kernel] @ labels
-    form.flags.writeable = False
-    return GaussianFunction(form)
+    return _KERNEL_WEIGHTS[kernel]
 
 
 @lru_cache(maxsize=None)
 def _independent_kernel(kernel: str) -> GaussianFunction:
-    """_kernel_function with L = 1 (independent states), built once per kernel."""
-    return _kernel_function((np.eye(2), np.eye(2)), kernel)
+    """The kernel exp(conj(z)·W·z) over the P variables 2*slot + mode of three
+    independent states as a GaussianFunction, built once per kernel."""
+    form = np.zeros((7, 7))  # no linear or constant part
+    form[:6, :6] = _kernel_weights(kernel)
+    form.flags.writeable = False
+    return GaussianFunction(form)
 
 
-def _chain_maps(theta1: float, theta2: float) -> tuple:
-    """M(theta1) and M(theta1) M(theta2), the label maps of a polarizer chain's second
-    and third slots; composed because the float sum theta1 + theta2 rounds at large
-    angles."""
-    m1 = label_map_matrix(theta1)
-    return m1, m1 @ label_map_matrix(theta2)
+def _chain_trig(thetas1, thetas2) -> tuple:
+    """cos and sin of each angle as (n1, 1) and (1, n2) arrays, and those of the
+    composed map M(theta1) M(theta2) = M(theta1 + theta2) over the (n1, n2) grid,
+    formed from the factors because the float sum theta1 + theta2 rounds at large
+    angles. Each cos and sin is math's; _single_trig is the same for one chain."""
+    c1, s1 = np.array([[[math.cos(t)] for t in thetas1], [[math.sin(t)] for t in thetas1]])
+    c2, s2 = np.array([[[math.cos(t) for t in thetas2]], [[math.sin(t) for t in thetas2]]])
+    return _composed(c1, s1, c2, s2)
+
+
+def _single_trig(theta1: float, theta2: float) -> tuple:
+    """_chain_trig of one chain in floats, which round as the arrays do."""
+    return _composed(math.cos(theta1), math.sin(theta1), math.cos(theta2), math.sin(theta2))
+
+
+def _composed(c1, s1, c2, s2) -> tuple:
+    return c1, s1, c2, s2, c1 * c2 - s1 * s2, s1 * c2 + c1 * s2
+
+
+@lru_cache(maxsize=None)
+def _chain_kernel_layout(kernel: str) -> tuple:
+    """Where _chain_kernel writes each value, as flat indices into the float view
+    of a (7, 7) complex form, and the form's constant diagonal. A map
+    M = [[c, -i s], [-i s, c]] puts c in the real part of its block's diagonal
+    and -s in the imaginary part off it; (M1 M2)† has +s12 there."""
+    blocks = ((0, 2), (2, 4)) + (((4, 0),) if kernel == "derived" else ((2, 2),))
+    index = np.array([14 * (r + i) + 2 * (c + j) + part for r, c in blocks
+                      for i, j, part in ((0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1))])
+    diag = np.zeros(98)
+    diag[16 * np.arange(6)] = np.diag(_kernel_weights(kernel))
+    for a in (index, diag):
+        a.flags.writeable = False
+    return index, diag
+
+
+def _chain_kernel(trig: tuple, kernel: str) -> GaussianFunction:
+    """The kernels exp(conj(z)·B·z) of the chains of a _chain_trig grid, stacked in
+    row-major order, or the one kernel of _single_trig floats.
+
+    B = L† W L with L = diag(1, M1, M1 M2) comes in closed block form: the maps
+    are unitary, so a block W_ij = a I is a L_i† L_j, which is -1 on the diagonal
+    and M1, M2 or (M1 M2)† off it. The transcribed kernel's slot-2 block
+    diag(-2, 0) gives -2 conj(c1, -i s1)^T (c1, -i s1). Every entry is a trig
+    value or a real product of them, so a grid's form has the bits of the
+    single kernel of its chain."""
+    index, diag = _chain_kernel_layout(kernel)
+    c1, s1, c2, s2, c12, s12 = trig
+    values = [c1, c1, -s1, -s1, c2, c2, -s2, -s2]
+    if kernel == "derived":
+        values += [c12, c12, s12, s12]
+    else:
+        cs = 2 * c1 * s1
+        values += [-2 * c1 * c1, -2 * s1 * s1, cs, -cs]
+    if not np.shape(c12):
+        form = diag.copy()
+        form[index] = values
+        return GaussianFunction(form.view(complex).reshape(7, 7))
+    form = np.broadcast_to(diag, c12.shape + (98,)).copy()
+    form[..., index] = np.stack(np.broadcast_arrays(*values), axis=-1)
+    return GaussianFunction(form.view(complex).reshape(-1, 7, 7))
+
+
+def _chain_pairings(p: QuasiProbability, trig: tuple, kernel: str) -> np.ndarray:
+    """pair_product of p in all three slots with every chain kernel of a _chain_trig
+    grid, or with the one kernel of _single_trig floats."""
+    return pair_product((p,) * 3, _chain_kernel(trig, kernel))
 
 
 def phase_space_trace(
@@ -226,8 +292,8 @@ def phase_space_trace_evolved(
     The initial P is reused in every slot; evolution is composed into the
     kernel through the label maps. Exact at the distributional level.
     """
-    f = _kernel_function(_chain_maps(theta1, theta2), kernel)
-    return phase_result(pair_product((s1.quasi_probability(),) * 3, f), METHOD_PHASE_SPACE_PAIRING)
+    pairing = _chain_pairings(s1.quasi_probability(), _single_trig(theta1, theta2), kernel)
+    return phase_result(pairing, METHOD_PHASE_SPACE_PAIRING)
 
 
 # ---------------------------------------------------------------------------
@@ -249,60 +315,75 @@ class ClosedFormTerms:
     x2: float
     y2: float
 
-    def arctan_term(self, mode: int) -> float:
-        x, y = (self.x1, self.y1) if mode == 1 else (self.x2, self.y2)
-        return math.atan2(y, x)
-
     def phase(self, occupation: tuple[int, int] = (1, 1)) -> float:
-        total = self.symplectic_sum
-        for mode, n in zip((1, 2), occupation):
-            if n:
-                total += self.arctan_term(mode)
-        return principal_phase(total)
+        return _printed_phase(self.symplectic_sum, self.x1, self.y1, self.x2, self.y2, occupation)
 
 
-def _mode_cycle(a: PhaseSpacePoint, b: PhaseSpacePoint, c: PhaseSpacePoint) -> float:
-    return (a.q * b.p - b.q * a.p) + (b.q * c.p - c.q * b.p) + (c.q * a.p - a.q * c.p)
+def _printed_phase(symplectic_sum, x1, y1, x2, y2, occupation) -> float:
+    """The reference closed form's phase: the bilinear sum plus the arctan term of
+    each occupied mode, wrapped to the principal branch."""
+    total = symplectic_sum
+    if occupation[0]:
+        total += math.atan2(y1, x1)
+    if occupation[1]:
+        total += math.atan2(y2, x2)
+    return principal_phase(total)
 
 
-def _mode_xy(a: PhaseSpacePoint, b: PhaseSpacePoint, c: PhaseSpacePoint) -> tuple[float, float]:
-    sq_a = a.q * a.q + a.p * a.p
-    sq_b = b.q * b.q + b.p * b.p
-    sq_c = c.q * c.q + c.p * c.p
-    dot_ab = a.q * b.q + a.p * b.p
-    dot_bc = b.q * c.q + b.p * c.p
-    dot_ca = c.q * a.q + c.p * a.p
-    cross_bc = c.q * b.p - b.q * c.p
+def _printed_result(phase: float) -> PhaseResult:
+    """The phase-only reference result; its invariant is the unit-modulus exp(i phase)."""
+    return PhaseResult(
+        invariant=cmath.exp(1j * phase), phase=phase, method=METHOD_PRINTED_CLOSED_FORM
+    )
+
+
+# The reference form of one mode reads the coordinates (q, p) of the mode's three
+# vertices a, b and c. They are floats for one triangle and arrays for a grid of
+# them; both run the same arithmetic, so each grid point gets its triangle's bits.
+
+
+def _mode_cycle(aq, ap, bq, bp, cq, cp):
+    return (aq * bp - bq * ap) + (bq * cp - cq * bp) + (cq * ap - aq * cp)
+
+
+def _mode_xy(aq, ap, bq, bp, cq, cp) -> tuple:
+    sq_a = aq * aq + ap * ap
+    sq_b = bq * bq + bp * bp
+    sq_c = cq * cq + cp * cp
+    dot_ab = aq * bq + ap * bp
+    dot_bc = bq * cq + bp * cp
+    dot_ca = cq * aq + cp * ap
+    cross_bc = cq * bp - bq * cp
     y = (
-        _mode_cycle(a, b, c)
-        + sq_b * (a.q * c.p - c.q * a.p)
-        + sq_c * (b.q * a.p - a.q * b.p)
-        + sq_a * (c.q * b.p - b.q * c.p)
+        _mode_cycle(aq, ap, bq, bp, cq, cp)
+        + sq_b * (aq * cp - cq * ap)
+        + sq_c * (bq * ap - aq * bp)
+        + sq_a * (cq * bp - bq * cp)
     )
     x = (
         (dot_bc * dot_bc + cross_bc * cross_bc + dot_bc) * sq_a
         + dot_ca * sq_b
         + dot_ab * sq_c
-        + (a.q * b.q + b.q * c.q + c.q * a.q)
-        + (a.p * b.p + b.p * c.p + c.p * a.p)
+        + (aq * bq + bq * cq + cq * aq)
+        + (ap * bp + bp * cp + cp * ap)
         + 1.0
     )
     return x, y
 
 
+def _mode_terms(a, b, c) -> tuple:
+    """(symplectic_sum, x1, y1, x2, y2) of vertices given as (q1, p1, q2, p2)."""
+    x1, y1 = _mode_xy(a[0], a[1], b[0], b[1], c[0], c[1])
+    x2, y2 = _mode_xy(a[2], a[3], b[2], b[3], c[2], c[3])
+    cycles = (_mode_cycle(a[0], a[1], b[0], b[1], c[0], c[1])
+              + _mode_cycle(a[2], a[3], b[2], b[3], c[2], c[3]))
+    return cycles, x1, y1, x2, y2
+
+
 def closed_form_terms(tri: TriangleConfig) -> ClosedFormTerms:
     """Evaluate the reference closed form's ingredients on a triangle."""
-    a1, b1, c1 = tri.mode_vertices(1)
-    a2, b2, c2 = tri.mode_vertices(2)
-    x1, y1 = _mode_xy(a1, b1, c1)
-    x2, y2 = _mode_xy(a2, b2, c2)
-    return ClosedFormTerms(
-        symplectic_sum=_mode_cycle(a1, b1, c1) + _mode_cycle(a2, b2, c2),
-        x1=x1,
-        y1=y1,
-        x2=x2,
-        y2=y2,
-    )
+    return ClosedFormTerms(*_mode_terms(
+        *(_coordinates(v) for v in (tri.vertex_a, tri.vertex_b, tri.vertex_c))))
 
 
 def geometric_phase(tri: TriangleConfig, occupation: tuple[int, int] = (1, 1)) -> PhaseResult:
@@ -313,14 +394,32 @@ def geometric_phase(tri: TriangleConfig, occupation: tuple[int, int] = (1, 1)) -
     With occupation (0, 0) the arctan terms drop and the form reduces to
     the bilinear sum, which is exact for coherent states.
     """
-    phase = closed_form_terms(tri).phase(occupation)
-    return PhaseResult(
-        invariant=cmath.exp(1j * phase), phase=phase, method=METHOD_PRINTED_CLOSED_FORM
-    )
+    return _printed_result(closed_form_terms(tri).phase(occupation))
+
+
+def _chain_labels(a: tuple, trig: tuple) -> tuple:
+    """The labels M(theta1) a and M(theta1) M(theta2) a of a _chain_trig grid, as
+    (q1, p1, q2, p2) arrays of shapes (n1, 1) and (n1, n2). M = [[c, -i s], [-i s, c]]
+    maps z1 = q1 + i p1 to c z1 - i s z2, which in coordinates is below."""
+    q1, p1, q2, p2 = a
+
+    def mapped(c, s):
+        return (c * q1 + s * p2, c * p1 - s * q2, c * q2 + s * p1, c * p2 - s * q1)
+
+    return mapped(*trig[:2]), mapped(*trig[4:])
 
 
 # ---------------------------------------------------------------------------
 # Scenarios and reconciliation
+
+
+def _coordinates(vertex: ModePair) -> tuple:
+    return (vertex[0].q, vertex[0].p, vertex[1].q, vertex[1].p)
+
+
+def _mode_pair(coordinates) -> ModePair:
+    q1, p1, q2, p2 = coordinates
+    return (PhaseSpacePoint(q1, p1), PhaseSpacePoint(q2, p2))
 
 
 @dataclass(frozen=True)
@@ -383,19 +482,15 @@ class PhaseScenario:
         return self._triangle
 
     @cached_property
-    def _chain_maps(self) -> tuple:
-        """_chain_maps of the angles, shared by triangle() and the pairing route."""
-        return _chain_maps(self.theta1, self.theta2)
+    def _trig(self) -> tuple:
+        """_single_trig of the angles, shared by triangle() and the pairing route."""
+        return _single_trig(self.theta1, self.theta2)
 
     @cached_property
     def _triangle(self) -> TriangleConfig:
         if self.is_evolved:
-            label = self.initial_state.label().as_array()
-            mapped = [
-                tuple(PhaseSpacePoint(z.real, z.imag) for z in (m @ label).tolist())
-                for m in self._chain_maps
-            ]
-            return TriangleConfig(self.vertex_a, *mapped)
+            labels = _chain_labels(_coordinates(self.vertex_a), self._trig)
+            return TriangleConfig(self.vertex_a, *(_mode_pair(v) for v in labels))
         return TriangleConfig(self.vertex_a, self.vertex_b, self.vertex_c)
 
     def fock_invariant(self, dim: TruncationDim) -> PhaseResult:
@@ -409,9 +504,8 @@ class PhaseScenario:
 
     def pairing_invariant(self, kernel: str = "derived") -> PhaseResult:
         if self.is_evolved:
-            f = _kernel_function(self._chain_maps, kernel)
-            ps = (self.initial_state.quasi_probability(),) * 3
-            return phase_result(pair_product(ps, f), METHOD_PHASE_SPACE_PAIRING)
+            pairing = _chain_pairings(self.initial_state.quasi_probability(), self._trig, kernel)
+            return phase_result(pairing, METHOD_PHASE_SPACE_PAIRING)
         return phase_space_trace(
             self.initial_state,
             StateSpec(self.occupation, *self.vertex_b),
@@ -474,6 +568,7 @@ def method_reconciliation(
     scenario: PhaseScenario,
     dim: TruncationDim = TruncationDim(25),
     tolerance: float = 1e-6,
+    results: dict | None = None,
 ) -> ReconciliationRow:
     """Run every applicable method on a scenario and compare phases.
 
@@ -485,28 +580,32 @@ def method_reconciliation(
     reference phase is suppressed too (its premise, the arg of the
     invariant, is vacuous there). A non-finite invariant from any route
     raises ValueError rather than being flagged as a disagreement.
+
+    results, when given, holds the routes' PhaseResults by method name as
+    evolved_grid_results yields them, and the routes are not run again.
     """
-    results = {
-        "fock_oracle": scenario.fock_invariant(dim),
-        "phase_space_pairing": scenario.pairing_invariant(),
-    }
-    coherent = scenario.coherent_invariant()
-    if coherent is not None:
-        results["coherent_closed_form"] = coherent
-    printed = scenario.printed_invariant()
-    for res in (*results.values(), printed):
+    if results is None:
+        results = {
+            "fock_oracle": scenario.fock_invariant(dim),
+            "phase_space_pairing": scenario.pairing_invariant(),
+        }
+        coherent = scenario.coherent_invariant()
+        if coherent is not None:
+            results["coherent_closed_form"] = coherent
+        results["printed_closed_form"] = scenario.printed_invariant()
+    for res in results.values():
         if not cmath.isfinite(res.invariant):
             raise ValueError(f"the {res.method} route returned a non-finite invariant")
 
     gated = [name for name in _GATED_PAIRS_BASE if name in results]
     if any(results[name].phase is None for name in gated):
-        results["printed_closed_form"] = PhaseResult(
+        printed = results["printed_closed_form"]
+        results = {**results, "printed_closed_form": PhaseResult(
             invariant=printed.invariant, phase=None, method=printed.method
-        )
+        )}
         return ReconciliationRow(
             scenario=scenario, results=results, deltas={}, abs_delta_max=None, flag="undefined"
         )
-    results["printed_closed_form"] = printed
 
     if scenario.occupation == (0, 0):
         gated = gated + ["printed_closed_form"]
@@ -525,6 +624,59 @@ def method_reconciliation(
     return ReconciliationRow(
         scenario=scenario, results=results, deltas=deltas, abs_delta_max=abs_delta_max, flag=flag
     )
+
+
+def evolved_grid_results(state: StateSpec, thetas1, thetas2, dim: TruncationDim):
+    """The route results of method_reconciliation for every polarizer chain from
+    state over the grid thetas1 x thetas2, one dict per point in row-major order
+    (theta2 fastest).
+
+    The routes run as arrays over blocks of whole grid rows, or of one row's
+    points when a row alone is too large, with no temporary above
+    fock.BLOCK_BYTES; only the arctans, the principal branch and the coherent
+    closed form are taken point by point. A point's results have the bits of
+    its PhaseScenario's own routes: those run the same code on a 1 x 1 grid
+    (chain_invariants), a batch of one (pair_product) or floats (the labels
+    and the printed form's terms).
+    """
+    weights = state.sector_weights(dim)
+    p, a, origin = state.quasi_probability(), _coordinates(state.centers), state.label()
+    coherent = state.occupation == (0, 0)
+    n1, n2 = len(thetas1), len(thetas2)
+    points = max(1, fock.BLOCK_BYTES // (16 * 7 * 7))  # one (7, 7) kernel form a point
+    cols = min(n2, points)
+    rows = max(1, points // cols)
+    # the Fock route takes more rows at a time, as its angle rows are the costly
+    # part at large cutoffs and its result is 16 bytes a point
+    fock_rows = rows * max(1, fock.BLOCK_BYTES // (16 * n2 * rows))
+    for i0 in range(0, n1, fock_rows):
+        fock_block = chain_invariants(weights, thetas1[i0 : i0 + fock_rows], thetas2, dim)
+        for i, j in itertools.product(range(i0, min(i0 + fock_rows, n1), rows), range(0, n2, cols)):
+            t1, t2 = thetas1[i : i + rows], thetas2[j : j + cols]
+            fock_route = fock_block[i - i0 : i - i0 + rows, j : j + cols].ravel().tolist()
+            trig = _chain_trig(t1, t2)
+            pairing = _chain_pairings(p, trig, "derived").tolist()
+            # float arithmetic overflows to inf without a warning; so does this
+            with np.errstate(over="ignore", invalid="ignore"):
+                b, c = _chain_labels(a, trig)
+                terms = _mode_terms(a, b, c)
+            grid = [np.broadcast_to(x, trig[4].shape).ravel().tolist()
+                    for x in (*terms, *((*b, *c) if coherent else ()))]
+            for g, point in enumerate(zip(fock_route, pairing, *grid[:5])):
+                results = {
+                    "fock_oracle": phase_result(point[0], METHOD_FOCK_ORACLE),
+                    "phase_space_pairing": phase_result(point[1], METHOD_PHASE_SPACE_PAIRING),
+                }
+                if coherent:
+                    bq1, bp1, bq2, bp2, cq1, cp1, cq2, cp2 = (x[g] for x in grid[5:])
+                    results["coherent_closed_form"] = bargmann_triple_coherent(
+                        origin,
+                        CoherentLabel(complex(bq1, bp1), complex(bq2, bp2)),
+                        CoherentLabel(complex(cq1, cp1), complex(cq2, cp2)),
+                    )
+                results["printed_closed_form"] = _printed_result(
+                    _printed_phase(*point[2:], state.occupation))
+                yield results
 
 
 def _random_mode_pair(rng, scale: float) -> ModePair:

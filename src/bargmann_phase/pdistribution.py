@@ -35,7 +35,10 @@ coherent-overlap kernel. See docs/derivations.md.
 What depends only on structure is built once per structure: the
 matching-sum plan (_matching_plan), the variables of a product of terms
 (_product_vars) and the Wirtinger expansion of (q, p) orders. None is keyed
-on centers or coefficients; those enter each call as numbers.
+on centers or coefficients; those enter each call as numbers. The numbers
+may come in batches: pair_product takes a stack of forms, such as the
+kernels of a sweep's polarizer chains, and runs one matching-sum DP over
+all of them.
 
 Two-mode states are tensor products of the per-mode factors. Occupations
 above 1 are outside the supported family.
@@ -51,6 +54,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+
+from . import fock
 
 __all__ = [
     "PhaseSpacePoint",
@@ -228,43 +233,64 @@ def _count_tables(counts: tuple) -> tuple:
 @lru_cache(maxsize=1024)
 def _matching_plan(z_vars: tuple, zbar_vars: tuple, size: int) -> tuple:
     """What _matching_sum needs of its slots alone, for a size x size hess: the z
-    variables, the distinct zbar variables zbar_u, the flat index into hess of
-    the pair weights hess[zbar_u, z] (z slot k in column k), the _count_tables
-    source and scale, and the index into the table of gradient powers g[u]^e
-    (u by e, flat) of each unmatched factor g[u]^free[u, s]."""
+    variables, the distinct zbar variables zbar_u, the index of each z slot's step
+    weights into a row hess.ravel() + grad_z (the pair weights hess[zbar_u, z],
+    then the slot's own gradient), the _count_tables source with the state itself
+    as the last source row, the initial states, the scale, and the index into the
+    table of gradient powers g[u]^e (u by e, flat) of each unmatched factor
+    g[u]^free[u, s]."""
     counted = collections.Counter(zbar_vars)
     zbar_u = np.array(tuple(counted), dtype=int)
     z = np.array(z_vars, dtype=int)
     source, free, scale = _count_tables(tuple(counted.values()))
+    source = np.vstack([source, np.arange(len(scale))])
+    steps = np.hstack([size * zbar_u + z[:, None], size * size + z[:, None]])[:, None, :]
+    start = np.zeros(len(scale) + 1, dtype=complex)
+    start[0] = 1.0 / scale[0]
     exponents = np.arange(max(counted.values(), default=0) + 1)
-    plan = (z, zbar_u, size * zbar_u[:, None] + z, source, scale, exponents,
+    plan = (z, zbar_u, steps, source, start, scale, exponents,
             len(exponents) * np.arange(len(zbar_u))[:, None] + free)
     for a in plan:
         a.flags.writeable = False
     return plan
 
 
-def _matching_sum(z_vars, zbar_vars, grad_z, grad_zbar, hess) -> complex:
-    """exp(-Q) d^z_vars d^zbar_vars exp(Q), Q quadratic with no z-z or zbar-zbar part.
+def _matching_sum(z_vars, zbar_vars, grad_z, grad_zbar, hess) -> np.ndarray:
+    """exp(-Q) d^z_vars d^zbar_vars exp(Q), Q quadratic with no z-z or zbar-zbar part,
+    for a batch of G forms: hess (G, n, n), grad_z and grad_zbar (G, n).
 
     The sum over partial matchings of z slots with zbar slots: a pair weighs
     hess[zbar, z], an unmatched slot its gradient entry. Slots of one zbar
     variable are interchangeable, so a state counts the matched slots per
-    distinct zbar variable. sums[s] covers the z slots so far, times
-    prod(free!) so that each step is a plain sum over the variables;
-    sums[-1] stays 0. The indices come from _matching_plan, built once per
-    slot structure.
+    distinct zbar variable. sums[:, s] covers the z slots so far, times
+    prod(free!) so that each step is one weighted sum over the sources of s
+    (one per zbar variable, and s itself for the slot left unmatched);
+    sums[:, -1] stays 0. The indices come from _matching_plan, built once per
+    slot structure. Each step is a matmul per batch member, so a member's sum
+    has the bits of its batch of one. A batch whose gathered sources would
+    exceed fock.BLOCK_BYTES is summed in chunks.
     """
-    z, zbar_u, pairs, source, scale, exponents, powers = _matching_plan(
-        tuple(z_vars), tuple(zbar_vars), len(hess))
-    sums = np.zeros(len(scale) + 1, dtype=complex)
-    sums[0] = 1.0 / scale[0]
-    head = sums[:-1]
-    for g, pair_weights in zip(grad_z.take(z).tolist(), hess.take(pairs).T):
-        # the right side reads every source before head is overwritten
-        head[:] = head * g + pair_weights @ sums.take(source)
-    table = grad_zbar.take(zbar_u)[:, None] ** exponents
-    return complex(head @ (scale * table.take(powers).prod(axis=0)))
+    g = len(hess)
+    if not (z_vars or zbar_vars):
+        return np.ones(g, dtype=complex)
+    z, zbar_u, steps, source, start, scale, exponents, powers = _matching_plan(
+        tuple(z_vars), tuple(zbar_vars), hess.shape[-1])
+    chunk = max(1, fock.BLOCK_BYTES // (16 * source.size))
+    if g > chunk:
+        return np.concatenate([
+            _matching_sum(z_vars, zbar_vars, grad_z[lo : lo + chunk], grad_zbar[lo : lo + chunk],
+                          hess[lo : lo + chunk])
+            for lo in range(0, g, chunk)
+        ])
+    weights = np.concatenate((hess.reshape(g, -1), grad_z), axis=1).take(steps, axis=1)
+    sums = np.tile(start, (g, 1))
+    head = sums[:, None, :-1]
+    for k in range(len(z)):
+        # take copies every source before matmul overwrites the states
+        np.matmul(weights[:, k], sums.take(source, axis=1), out=head)
+    table = grad_zbar.take(zbar_u, axis=1)[:, :, None] ** exponents
+    unmatched = table.reshape(g, -1).take(powers, axis=1).prod(axis=1)
+    return np.matmul(head, (scale * unmatched)[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,7 +335,7 @@ def _envelope_diagonal(envelope: tuple, size: int) -> np.ndarray:
     return diag
 
 
-def pair_product(ps, f: GaussianFunction) -> complex:
+def pair_product(ps, f: GaussianFunction):
     """integral P_1(x_1) ... P_k(x_k) f(x_1, ..., x_k) dx in the absorbed measure.
 
     Each enveloped P adds |z - c|^2 to Q, which at its centers c changes
@@ -317,24 +343,36 @@ def pair_product(ps, f: GaussianFunction) -> complex:
     matching sum with gradients grad_z Q = conj(w')·form and
     grad_zbar Q = form·w' at w' = (centers, 0, 1), times exp Q; the zbar-z
     curvature is H plus 1 on the enveloped variables' diagonal.
+
+    f.form may stack G forms along a leading axis; the result is then the array
+    of the G pairings, each with the bits of the pairing of its form alone: the
+    sums are matmuls per form, and products of complex numbers are taken one
+    form at a time. A single form is the batch of one and gives a
+    complex number.
     """
+    forms = f.form.reshape(-1, *f.form.shape[-2:])
+    size = forms.shape[-1]
     n_p = 2 * len(ps)
-    hess = f.form + _envelope_diagonal(tuple(p.envelope for p in ps), len(f.form))
-    w = np.zeros(len(f.form), dtype=complex)
+    hess = forms + _envelope_diagonal(tuple(p.envelope for p in ps), size)
+    w = np.zeros(size, dtype=complex)
     w[-1] = 1.0
-    total = 0.0 + 0.0j
+    total = [0j] * len(forms)
     # overflow yields a non-finite invariant, which method_reconciliation rejects
     with np.errstate(over="ignore", invalid="ignore"):
         for terms in itertools.product(*(p.terms for p in ps)):
             w[:n_p] = [z for t in terms for z in t.centers]
             z_vars, zbar_vars = _product_vars(tuple(t[2:] for t in terms))
             w_bar = w.conj()
-            grad_zbar = f.form @ w
+            grad_zbar = np.matmul(forms, w)
+            grad_z = np.matmul(w_bar, forms)
             moment = _matching_sum(
-                z_vars + f.z_slots, zbar_vars + f.zbar_slots, w_bar @ f.form, grad_zbar, hess)
-            base = cmath.exp(complex(w_bar @ grad_zbar))
-            total += math.prod(t.coeff for t in terms) * moment * base
-    return complex(total)
+                z_vars + f.z_slots, zbar_vars + f.zbar_slots, grad_z, grad_zbar, hess)
+            base = np.exp(np.matmul(grad_zbar[:, None, :], w_bar)).ravel()
+            coeff = math.prod(t.coeff for t in terms)
+            # numpy's complex product fuses in some loops and not in others;
+            # Python's gives a form the same bits in any batch
+            total = [t + coeff * m * b for t, m, b in zip(total, moment.tolist(), base.tolist())]
+    return total[0] if f.form.ndim == 2 else np.array(total)
 
 
 def pair(p: QuasiProbability, f: GaussianFunction) -> complex:

@@ -1,10 +1,14 @@
+import contextlib
 import io as stdio
 import json
 import math
-import os
+import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bargmann_phase import cli, fock, geomphase, pdistribution
 from bargmann_phase import io as io_mod
@@ -17,9 +21,6 @@ from bargmann_phase.pdistribution import (
     mehta_p_function,
     pair,
 )
-
-SLOW = os.environ.get("BARGMANN_PHASE_SLOW_TESTS") != "1"
-
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -250,6 +251,135 @@ def test_sweep_matches_fresh_scenarios(capsys, occupation, n_max):
     )
     assert code == 0
     assert out == want.getvalue()
+
+
+def sweep_output(*argv):
+    """cli.main's exit code and standard output, without a fixture (hypothesis reruns)."""
+    out = stdio.StringIO()
+    with contextlib.redirect_stdout(out), warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationLeakageWarning)
+        code = cli.main(list(argv))
+    return code, out.getvalue()
+
+
+def fresh_sweep_output(occupation, centers, grid1, grid2, n_max, fmt):
+    """The sweep's output built from one fresh scenario per grid point."""
+    vertex = cli._parse_vertex(centers)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationLeakageWarning)
+        rows = [
+            io_mod.sweep_row(method_reconciliation(
+                PhaseScenario.evolved(occupation, vertex, t1, t2), dim=TruncationDim(n_max)
+            ))
+            for t1 in cli._parse_theta(grid1, "--theta1", allow_grid=True)
+            for t2 in cli._parse_theta(grid2, "--theta2", allow_grid=True)
+        ]
+    code = 2 if any(row["flag"] == "disagree" for row in rows) else 0
+    if fmt == "json":
+        doc = io_mod.sweep_document(rows, n_max, 1e-6)
+        return code, json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = stdio.StringIO()
+    io_mod.write_sweep_csv(rows, text)
+    return code, text.getvalue()
+
+
+def grid_text(start, count):
+    # a span that moves even at 1e300, where 3.0 is below the float spacing
+    return f"{start!r}:{start + max(3.0, abs(start) * 1e-14)!r}:{count}"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    occupation=st.sampled_from([(0, 0), (1, 0), (1, 1)]),
+    centers=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    n_max=st.sampled_from([5, 8, 12]),
+    starts=st.lists(st.sampled_from([0.0, 1e15, -3e12, 1e300]), min_size=2, max_size=2),
+    counts=st.lists(st.integers(1, 3), min_size=2, max_size=2),
+    fmt=st.sampled_from(["csv", "json"]),
+)
+@example(occupation=(1, 1), centers=[12.0, 5.0, 0.0, 0.0], n_max=5, starts=[0.0, 0.0],
+         counts=[3, 3], fmt="csv")
+@example(occupation=(1, 1), centers=[12.0, 5.0, 0.0, 0.0], n_max=5, starts=[0.0, 0.0],
+         counts=[3, 3], fmt="json")
+def test_sweep_matches_fresh_scenarios_property(occupation, centers, n_max, starts, counts, fmt):
+    # the grid's routes run as arrays over blocks; each row must still have the
+    # bytes of a scenario built on its own, undefined rows and signed zeros included
+    centers = ",".join(repr(c) for c in centers)
+    grid1, grid2 = (grid_text(start, count) for start, count in zip(starts, counts))
+    got = sweep_output(
+        "sweep", f"--theta1={grid1}", f"--theta2={grid2}", f"--centers={centers}",
+        "--occupation", "%d,%d" % occupation, "--n-max", str(n_max), "--format", fmt,
+    )
+    assert got == fresh_sweep_output(occupation, centers, grid1, grid2, n_max, fmt)
+
+
+def test_sweep_undefined_rows_match_fresh_scenarios_on_the_default_grid():
+    # far outside the cutoff most rows are undefined and the Fock phases are
+    # signed zeros and roundoff; the full default grid keeps their bytes too
+    default = f"0:{math.pi}:21"
+    got = sweep_output("sweep", "--centers", "12,5,0,0", "--n-max", "5")
+    assert got == fresh_sweep_output((1, 1), "12,5,0,0", default, default, 5, "csv")
+    assert got[1].count(",undefined\n") > 400
+
+
+@pytest.mark.parametrize("occupation", ["0,0", "1,0", "1,1"])
+def test_sweep_blocks_do_not_change_the_output(monkeypatch, occupation):
+    # one angle and one point a block: every grid point is then evaluated on
+    # its own, which must give the bytes of the default blocks
+    argv = ("sweep", "--theta1", "0.2:2.9:4", "--theta2=-1:1.5:3", "--centers", "0.3,-0.2,0.1,0.25",
+            "--occupation", occupation, "--n-max", "10")
+    default = [sweep_output(*argv, "--format", fmt) for fmt in ("csv", "json")]
+    monkeypatch.setattr(fock, "BLOCK_BYTES", 1)
+    assert [sweep_output(*argv, "--format", fmt) for fmt in ("csv", "json")] == default
+
+
+class _RecordingNumpy:
+    """Stands in for a module's numpy and records the shape and size of every
+    array that a numpy function or ufunc returns."""
+
+    def __init__(self, target, seen):
+        self._target, self._seen = target, seen
+
+    def __call__(self, *args, **kwargs):
+        out = self._target(*args, **kwargs)
+        if isinstance(out, np.ndarray):
+            self._seen.append((out.shape, out.nbytes))
+        return out
+
+    def __getattr__(self, name):
+        attr = getattr(self._target, name)
+        if callable(attr) and not isinstance(attr, type):
+            return _RecordingNumpy(attr, self._seen)
+        return attr
+
+
+def test_sweep_block_temporaries_stay_under_the_cap(monkeypatch):
+    # the largest accepted cutoff on a 1000-angle axis: one theta1 row of angle
+    # factors is 82 kB here, and the whole axis would be 82 MB
+    argv = ("sweep", "--n-max", "100", "--theta1", "0:3.1:1000", "--theta2", "0.2",
+            "--occupation", "1,1", "--centers", "0.2,0,0,0.1")
+    fock._polarizer_sectors(100)  # the cached basis is not a block temporary
+    seen = []
+    for module in (fock, geomphase, pdistribution):
+        monkeypatch.setattr(module, "np", _RecordingNumpy(np, seen))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code, out = sweep_output(*argv)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert len(lines) == 1001 and all(line.endswith(",ok") for line in lines[1:])
+    # the angle rows (cos, sin) of the 1000 theta1 values came in blocks
+    k = len(fock._polarizer_sectors(100)[4])
+    angle_rows = [shape[0] for shape, _ in seen if shape[1:] == (2, k)]
+    assert angle_rows and max(angle_rows) < 1000
+    assert max(nbytes for _, nbytes in seen) <= fock.BLOCK_BYTES
+    # the live temporaries and the sweep's output together peak at about 3.7
+    # caps; an unchunked matching-sum DP alone takes the peak past 5
+    assert peak <= 5 * fock.BLOCK_BYTES
 
 
 def test_sweep_prepares_its_initial_state_once(capsys, monkeypatch):
@@ -505,7 +635,6 @@ def test_out_flag_bad_path_is_usage_error(capsys):
     assert "error" in err
 
 
-@pytest.mark.skipif(SLOW, reason="set BARGMANN_PHASE_SLOW_TESTS=1 to run the full grid")
 def test_sweep_full_default_grid(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--centers", "0.2,0.1,0.05,0")
     assert code == 0

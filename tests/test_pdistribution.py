@@ -331,21 +331,27 @@ def test_oracle_central_difference_self_check():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_matching_sum_matches_enumeration(size, z_slots, zbar_slots, seed):
-    # slots of one variable repeat freely, which exercises the counted states
+    # slots of one variable repeat freely, which exercises the counted states;
+    # a batch of three forms checks each member, and each against its batch of one
     z_vars = tuple(v % size for v in z_slots)
     zbar_vars = tuple(v % size for v in zbar_slots)
     rng = np.random.default_rng(seed)
     hess, grad_z, grad_zbar = (
         rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        for shape in ((size, size), size, size)
+        for shape in ((3, size, size), (3, size), (3, size))
     )
-    got = pdistribution._matching_sum(z_vars, zbar_vars, grad_z, grad_zbar, hess)
-    want = oracles.matching_sum_by_enumeration(z_vars, zbar_vars, grad_z, grad_zbar, hess)
-    # the same enumeration over absolute values is the sum of |terms|
-    scale = oracles.matching_sum_by_enumeration(
-        z_vars, zbar_vars, abs(grad_z), abs(grad_zbar), abs(hess)
-    ).real
-    assert abs(got - want) <= 1e-12 * scale
+    batch = pdistribution._matching_sum(z_vars, zbar_vars, grad_z, grad_zbar, hess)
+    for g in range(3):
+        got = pdistribution._matching_sum(
+            z_vars, zbar_vars, grad_z[g : g + 1], grad_zbar[g : g + 1], hess[g : g + 1])
+        assert got.tolist() == [batch[g]]
+        want = oracles.matching_sum_by_enumeration(
+            z_vars, zbar_vars, grad_z[g], grad_zbar[g], hess[g])
+        # the same enumeration over absolute values is the sum of |terms|
+        scale = oracles.matching_sum_by_enumeration(
+            z_vars, zbar_vars, abs(grad_z[g]), abs(grad_zbar[g]), abs(hess[g])
+        ).real
+        assert abs(got[0] - want) <= 1e-12 * scale
 
 
 def test_pairing_caches_are_keyed_on_structure_only():

@@ -15,11 +15,11 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import io as io_mod
 from .fock import TruncationDim
-from .geomphase import PhaseScenario, evolved_grid_results, method_reconciliation
+from .geomphase import PhaseScenario, StateSpec, evolved_grid_results, method_reconciliation
 from .pdistribution import PhaseSpacePoint, mehta_p_function
 from .validation import run_all
 
@@ -144,7 +144,7 @@ def _emit(text: str, out: str | None):
 
 
 def _scenario_from_args(args) -> PhaseScenario:
-    occupation = _parse_occupation(args.occupation)
+    occupation = _parse_occupation("1,1" if args.occupation is None else args.occupation)
     vertices = _parse_centers(args.centers)
     if len(vertices) == 3:
         if args.theta1 is not None or args.theta2 is not None:
@@ -196,7 +196,7 @@ def cmd_phase(args) -> int:
     if args.from_pfunc:
         if args.centers != "0,0,0,0" or args.theta1 is not None or args.theta2 is not None:
             raise ValueError("--from-pfunc replaces --centers and angles")
-        scenario = _scenario_from_pfunc_files(args.from_pfunc, None)
+        scenario = _scenario_from_pfunc_files(args.from_pfunc, args.occupation)
     else:
         scenario = _scenario_from_args(args)
     row = method_reconciliation(scenario, dim=config.dim, tolerance=config.tol)
@@ -220,16 +220,16 @@ def cmd_sweep(args) -> int:
         raise ValueError("sweep takes a single initial vertex")
     grid1 = _parse_theta(args.theta1, "--theta1", allow_grid=True)
     grid2 = _parse_theta(args.theta2, "--theta2", allow_grid=True)
-    first = PhaseScenario.evolved(occupation, vertices[0], grid1[0], grid2[0])
+    state = StateSpec(occupation, *vertices[0])
     flags = set()
 
     def sweep_rows():
-        # the routes run as arrays over blocks of the grid, from first's initial
+        # the routes run as arrays over blocks of the grid, from the one initial
         # state; each point is then reconciled on its own, formatted, and only
         # its formatted output is kept
-        routes = evolved_grid_results(first.initial_state, grid1, grid2, config.dim)
+        routes = evolved_grid_results(state, grid1, grid2, config.dim)
         for (t1, t2), results in zip(itertools.product(grid1, grid2), routes):
-            scenario = replace(first, theta1=t1, theta2=t2)
+            scenario = PhaseScenario(occupation, vertices[0], t1, t2, initial_state=state)
             row = io_mod.sweep_row(method_reconciliation(
                 scenario, dim=config.dim, tolerance=config.tol, results=results
             ))
@@ -300,7 +300,9 @@ def build_parser() -> _Parser:
 
     p_phase = sub.add_parser("phase", help="compute one configuration with every method")
     _add_common(p_phase)
-    p_phase.add_argument("--occupation", default="1,1", help="per-mode photon numbers 'n1,n2'")
+    p_phase.add_argument("--occupation", default=None,
+                         help="per-mode photon numbers 'n1,n2' (default 1,1); with "
+                              "--from-pfunc it must match the files")
     p_phase.add_argument(
         "--centers",
         default="0,0,0,0",

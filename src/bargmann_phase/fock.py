@@ -14,10 +14,11 @@ are, up to a diagonal similarity, tridiagonal with a zero diagonal, and
 _zero_diagonal_eigh takes their eigenpairs from half-size SVDs:
 
 * the polarizer exp{i theta (a1†a2 + a2†a1)} conserves total photon
-  number; its sector eigenbases are computed once per cutoff and stacked,
-  zero-padded, into one array (_polarizer_sectors), so every polarizer
-  action is a few batched matmuls and the dense form has exact zeros
-  between sectors;
+  number; its sector eigenbases are computed once per cutoff, with one
+  _zero_diagonal_eigh call per half-size (sizes 2h and 2h + 1 together,
+  the even one padded with a decoupled zero), and stacked, zero-padded,
+  into one array (_polarizer_sectors), so every polarizer action is a few
+  batched matmuls and the dense form has exact zeros between sectors;
 * a displacement exp{z a† - conj(z) a} is a diagonal phase conjugation of
   exp(|z|(a† - a)), whose eigenbasis is computed once per cutoff.
 
@@ -194,17 +195,19 @@ def _zero_diagonal_eigh(off: np.ndarray) -> tuple:
     """Eigenpairs (vals, vecs) of real symmetric tridiagonal matrices T with zero
     diagonal and off-diagonals off (..., size - 1), from one SVD of half the size.
 
-    In even/odd index order T is [[0, B], [B^T, 0]] with B = T[0::2, 1::2], so a
+    In even/odd index order T is [[0, B], [B^T, 0]] with B = T[0::2, 1::2], the
+    lower bidiagonal with diagonal off[0::2] and subdiagonal off[1::2], so a
     singular triplet (u, s, v) of B gives the eigenvalues +s and -s with vectors
     (u, +-v)/sqrt(2), and an odd size adds a 0 on the left null vector of B.
     The eigenvalues come as +sigma, then -sigma, then the 0 if any."""
     size = off.shape[-1] + 1
-    t = np.zeros(off.shape[:-1] + (size, size))
-    i = np.arange(size - 1)
-    t[..., i, i + 1] = t[..., i + 1, i] = off
-    u, sigma, vt = np.linalg.svd(t[..., 0::2, 1::2])
     k = size // 2
-    vals, vecs = np.zeros(t.shape[:-1]), np.zeros_like(t)
+    b = np.zeros(off.shape[:-1] + (size - k, k))
+    i = np.arange(k)
+    b[..., i, i] = off[..., 0::2]
+    b[..., i[: size - k - 1] + 1, i[: size - k - 1]] = off[..., 1::2]
+    u, sigma, vt = np.linalg.svd(b)
+    vals, vecs = np.zeros(off.shape[:-1] + (size,)), np.zeros(off.shape[:-1] + (size, size))
     vals[..., :k], vals[..., k : 2 * k] = sigma, -sigma
     vecs[..., 0::2, :k] = vecs[..., 0::2, k : 2 * k] = math.sqrt(0.5) * u[..., :k]
     vecs[..., 1::2, :k] = math.sqrt(0.5) * vt.swapaxes(-1, -2)
@@ -220,8 +223,13 @@ def _polarizer_sectors(n_max: int) -> tuple:
     Sector N has basis |n1, N-n1> for n1 in [max(0, N-n_max), min(N, n_max)]; the
     restricted generator is tridiagonal with zero diagonal and
     <n1+1, n2-1| a1†a2 |n1, n2> = sqrt((n1+1) n2). Sectors N and 2 n_max - N have
-    one size and share a _zero_diagonal_eigh call. Each eigenbasis V is checked
-    orthogonal, so every V exp(i theta lambda) V^T is unitary.
+    one size, and the sectors of sizes 2h and 2h + 1 share one _zero_diagonal_eigh
+    call at size 2h + 1: an even-size sector gets a zero appended to its
+    off-diagonal, which adds a decoupled zero eigenvalue on an extra slot that is
+    dropped. Only the largest size at odd n_max, 2h = n_max + 1, is solved
+    unpadded, so every block given to LAPACK has a side of 25 or less up to
+    n_max 49. Each eigenbasis V is checked orthogonal, so every
+    V exp(i theta lambda) V^T is unitary.
 
     Returns (indices, vecs, vals, live, sigma): sector N fills the leading block
     of indices (2n_max+1, n_max+1), vecs (2n_max+1, n_max+1, n_max+1) and vals;
@@ -231,24 +239,34 @@ def _polarizer_sectors(n_max: int) -> tuple:
     -sigma in the same order, then the zeros of the odd-sized sectors.
     """
     m = n_max + 1
-    indices = np.full((2 * n_max + 1, m), m * m)
+    totals, slot = np.arange(2 * n_max + 1), np.arange(m)
+    sizes = np.minimum(totals, 2 * n_max - totals) + 1
+    inside = slot < sizes[:, None]
+    occ1 = np.maximum(totals - n_max, 0)[:, None] + slot
+    occ2 = totals[:, None] - occ1
+    indices = np.where(inside, occ1 * m + occ2, m * m)
+    # off-diagonal j couples slots j and j + 1, and is zero past a sector's end
+    off = np.sqrt(np.where(inside[:, 1:], (occ1[:, :-1] + 1.0) * occ2[:, :-1], 0.0))
     vecs = np.zeros((2 * n_max + 1, m, m))
     vals = np.zeros((2 * n_max + 1, m))
-    for size in range(1, m + 1):
-        totals = np.array(sorted({size - 1, 2 * n_max + 1 - size}))
-        occ1 = np.maximum(totals - n_max, 0)[:, None] + np.arange(size)
-        occ2 = totals[:, None] - occ1
-        vals_n, vecs_n = _zero_diagonal_eigh(np.sqrt((occ1[:, :-1] + 1.0) * occ2[:, :-1]))
-        defects = np.abs(vecs_n.swapaxes(1, 2) @ vecs_n - np.eye(size)).max(axis=(1, 2))
-        for total, defect in zip(totals, defects):
-            if defect > 1e-10:
-                raise ValueError(f"sector {total} eigenbasis not orthogonal: {defect:.3e}")
-        indices[totals, :size] = occ1 * m + occ2
-        vecs[totals, :size, :size] = vecs_n
-        vals[totals, :size] = vals_n
+    halves = sizes // 2
+    for h in range(m // 2 + 1):
+        solve = min(2 * h + 1, m)
+        group = np.flatnonzero(halves == h)
+        vals_n, vecs_n = _zero_diagonal_eigh(off[group, : solve - 1])
+        # a padded sector's extra slot is the last one; its row and column leave
+        padded = sizes[group] < solve
+        vecs_n[padded, -1] = vecs_n[padded, :, -1] = 0.0
+        gram = vecs_n.swapaxes(1, 2) @ vecs_n
+        gram[:, slot[:solve], slot[:solve]] -= inside[group, :solve]
+        defects = np.abs(gram, out=gram).max(axis=(1, 2))
+        if defects.max() > 1e-10:
+            bad = defects.argmax()
+            raise ValueError(f"sector {group[bad]} eigenbasis not orthogonal: {defects[bad]:.3e}")
+        vecs[group, :solve, :solve] = vecs_n
+        vals[group, :solve] = vals_n
     # slot kind per sector: 0 for +sigma, 1 for -sigma, 2 for a zero, 3 for padding
-    half, slot = (indices < m * m).sum(axis=1, keepdims=True) // 2, np.arange(m)
-    kind = (slot >= half).astype(int) + (slot >= 2 * half) + (indices == m * m)
+    kind = (slot >= halves[:, None]).astype(int) + (slot >= 2 * halves[:, None]) + ~inside
     live = np.argsort(kind, axis=None, kind="stable")[: m * m]
     sigma = vals.ravel()[live[: np.count_nonzero(kind == 0)]]
     for arr in (indices, vecs, vals, live, sigma):
@@ -393,14 +411,12 @@ _CHAIN_SIGNS = np.array([[1.0, 1.0], [-1.0, -1.0], [-1.0, 1.0], [-1.0, 1.0]])
 _CHAIN_ROWS = np.array([0, 1, 1, 0])
 
 
-def _angle_factors(reduced, sigma: np.ndarray) -> np.ndarray:
-    """Rows (cos r sigma, sin r sigma), the real and minus the imaginary part of
-    e^{-i r sigma}, one (2, k) row per reduced angle r."""
+def _angle_factors(reduced, sigma: np.ndarray, out: np.ndarray):
+    """Write the rows (cos r sigma, sin r sigma), the real and minus the imaginary
+    part of e^{-i r sigma}, to out, one (2, k) row per reduced angle r."""
     phase = np.multiply.outer(reduced, sigma)
-    out = np.empty((len(phase), 2, len(sigma)))
     np.cos(phase, out=out[:, 0])
     np.sin(phase, out=out[:, 1])
-    return out
 
 
 def chain_invariants(
@@ -438,7 +454,11 @@ def chain_invariants(
     for i, j in itertools.product(range(0, len(r1), rows), range(0, len(r2), cols)):
         angles1, angles2 = r1[i : i + rows], r2[j : j + cols]
         b1, b2 = len(angles1), len(angles2)
-        e = _angle_factors(angles1 + [0.0] + angles2, sigma)
+        # the zero angle's row is (1, 0), exactly its cos and sin
+        e = np.empty((b1 + 1 + b2, 2, k))
+        e[b1, 0], e[b1, 1] = 1.0, 0.0
+        _angle_factors(angles1, sigma, e[:b1])
+        _angle_factors(angles2, sigma, e[b1 + 1 :])
         # theta1 rows (u C1, -u S1) and (-v S1, -v C1), the zero angle's last
         a = e[: b1 + 1, _CHAIN_ROWS] * weighted
         sums = np.einsum("ipk,jk->ipj", a.reshape(b1 + 1, 2, 2 * k), e[b1:].reshape(b2 + 1, 2 * k))

@@ -432,9 +432,10 @@ class PhaseScenario:
     no angles. The same occupation applies to every state in the chain.
 
     initial_state, the StateSpec at vertex_a, is built once and held for the
-    scenario's lifetime; it does not take part in equality. Scenarios made
-    from one another with dataclasses.replace share it, and with it the
-    state's derived data, as the grid points of a sweep do.
+    scenario's lifetime; it does not take part in equality. Scenarios given
+    one initial_state, as the grid points of a sweep are, or made from one
+    another with dataclasses.replace share it, and with it the state's
+    derived data.
     """
 
     occupation: tuple[int, int]
@@ -608,18 +609,14 @@ def method_reconciliation(
         )
 
     if scenario.occupation == (0, 0):
-        gated = gated + ["printed_closed_form"]
-    deltas = {}
+        gated.append("printed_closed_form")
+    deltas, abs_delta_max = {}, 0.0
     for a, b in itertools.combinations(results, 2):
         pa, pb = results[a].phase, results[b].phase
         if pa is not None and pb is not None:
-            deltas[f"{a}|{b}"] = circular_delta(pa, pb)
-    gate_deltas = [
-        deltas[f"{a}|{b}"]
-        for a, b in itertools.combinations(gated, 2)
-        if f"{a}|{b}" in deltas
-    ]
-    abs_delta_max = max(gate_deltas) if gate_deltas else 0.0
+            delta = deltas[f"{a}|{b}"] = circular_delta(pa, pb)
+            if a in gated and b in gated:
+                abs_delta_max = max(abs_delta_max, delta)
     flag = "ok" if abs_delta_max <= tolerance else "disagree"
     return ReconciliationRow(
         scenario=scenario, results=results, deltas=deltas, abs_delta_max=abs_delta_max, flag=flag

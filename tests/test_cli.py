@@ -560,6 +560,22 @@ def test_pfunc_round_trip_matches_direct(tmp_path, capsys):
     assert from_pfunc == direct
 
 
+def test_pfunc_occupation_contradiction_is_usage_error(tmp_path, capsys):
+    paths = []
+    for k, vertex in enumerate(["0,0,0,0", "0.4,0,0,0", "0,0.4,0,0"]):
+        path = tmp_path / f"p{k}.json"
+        argv = ("pfunc", "--occupation", "1,1", "--centers", vertex, "--out", str(path))
+        assert run_cli(capsys, *argv)[0] == 0
+        paths.append(str(path))
+    code, out, err = run_cli(capsys, "phase", "--occupation", "0,0", "--from-pfunc", *paths)
+    assert (code, out) == (1, "")
+    assert "--occupation contradicts the pfunc files" in err
+    code, out, _ = run_cli(capsys, "phase", "--occupation", "1,1", "--from-pfunc", *paths,
+                           "--n-max", "10", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["scenario"]["occupation"] == [1, 1]
+
+
 def test_pfunc_from_tampered_document_rejected(tmp_path, capsys):
     path = tmp_path / "p.json"
     code, _, _ = run_cli(capsys, "pfunc", "--occupation", "1,0", "--out", str(path))

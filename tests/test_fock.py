@@ -166,6 +166,40 @@ def test_zero_diagonal_solver_matches_eigh():
     assert sizes == {0, 1}
 
 
+@pytest.mark.parametrize("n_max", [1, 2, 3, 25, 26, 49])
+def test_polarizer_sectors_solve_once_per_half_size(monkeypatch, n_max):
+    calls = []
+    real_solver = fock._zero_diagonal_eigh
+
+    def counted(off):
+        calls.append(off.shape)
+        return real_solver(off)
+
+    fock._polarizer_sectors.cache_clear()
+    monkeypatch.setattr(fock, "_zero_diagonal_eigh", counted)
+    fock._polarizer_sectors(n_max)
+    fock._polarizer_sectors.cache_clear()
+    assert len(calls) <= n_max // 2 + 2
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 25, 26, 49, 50, 100])
+def test_grouped_sector_bases_match_per_sector_solves(n_max):
+    # a sector solved padded, in a group, gives the eigenvalues of its own solve
+    # bit for bit, and its vectors to roundoff; padding stays zero
+    m = n_max + 1
+    indices, vecs, vals = fock._polarizer_sectors(n_max)[:3]
+    for total, off in enumerate(sector_off_diagonals(n_max)[1:]):
+        size = len(off) + 1
+        want_vals, want_vecs = fock._zero_diagonal_eigh(off[None])
+        occ1 = np.arange(max(0, total - n_max), min(total, n_max) + 1)
+        assert np.array_equal(indices[total, :size], occ1 * m + total - occ1)
+        assert np.all(indices[total, size:] == m * m)
+        assert vals[total, :size].tobytes() == want_vals[0].tobytes()
+        assert np.max(np.abs(vecs[total, :size, :size] - want_vecs[0])) <= 1e-15
+        assert not vals[total, size:].any()
+        assert not vecs[total, size:].any() and not vecs[total, :, size:].any()
+
+
 @pytest.mark.parametrize("n_max", [1, 2, 7, 25, 40])
 def test_polarizer_spectrum_is_exactly_symmetric(n_max):
     indices, _, vals, live, sigma = fock._polarizer_sectors(n_max)

@@ -380,6 +380,26 @@ def test_method_reconciliation_occupied_reports_printed_delta():
     assert row.abs_delta_max <= 1e-6
 
 
+@pytest.mark.parametrize("occupation, flag", [((0, 0), "disagree"), ((1, 1), "ok")])
+def test_method_reconciliation_gates_printed_form_only_for_vacuum(occupation, flag):
+    # a printed phase 0.1 rad off is recorded either way, and fails the gate
+    # only for occupation (0, 0), where the printed form is exact
+    scenario = PhaseScenario.evolved(
+        occupation, (PhaseSpacePoint(0.3, 0.0), PhaseSpacePoint(0.0, 0.2)), 0.9, 1.1
+    )
+    base = method_reconciliation(scenario, dim=TruncationDim(20))
+    printed = base.results["printed_closed_form"]
+    results = {**base.results, "printed_closed_form": dataclasses.replace(
+        printed, invariant=printed.invariant * cmath.exp(0.1j), phase=printed.phase + 0.1
+    )}
+    row = method_reconciliation(scenario, dim=TruncationDim(20), results=results)
+    assert row.flag == flag
+    pair = "fock_oracle|printed_closed_form"
+    assert abs(abs(row.deltas[pair] - base.deltas[pair]) - 0.1) <= 1e-9
+    gated = [d for name, d in row.deltas.items() if flag == "disagree" or "printed" not in name]
+    assert row.abs_delta_max == max(gated)
+
+
 def test_method_reconciliation_undefined_propagates():
     # |Delta| = 1 on an occupied mode zeroes the (1 - |Delta|^2) overlap
     # factor, so every invariant vanishes and no phase is defined

@@ -26,7 +26,8 @@ from .validation import run_all
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DISAGREE = 2
-# phase and sweep hold the stacked sector eigenbases, which grow as n_max^3
+# phase and sweep: the oracle's chain weights cost O(n_max^2) a state and its
+# angle factors n_max cos/sin pairs an angle
 N_MAX = 100
 # validate builds dense (n_max+1)^2-square matrices: memory grows as n_max^4
 VALIDATE_N_MAX = 30
@@ -114,7 +115,8 @@ def _parse_theta(text: str, flag: str, allow_grid: bool):
 
 def _add_common(parser, default_n_max=25):
     parser.add_argument("--n-max", type=int, default=default_n_max,
-                        help=f"per-mode Fock cutoff, >= 5 (default {default_n_max})")
+                        help="Fock cutoff: the oracle keeps total photon number "
+                             f"n1 + n2 <= n_max, >= 5 (default {default_n_max})")
     parser.add_argument("--tol", type=float, default=1e-6,
                         help="phase agreement tolerance in radians (default 1e-6)")
     parser.add_argument("--seed", type=int, default=7, help="seed for seeded checks (default 7)")

@@ -8,40 +8,43 @@ with 0 <= n1, n2 <= n_max maps to the flat index
 so mode-1 is the slow (row-major outer) axis. This matches the Kronecker
 convention used throughout: a1 = kron(a, I), a2 = kron(I, a).
 
-Unitaries are built from eigenpairs of Hermitian generators, so they are
-exactly unitary in floating point (no series truncation). Both generators
-are, up to a diagonal similarity, tridiagonal with a zero diagonal, and
-_zero_diagonal_eigh takes their eigenpairs from half-size SVDs:
+The oracle truncates by total photon number N = n1 + n2 <= n_max. A state
+keeps its exact amplitudes there, <m|D(z)|0> = e^{-|z|^2/2} z^m / sqrt(m!)
+and D(z)|j> = (a† - conj z)^j D(z)|0> / sqrt(j!) (Cahill & Glauber 1969),
+and is zero on N > n_max; in the box layout those entries are exact zeros.
+The polarizer exp{i theta G}, G = a1†a2 + a2†a1, conserves N, and in the
+modes b± = (a1 ± a2)/sqrt(2) it is G = n+ - n-, so it acts exactly on the
+kept sectors and its spectrum there is the integers -n_max..n_max.
 
-* the polarizer exp{i theta (a1†a2 + a2†a1)} conserves total photon
-  number; its sector eigenbases are computed once per cutoff, with one
-  _zero_diagonal_eigh call per half-size (sizes 2h and 2h + 1 together,
-  the even one padded with a decoupled zero), and stacked, zero-padded,
-  into one array (_polarizer_sectors), so every polarizer action is a few
-  batched matmuls and the dense form has exact zeros between sectors;
-* a displacement exp{z a† - conj(z) a} is a diagonal phase conjugation of
-  exp(|z|(a† - a)), whose eigenbasis is computed once per cutoff.
+A polarizer chain needs no evolved state: its invariant is f(theta1)
+f(theta2) conj f(theta1 + theta2) with f(t) = <psi1|e^{-i t G}|psi1> =
+sum_k p_k e^{-i t k}, a trigonometric polynomial of degree n_max whose
+coefficients p_k are the weights of psi1 on n+ - n- = k. In the b modes
+psi1 = D(w+) D(w-) applied to |0,0>, (|1,0> ± |0,1>)/sqrt(2) or
+(|2,0> - |0,2>)/sqrt(2), w± = (z1 ± z2)/sqrt(2), so chain_weights takes p
+from exact amplitudes with one bincount, and chain_invariants evaluates a
+grid of angle pairs with one row of angle factors per angle. Three
+independent states go through triangle_invariant, whose truncated overlaps
+are O(n_max) sums over the two modes' amplitudes.
 
-The oracle works on pure-state vectors: the invariant is
-<psi1|psi2><psi2|psi3><psi3|psi1> (triple_overlap). A polarizer chain
-needs no evolved state: its invariant is f(theta1) f(theta2)
-conj f(theta1 + theta2) with f(t) = <psi1|e^{-i t G}|psi1>, three sums
-over the sector weights |V^T psi1|^2. sector_weights projects psi1 once,
-and chain_invariant takes those weights, so every chain that starts from
-psi1 shares one projection; chain_invariants takes a grid of angle pairs
-at once, with one row of angle factors per angle. evolve_state applies
-psi -> U† psi in the same basis. No dense unitary is cached; the operator forms serve the
-operator identity checks.
+Truncation is the only approximation, and its error is bounded: with
+w_out = 1 - sum p the weight of psi1 on N > n_max, a chain's invariant is
+within 3 w_out of the exact one, and three states with cut weights eps_i
+give an invariant within the sum over pairs of sqrt(eps_i eps_j).
+Displacements with total |z| = sqrt(|z1|^2 + |z2|^2) beyond n_max/10 leak
+noticeable weight past the cutoff and trigger a TruncationLeakageWarning.
 
-Truncation is the only approximation. Displacements with |z| beyond
-n_max/10 leak noticeable weight past the cutoff and trigger a
-TruncationLeakageWarning.
+The dense operator forms (polarizer_unitary, evolve_state, the
+displacements, DensityOperator, evolve, triple_product_trace) serve the
+operator identity checks and the tests; they are built from one eigh per
+generator block and are off the oracle's path.
 """
 from __future__ import annotations
 
 import cmath
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -70,9 +73,10 @@ __all__ = [
     "displaced_fock_states",
     "coherent_state",
     "evolve_state",
-    "sector_weights",
+    "chain_weights",
     "chain_invariant",
     "chain_invariants",
+    "triangle_invariant",
     "triple_overlap",
     "DensityOperator",
     "evolve",
@@ -87,8 +91,8 @@ UNDEFINED_PHASE_CUTOFF = 1e-12
 # (chain_invariants, and the pairing and printed routes of a sweep).
 BLOCK_BYTES = 2 << 20
 
-# Largest displacement magnitude considered safe at truncation n_max is
-# DISPLACEMENT_GUARD_RATIO * n_max; beyond it a warning is emitted.
+# Largest total displacement sqrt(|z1|^2 + |z2|^2) considered safe at cutoff
+# n_max is DISPLACEMENT_GUARD_RATIO * n_max; beyond it a warning is emitted.
 DISPLACEMENT_GUARD_RATIO = 0.1
 
 METHOD_FOCK_ORACLE = "fock_oracle"
@@ -103,7 +107,8 @@ class TruncationLeakageWarning(UserWarning):
 
 @dataclass(frozen=True)
 class TruncationDim:
-    """Per-mode Fock cutoff n_max; the two-mode space has (n_max+1)^2 states."""
+    """Fock cutoff n_max: the oracle keeps n1 + n2 <= n_max, laid out in the
+    (n_max+1)^2 box of per-mode occupations up to n_max."""
 
     n_max: int
 
@@ -191,123 +196,15 @@ def polarizer_generator() -> np.ndarray:
     return np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-def _zero_diagonal_eigh(off: np.ndarray) -> tuple:
-    """Eigenpairs (vals, vecs) of real symmetric tridiagonal matrices T with zero
-    diagonal and off-diagonals off (..., size - 1), from one SVD of half the size.
-
-    In even/odd index order T is [[0, B], [B^T, 0]] with B = T[0::2, 1::2], the
-    lower bidiagonal with diagonal off[0::2] and subdiagonal off[1::2], so a
-    singular triplet (u, s, v) of B gives the eigenvalues +s and -s with vectors
-    (u, +-v)/sqrt(2), and an odd size adds a 0 on the left null vector of B.
-    The eigenvalues come as +sigma, then -sigma, then the 0 if any."""
-    size = off.shape[-1] + 1
-    k = size // 2
-    b = np.zeros(off.shape[:-1] + (size - k, k))
-    i = np.arange(k)
-    b[..., i, i] = off[..., 0::2]
-    b[..., i[: size - k - 1] + 1, i[: size - k - 1]] = off[..., 1::2]
-    u, sigma, vt = np.linalg.svd(b)
-    vals, vecs = np.zeros(off.shape[:-1] + (size,)), np.zeros(off.shape[:-1] + (size, size))
-    vals[..., :k], vals[..., k : 2 * k] = sigma, -sigma
-    vecs[..., 0::2, :k] = vecs[..., 0::2, k : 2 * k] = math.sqrt(0.5) * u[..., :k]
-    vecs[..., 1::2, :k] = math.sqrt(0.5) * vt.swapaxes(-1, -2)
-    vecs[..., 1::2, k : 2 * k] = -vecs[..., 1::2, :k]
-    vecs[..., 0::2, 2 * k :] = u[..., k:]
-    return vals, vecs
-
-
-@lru_cache(maxsize=128)
-def _polarizer_sectors(n_max: int) -> tuple:
-    """Eigendecompositions of the generator restricted to each N-sector, stacked.
-
-    Sector N has basis |n1, N-n1> for n1 in [max(0, N-n_max), min(N, n_max)]; the
-    restricted generator is tridiagonal with zero diagonal and
-    <n1+1, n2-1| a1†a2 |n1, n2> = sqrt((n1+1) n2). Sectors N and 2 n_max - N have
-    one size, and the sectors of sizes 2h and 2h + 1 share one _zero_diagonal_eigh
-    call at size 2h + 1: an even-size sector gets a zero appended to its
-    off-diagonal, which adds a decoupled zero eigenvalue on an extra slot that is
-    dropped. Only the largest size at odd n_max, 2h = n_max + 1, is solved
-    unpadded, so every block given to LAPACK has a side of 25 or less up to
-    n_max 49. Each eigenbasis V is checked orthogonal, so every
-    V exp(i theta lambda) V^T is unitary.
-
-    Returns (indices, vecs, vals, live, sigma): sector N fills the leading block
-    of indices (2n_max+1, n_max+1), vecs (2n_max+1, n_max+1, n_max+1) and vals;
-    padding is zero in vecs and vals and its indices point at slot
-    d = (n_max+1)^2, a zero appended to the state. live holds the flat indices
-    of the d slots off the padding in the order of sector_weights: +sigma, then
-    -sigma in the same order, then the zeros of the odd-sized sectors.
-    """
-    m = n_max + 1
-    totals, slot = np.arange(2 * n_max + 1), np.arange(m)
-    sizes = np.minimum(totals, 2 * n_max - totals) + 1
-    inside = slot < sizes[:, None]
-    occ1 = np.maximum(totals - n_max, 0)[:, None] + slot
-    occ2 = totals[:, None] - occ1
-    indices = np.where(inside, occ1 * m + occ2, m * m)
-    # off-diagonal j couples slots j and j + 1, and is zero past a sector's end
-    off = np.sqrt(np.where(inside[:, 1:], (occ1[:, :-1] + 1.0) * occ2[:, :-1], 0.0))
-    vecs = np.zeros((2 * n_max + 1, m, m))
-    vals = np.zeros((2 * n_max + 1, m))
-    halves = sizes // 2
-    for h in range(m // 2 + 1):
-        solve = min(2 * h + 1, m)
-        group = np.flatnonzero(halves == h)
-        vals_n, vecs_n = _zero_diagonal_eigh(off[group, : solve - 1])
-        # a padded sector's extra slot is the last one; its row and column leave
-        padded = sizes[group] < solve
-        vecs_n[padded, -1] = vecs_n[padded, :, -1] = 0.0
-        gram = vecs_n.swapaxes(1, 2) @ vecs_n
-        gram[:, slot[:solve], slot[:solve]] -= inside[group, :solve]
-        defects = np.abs(gram, out=gram).max(axis=(1, 2))
-        if defects.max() > 1e-10:
-            bad = defects.argmax()
-            raise ValueError(f"sector {group[bad]} eigenbasis not orthogonal: {defects[bad]:.3e}")
-        vecs[group, :solve, :solve] = vecs_n
-        vals[group, :solve] = vals_n
-    # slot kind per sector: 0 for +sigma, 1 for -sigma, 2 for a zero, 3 for padding
-    kind = (slot >= halves[:, None]).astype(int) + (slot >= 2 * halves[:, None]) + ~inside
-    live = np.argsort(kind, axis=None, kind="stable")[: m * m]
-    sigma = vals.ravel()[live[: np.count_nonzero(kind == 0)]]
-    for arr in (indices, vecs, vals, live, sigma):
-        arr.flags.writeable = False
-    return indices, vecs, vals, live, sigma
-
-
 def _reduced_angle(theta: float) -> float:
     """theta modulo 2 pi in [-pi, pi]: sin and cos reduce exactly, theta % (2 pi)
-    does not. The spectra of the full sectors N <= n_max are integers only to
-    about 2.5e-14 at n_max 25, and those of the cut sectors N > n_max are not
-    integers at all, so there the reduction is a convention (see
-    docs/derivations.md)."""
+    does not. The oracle's spectrum is the integers -n_max..n_max, so the
+    reduction changes no invariant."""
     return math.atan2(math.sin(theta), math.cos(theta))
 
 
-def _sector_coefficients(psi: np.ndarray, dim: TruncationDim) -> np.ndarray:
-    """V^T psi in every sector, shape (2n_max+1, n_max+1). The real and imaginary
-    parts are the two columns of one real matmul; a complex-by-real matmul
-    would copy the stacked basis to complex."""
-    if psi.shape != (dim.dim,):
-        raise ValueError(f"vector shape {psi.shape} does not match dim {dim.dim}")
-    indices, vecs = _polarizer_sectors(dim.n_max)[:2]
-    gathered = np.append(np.asarray(psi, dtype=complex), 0.0)[indices]
-    pairs = gathered.view(float).reshape(*indices.shape, 2)
-    return (vecs.transpose(0, 2, 1) @ pairs).view(complex)[..., 0]
-
-
-def polarizer_unitary(theta: float, dim: TruncationDim) -> np.ndarray:
-    """exp{i theta (a1†a2 + a2†a1)} on the truncated joint space.
-
-    Exactly unitary and exactly block diagonal over total photon number.
-    Dense, for operator identities; states evolve with evolve_state.
-    """
-    indices, vecs, vals = _polarizer_sectors(dim.n_max)[:3]
-    phases = np.exp(1j * _reduced_angle(theta) * vals)[:, None, :]
-    blocks = (vecs * phases) @ vecs.transpose(0, 2, 1)
-    # padding rows and columns land in row and column d, which are cut off
-    u = np.zeros((dim.dim + 1, dim.dim + 1), dtype=complex)
-    u[indices[:, :, None], indices[:, None, :]] = blocks
-    return np.ascontiguousarray(u[:-1, :-1])
+# ---------------------------------------------------------------------------
+# Exact amplitudes of displaced number states
 
 
 def _displacement_guard(r: float, n_max: int):
@@ -322,60 +219,59 @@ def _displacement_guard(r: float, n_max: int):
 
 
 @lru_cache(maxsize=32)
-def _displacement_generator_basis(n_max: int) -> tuple:
-    """Eigenbasis of the Hermitian i(a† - a), shared by every displacement. With
-    S = diag(i^n), S† i(a† - a) S is real tridiagonal with zero diagonal and
-    off-diagonal sqrt(n), so V = S times its _zero_diagonal_eigh basis."""
-    vals, vecs = _zero_diagonal_eigh(np.sqrt(np.arange(1.0, n_max + 1)))
-    vecs = np.array([1, 1j, -1, -1j])[np.arange(n_max + 1) % 4, None] * vecs
-    vals.flags.writeable = False
-    vecs.flags.writeable = False
-    return vals, vecs
+def _ladder_table(n_max: int, top: int) -> tuple:
+    """m = -top..n_max, log(m!)/2 there (+inf below 0, so those amplitudes are 0)
+    and sqrt(max(m, 0))."""
+    m = np.arange(-top, n_max + 1.0)
+    half_log_fact = np.array([0.5 * math.lgamma(i + 1.0) if i >= 0 else math.inf for i in m])
+    sqrt_m = np.sqrt(np.maximum(m, 0.0))
+    for a in (m, half_log_fact, sqrt_m):
+        a.flags.writeable = False
+    return m, half_log_fact, sqrt_m
 
 
-def _displacement_columns(zs, cols, n_max: int) -> np.ndarray:
-    """Row j is column cols[j] of D(zs[j]) = R exp(r(a† - a)) R†, z = r e^{i phi},
-    R = diag(e^{i phi n}), with exp(r(a† - a)) = V e^{-i r lambda} V† in the shared
-    eigenbasis. Only the requested rows of V† are scaled, and one stacked phase
-    array and one product with V form every column at once."""
-    zs, cols = np.asarray(zs, dtype=complex), np.asarray(cols)
-    r = np.abs(zs)
-    _displacement_guard(r.max(), n_max)
-    vals, vecs = _displacement_generator_basis(n_max)
-    scaled = vecs[cols].conj() * np.exp(-1j * np.multiply.outer(r, vals))
-    phases = np.exp(1j * np.angle(zs)[:, None] * (np.arange(n_max + 1) - cols[:, None]))
-    return phases * (scaled @ vecs.T)
+def _number_amplitudes(states, n_max: int) -> np.ndarray:
+    """<m|D(z)|j> for m = 0..n_max on both modes of every (z1, j1, z2, j2) in
+    states, as an array (len(states), 2, n_max + 1); one call serves a whole row.
 
-
-def single_mode_displacement(z: complex, n_max: int) -> np.ndarray:
-    """Truncated single-mode displacement exp{z a† - conj(z) a}."""
-    return _displacement_columns(np.full(n_max + 1, complex(z)), np.arange(n_max + 1), n_max).T
-
-
-def displacement_operator(z1: complex, z2: complex, dim: TruncationDim) -> np.ndarray:
-    """Two-mode displacement D(z1) on mode 1 times D(z2) on mode 2."""
-    d1 = single_mode_displacement(z1, dim.n_max)
-    d2 = single_mode_displacement(z2, dim.n_max)
-    return np.kron(d1, d2)
+    <m|D(z)|0> = e^{-|z|^2/2} z^m / sqrt(m!) is the exponential of its
+    logarithm m log z - |z|^2/2 - log(m!)/2, so no finite z overflows, a large
+    |z| underflows to zero and z = 0 gives exactly |0>; each level of
+    D(z)|j> = (a† - conj z) D(z)|j-1> / sqrt(j) then raises the rows with j > 0."""
+    zs = [complex(z) for s in states for z in (s[0], s[2])]
+    js = [s[i] for s in states for i in (1, 3)]
+    if min(js) < 0:
+        raise ValueError(f"occupations must be >= 0, got {js}")
+    # |z|^2, inf past the float range, where e^{-|z|^2/2} is 0 already
+    squares = [z.real * z.real + z.imag * z.imag for z in zs]
+    _displacement_guard(math.sqrt(max(map(operator.add, squares[0::2], squares[1::2]))), n_max)
+    top = max(js)
+    m, half_log_fact, sqrt_m = _ladder_table(n_max, top)
+    # log z is -1e300 at z = 0, so that z^0 is 1 and every higher power 0
+    logs = np.array([(cmath.log(z) if z else -1e300, -0.5 * sq) for z, sq in zip(zs, squares)])
+    amps = np.exp(logs[:, :1] * m + (logs[:, 1:].real - half_log_fact))
+    for level in range(1, top + 1):
+        # new[m] = raise * sqrt(m) old[m-1] + keep * old[m], on m = level - top..n_max
+        root = math.sqrt(level)
+        raise_, keep = np.array([(1 / root, -z.conjugate() / root) if j >= level else (0.0, 1.0)
+                                 for j, z in zip(js, zs)]).T[:, :, None]
+        amps = raise_ * sqrt_m[level:] * amps[:, :-1] + keep * amps[:, 1:]
+    return amps.reshape(len(states), 2, n_max + 1)
 
 
 def displaced_fock_states(states, dim: TruncationDim) -> np.ndarray:
-    """Rows D(z1, z2)|n1, n2> on the truncated joint space, one per (z1, n1, z2, n2) in
-    states; one _displacement_columns call builds every mode of every state."""
-    zs, cols = [], []
-    for z1, n1, z2, n2 in states:
-        if not (0 <= n1 <= dim.n_max and 0 <= n2 <= dim.n_max):
-            raise ValueError(f"occupation ({n1}, {n2}) outside cutoff {dim.n_max}")
-        zs += (z1, z2)
-        cols += (n1, n2)
-    modes = _displacement_columns(zs, cols, dim.n_max).reshape(-1, 2, dim.states_per_mode)
-    return (modes[:, 0, :, None] * modes[:, 1, None, :]).reshape(-1, dim.dim)
+    """Rows D(z1, z2)|n1, n2> cut to n1 + n2 <= n_max, in the (n_max+1)^2 box layout
+    with exact zeros above the cut, one per (z1, n1, z2, n2) in states."""
+    modes = _number_amplitudes(states, dim.n_max)
+    m = np.arange(dim.states_per_mode)
+    kept = np.add.outer(m, m) <= dim.n_max
+    return (modes[:, 0, :, None] * modes[:, 1, None, :] * kept).reshape(-1, dim.dim)
 
 
 def displaced_fock_state(
     z1: complex, n1: int, z2: complex, n2: int, dim: TruncationDim
 ) -> np.ndarray:
-    """State vector D(z1, z2)|n1, n2> on the truncated joint space."""
+    """State vector D(z1, z2)|n1, n2> cut to n1 + n2 <= n_max."""
     return displaced_fock_states([(z1, n1, z2, n2)], dim)[0]
 
 
@@ -384,29 +280,55 @@ def coherent_state(z1: complex, z2: complex, dim: TruncationDim) -> np.ndarray:
     return displaced_fock_state(z1, 0, z2, 0, dim)
 
 
-def evolve_state(psi: np.ndarray, theta: float, dim: TruncationDim) -> np.ndarray:
-    """psi -> U† psi, U = polarizer_unitary(theta, dim); the vector form of evolve.
-
-    Per photon-number sector, U† = V exp(-i theta lambda) V^T, theta reduced
-    modulo 2 pi first.
-    """
-    indices, vecs, vals = _polarizer_sectors(dim.n_max)[:3]
-    coeffs = _sector_coefficients(psi, dim) * np.exp(-1j * _reduced_angle(theta) * vals)
-    pairs = coeffs.view(float).reshape(*indices.shape, 2)
-    out = np.zeros(dim.dim + 1, dtype=complex)
-    out[indices] = (vecs @ pairs).view(complex)[..., 0]
-    return out[:-1]
+# ---------------------------------------------------------------------------
+# The oracle: chains from photon-number-difference weights, triangles from
+# truncated overlaps
 
 
-def sector_weights(psi: np.ndarray, dim: TruncationDim) -> np.ndarray:
-    """|V^T psi|^2 over the d live sector slots, the padding dropped: the weight of
-    psi on each polarizer eigenvector, in the order of _polarizer_sectors' live."""
-    live = _polarizer_sectors(dim.n_max)[3]
-    return np.abs(_sector_coefficients(psi, dim).take(live)) ** 2
+_SQRT_HALF = math.sqrt(0.5)
+# |n1, n2> in the modes b± = (a1 ± a2)/sqrt(2): (coefficient, j+, j-) terms
+_B_MODE_TERMS = {
+    (0, 0): ((1.0, 0, 0),),
+    (1, 0): ((_SQRT_HALF, 1, 0), (_SQRT_HALF, 0, 1)),
+    (0, 1): ((_SQRT_HALF, 1, 0), (-_SQRT_HALF, 0, 1)),
+    (1, 1): ((_SQRT_HALF, 2, 0), (-_SQRT_HALF, 0, 2)),
+}
+
+
+@lru_cache(maxsize=32)
+def _difference_slots(n_max: int) -> np.ndarray:
+    """For the (n_max+1)^2 pairs (m+, m-), flattened, the slot of chain_weights that
+    k = m+ - m- lands in: k - 1 for k > 0, n_max - 1 - k for k < 0, 2 n_max for
+    k = 0, and 2 n_max + 1, a slot that is dropped, where m+ + m- > n_max."""
+    m = np.arange(n_max + 1)
+    k = np.subtract.outer(m, m)
+    slots = np.where(k > 0, k - 1, np.where(k < 0, n_max - 1 - k, 2 * n_max))
+    slots = np.where(np.add.outer(m, m) <= n_max, slots, 2 * n_max + 1).ravel()
+    slots.flags.writeable = False
+    return slots
+
+
+def chain_weights(z1: complex, n1: int, z2: complex, n2: int, dim: TruncationDim) -> np.ndarray:
+    """The weights p_k of D(z1, z2)|n1, n2> on the polarizer eigenvalues k, cut to
+    n1 + n2 <= n_max, as (p_1..p_n, p_-1..p_-n, p_0) with n = n_max.
+
+    In the b modes the state is D(w+) D(w-) applied to the terms of
+    _B_MODE_TERMS, w± = (z1 ± z2)/sqrt(2), and the polarizer's generator is
+    n+ - n-, so p is one bincount of |amplitude|^2 over m+ - m- for m+ + m- <= n.
+    1 - sum(p) is the weight beyond the cutoff."""
+    if (n1, n2) not in _B_MODE_TERMS:
+        raise ValueError(f"supported occupations are 0 and 1 per mode, got {(n1, n2)}")
+    n = dim.n_max
+    w_plus, w_minus = (z1 + z2) * _SQRT_HALF, (z1 - z2) * _SQRT_HALF
+    terms = _B_MODE_TERMS[(n1, n2)]
+    amps = _number_amplitudes([(w_plus, j_plus, w_minus, j_minus) for _, j_plus, j_minus in terms], n)
+    amplitude = np.einsum("ti,tj->ij", amps[:, 0] * [[c] for c, _, _ in terms], amps[:, 1])
+    weights = np.abs(amplitude.ravel()) ** 2
+    return np.bincount(_difference_slots(n), weights=weights, minlength=2 * n + 2)[:-1]
 
 
 # chain_invariants weighs the angle rows (C, S, S, C) of theta1 by (u, -u, -v, -v),
-# which this matrix forms from the weights (w_+, w_-)
+# which this matrix forms from the weights (p_+, p_-)
 _CHAIN_SIGNS = np.array([[1.0, 1.0], [-1.0, -1.0], [-1.0, 1.0], [-1.0, 1.0]])
 _CHAIN_ROWS = np.array([0, 1, 1, 0])
 
@@ -424,13 +346,14 @@ def chain_invariants(
 ) -> np.ndarray:
     """chain_invariant over the grid thetas1 x thetas2, as an (n1, n2) array.
 
-    With u = w_+ + w_- and v = w_+ - w_-, f(t) = w_0 + u·C - i v·S with
-    (C, S) = (cos t sigma, sin t sigma), one row per reduced angle. The third
-    factor takes the product e1 e2 of the angle factors, never the float sum
-    of the angles: f12 = w_0 + u·(C1 C2 - S1 S2) - i v·(S1 C2 + C1 S2). So one
-    real einsum of the theta1 rows (u C1, -u S1) and (-v S1, -v C1) with the
-    theta2 rows (C2, S2) gives every f12; the zero angle, (C, S) = (1, 0),
-    on each side gives f1 and f2 in the same einsum.
+    With u = p_+ + p_- and v = p_+ - p_- over sigma = 1..n_max,
+    f(t) = p_0 + u·C - i v·S with (C, S) = (cos t sigma, sin t sigma), one
+    row per reduced angle. The third factor takes the product e1 e2 of the
+    angle factors, never the float sum of the angles:
+    f12 = p_0 + u·(C1 C2 - S1 S2) - i v·(S1 C2 + C1 S2). So one real einsum of
+    the theta1 rows (u C1, -u S1) and (-v S1, -v C1) with the theta2 rows
+    (C2, S2) gives every f12; the zero angle, (C, S) = (1, 0), on each side
+    gives f1 and f2 in the same einsum.
 
     The grid goes in blocks of angles so that no temporary exceeds BLOCK_BYTES.
     A point's sums do not depend on the block around it, and the products of
@@ -438,12 +361,12 @@ def chain_invariants(
     complex product fuses in some of its loops and not in others), so a 1 x 1
     grid gives the same bits as any grid.
     """
-    live, sigma = _polarizer_sectors(dim.n_max)[3:]
-    if weights.shape != live.shape:
-        raise ValueError(f"weights shape {weights.shape} does not match dim {dim.dim}")
-    k = len(sigma)
-    w0 = sum(weights[2 * k :].tolist())
-    # (u, -u, -v, -v) from (w_+, w_-): each row is a sum or difference of two
+    k = dim.n_max
+    if weights.shape != (2 * k + 1,):
+        raise ValueError(f"weights shape {weights.shape} does not match n_max {k}")
+    sigma = np.arange(1.0, k + 1)
+    w0 = float(weights[2 * k])
+    # (u, -u, -v, -v) from (p_+, p_-): each row is a sum or difference of two
     weighted = np.einsum("ij,jk->ik", _CHAIN_SIGNS, weights[: 2 * k].reshape(2, k))
     r1, r2 = ([_reduced_angle(t) for t in thetas] for thetas in (thetas1, thetas2))
     # theta1 rows of the (rows + 1, 4, k) weighted rows, and theta2 rows of the
@@ -475,17 +398,33 @@ def chain_invariant(
     weights: np.ndarray, theta1: float, theta2: float, dim: TruncationDim
 ) -> PhaseResult:
     """triple_overlap of psi1, psi2 = evolve_state(psi1, theta1), evolve_state(psi2, theta2),
-    from weights = sector_weights(psi1, dim).
+    from the weights chain_weights gives for psi1.
 
     All three states share the generator's eigenbasis, so the invariant is
     f(theta1) f(theta2) conj f(theta1 + theta2) with
-    f(theta) = <psi1|e^{-i theta G}|psi1> = sum_k w_k e^{-i theta lambda_k}
-    over the live eigenvalues. These are +sigma, -sigma and zeros, so
-    f = w_0 + sum (w_+ e + w_- conj e) with e = e^{-i theta sigma}, and only
-    the sigma half is exponentiated. This is the 1 x 1 grid of chain_invariants.
+    f(theta) = <psi1|e^{-i theta G}|psi1> = sum_k p_k e^{-i theta k}
+    = p_0 + sum_{k > 0} (p_k e + p_-k conj e), e = e^{-i theta k}. This is the
+    1 x 1 grid of chain_invariants.
     """
     invariant = chain_invariants(weights, (theta1,), (theta2,), dim)[0, 0]
     return phase_result(invariant, METHOD_FOCK_ORACLE)
+
+
+_NEXT_STATE = np.array([1, 2, 0])
+
+
+def triangle_invariant(states, dim: TruncationDim) -> PhaseResult:
+    """triple_overlap of the three displaced number states (z1, n1, z2, n2) in
+    states, each cut to n1 + n2 <= n_max, without forming the state vectors.
+
+    A state is a product a1 (x) a2 of per-mode amplitudes, so the truncated
+    overlap of states i and j is sum_m1 x[m1] Y[n_max - m1] with
+    x = conj(a1_i) a1_j and Y the running sum of conj(a2_i) a2_j."""
+    amps = _number_amplitudes(states, dim.n_max)
+    products = amps.conj() * amps[_NEXT_STATE]
+    y = np.cumsum(products[:, 1], axis=1)
+    o12, o23, o31 = np.einsum("pm,pm->p", products[:, 0], y[:, ::-1]).tolist()
+    return phase_result(o12 * o23 * o31, METHOD_FOCK_ORACLE)
 
 
 def triple_overlap(psi1: np.ndarray, psi2: np.ndarray, psi3: np.ndarray) -> PhaseResult:
@@ -494,6 +433,50 @@ def triple_overlap(psi1: np.ndarray, psi2: np.ndarray, psi3: np.ndarray) -> Phas
         raise ValueError("state vectors live on different truncations")
     inv = np.vdot(psi1, psi2) * np.vdot(psi2, psi3) * np.vdot(psi3, psi1)
     return phase_result(inv, METHOD_FOCK_ORACLE)
+
+
+# ---------------------------------------------------------------------------
+# Dense operator forms, for the operator identity checks and the tests
+
+
+def polarizer_unitary(theta: float, dim: TruncationDim) -> np.ndarray:
+    """exp{i theta (a1†a2 + a2†a1)} on the truncated joint space.
+
+    One eigh of the generator per photon-number sector N, whose restriction is
+    tridiagonal with <n1+1, N-n1-1| a1†a2 |n1, N-n1> = sqrt((n1+1)(N-n1)), so the
+    result is exactly block diagonal over N.
+    """
+    n_max, m = dim.n_max, dim.states_per_mode
+    phase = 1j * _reduced_angle(theta)
+    u = np.zeros((dim.dim, dim.dim), dtype=complex)
+    for total in range(2 * n_max + 1):
+        occ1 = np.arange(max(0, total - n_max), min(total, n_max) + 1)
+        off = np.sqrt((occ1[:-1] + 1.0) * (total - occ1[:-1]))
+        vals, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        sector = occ1 * m + total - occ1
+        u[np.ix_(sector, sector)] = (vecs * np.exp(phase * vals)) @ vecs.T
+    return u
+
+
+def evolve_state(psi: np.ndarray, theta: float, dim: TruncationDim) -> np.ndarray:
+    """psi -> U† psi, U = polarizer_unitary(theta, dim); the vector form of evolve."""
+    return polarizer_unitary(theta, dim).conj().T @ psi
+
+
+def single_mode_displacement(z: complex, n_max: int) -> np.ndarray:
+    """Truncated single-mode displacement exp{z a† - conj(z) a}: with z = r e^{i phi},
+    R exp(r(a† - a)) R†, R = diag(e^{i phi n}), from one eigh of i(a† - a)."""
+    a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1)
+    vals, vecs = np.linalg.eigh(1j * (a.T - a))
+    vecs = np.exp(1j * cmath.phase(z) * np.arange(n_max + 1))[:, None] * vecs
+    return (vecs * np.exp(-1j * abs(z) * vals)) @ vecs.conj().T
+
+
+def displacement_operator(z1: complex, z2: complex, dim: TruncationDim) -> np.ndarray:
+    """Two-mode displacement D(z1) on mode 1 times D(z2) on mode 2."""
+    d1 = single_mode_displacement(z1, dim.n_max)
+    d2 = single_mode_displacement(z2, dim.n_max)
+    return np.kron(d1, d2)
 
 
 @dataclass(frozen=True)

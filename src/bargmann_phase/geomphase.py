@@ -2,10 +2,12 @@
 
 Three routes to arg Tr(rho1 rho2 rho3) are implemented and reconciled:
 
-* fock route (oracle): truncated state vectors; a polarizer chain's
-  invariant is read from the initial state's weights on the polarizer's
-  sector eigenbases (fock.sector_weights, fock.chain_invariant), three
-  independent states go through fock.triple_overlap;
+* fock route (oracle): states cut to total photon number n1 + n2 <= n_max
+  with exact amplitudes; a polarizer chain's invariant is a trigonometric
+  polynomial in the angles whose coefficients are the initial state's
+  weights on the polarizer's integer eigenvalues (fock.chain_weights,
+  fock.chain_invariant), and three independent states go through their
+  truncated overlaps (fock.triangle_invariant);
 * phase-space route: exact distributional evaluation of the sextuple
   integral of P1 P2 P3 against the coherent-overlap kernel, see below;
 * reference closed form: a transcription of a published arctan formula
@@ -34,7 +36,7 @@ over partial matchings of z with zbar derivatives. See
 docs/derivations.md.
 
 A state's derived data, its P object (born in Wirtinger form) and its
-Fock sector weights per cutoff, is computed once per StateSpec and kept on
+Fock chain weights per cutoff, is computed once per StateSpec and kept on
 it. A PhaseScenario holds its initial StateSpec for its lifetime. A sweep's
 grid shares one initial state and varies only the two angles, so
 evolved_grid_results runs every route over blocks of the grid as arrays:
@@ -64,12 +66,11 @@ from .fock import (
     TruncationDim,
     chain_invariant,
     chain_invariants,
+    chain_weights,
     displaced_fock_state,
-    displaced_fock_states,
     phase_result,
     principal_phase,
-    sector_weights,
-    triple_overlap,
+    triangle_invariant,
 )
 from .pdistribution import (
     ORIGIN,
@@ -107,7 +108,7 @@ ModePair = tuple[PhaseSpacePoint, PhaseSpacePoint]
 class StateSpec:
     """A displaced Fock state: occupation per mode plus phase-space centers.
 
-    Its P object and its Fock sector weights are computed once per instance
+    Its P object and its Fock chain weights are computed once per instance
     (per cutoff for the weights) and kept on it; equality and hashing see the
     fields only.
     """
@@ -148,10 +149,12 @@ class StateSpec:
         return displaced_fock_state(c1.to_complex(), n1, c2.to_complex(), n2, dim)
 
     def sector_weights(self, dim: TruncationDim) -> np.ndarray:
-        """fock.sector_weights of the state vector, built once per cutoff."""
+        """fock.chain_weights of the state, the weights on the polarizer's integer
+        eigenvalues, built once per cutoff."""
         weights = self._sector_weights.get(dim.n_max)
         if weights is None:
-            weights = sector_weights(self.state_vector(dim), dim)
+            (n1, n2), (c1, c2) = self.occupation, self.centers
+            weights = chain_weights(c1.to_complex(), n1, c2.to_complex(), n2, dim)
             weights.flags.writeable = False
             self._sector_weights[dim.n_max] = weights
         return weights
@@ -501,7 +504,7 @@ class PhaseScenario:
         n1, n2 = self.occupation
         states = [(v[0].to_complex(), n1, v[1].to_complex(), n2)
                   for v in (self.vertex_a, self.vertex_b, self.vertex_c)]
-        return triple_overlap(*displaced_fock_states(states, dim))
+        return triangle_invariant(states, dim)
 
     def pairing_invariant(self, kernel: str = "derived") -> PhaseResult:
         if self.is_evolved:

@@ -6,8 +6,9 @@ inputs produce identical bytes.
 """
 from __future__ import annotations
 
-import csv
 import itertools
+import math
+import operator
 
 from .geomphase import PhaseScenario, ReconciliationRow
 from .pdistribution import DeltaDerivativeTerm, PhaseSpacePoint, QuasiProbability
@@ -100,21 +101,20 @@ def sweep_row(row: ReconciliationRow) -> dict:
     }
 
 
+# One CSV line of a sweep row: format_float of the six numbers (nan for None)
+# and the flag. No field needs quoting: numbers in this format and the flags
+# hold no comma, quote or line break.
+_SWEEP_LINE = "{:.11e},{:.11e},{:.11e},{:.11e},{:.11e},{:.11e},{}\n"
+_sweep_values = operator.itemgetter(*SWEEP_COLUMNS)
+
+
 def write_sweep_csv(rows, fh):
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
+    fh.write(",".join(SWEEP_COLUMNS) + "\n")
     for row in rows:
-        writer.writerow(
-            [
-                format_float(row["theta1"]),
-                format_float(row["theta2"]),
-                format_float(row["phase_fock"]),
-                format_float(row["phase_pairing"]),
-                format_float(row["phase_printed"]),
-                format_float(row["abs_delta_max"]),
-                row["flag"],
-            ]
-        )
+        values = _sweep_values(row)
+        if None in values:
+            values = [math.nan if v is None else v for v in values]
+        fh.write(_SWEEP_LINE.format(*values))
 
 
 def sweep_document(rows, n_max: int, tolerance: float) -> dict:

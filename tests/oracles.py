@@ -34,6 +34,19 @@ def coherent_amplitudes(z: complex, n_max: int) -> np.ndarray:
     return out
 
 
+def displaced_number_amplitudes(z: complex, n: int, n_max: int) -> np.ndarray:
+    """<m|D(z)|n> for n in {0, 1} up to the cutoff, untruncated: the coherent
+    amplitudes c_m, and for n = 1 the series sqrt(m) c_{m-1} - conj(z) c_m of
+    (a† - conj(z)) D(z)|0>."""
+    c = coherent_amplitudes(z, n_max)
+    if n == 0:
+        return c
+    if n != 1:
+        raise ValueError("oracle series covers occupations 0 and 1 only")
+    shifted = np.concatenate(([0.0], np.sqrt(np.arange(1.0, n_max + 1)) * c[:-1]))
+    return shifted - np.conjugate(z) * c
+
+
 def two_mode_coherent_vector(z1: complex, z2: complex, n_max: int) -> np.ndarray:
     """Joint amplitudes with mode 1 on the slow axis."""
     return np.kron(coherent_amplitudes(z1, n_max), coherent_amplitudes(z2, n_max))

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io as stdio
 import json
 import math
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bargmann_phase import cli, fock, geomphase, pdistribution
+from bargmann_phase import cli, fock, geomphase, pdistribution, validation
 from bargmann_phase import io as io_mod
 from bargmann_phase.fock import TruncationDim, TruncationLeakageWarning
 from bargmann_phase.geomphase import PhaseScenario, method_reconciliation
@@ -354,11 +355,10 @@ class _RecordingNumpy:
 
 
 def test_sweep_block_temporaries_stay_under_the_cap(monkeypatch):
-    # the largest accepted cutoff on a 1000-angle axis: one theta1 row of angle
-    # factors is 82 kB here, and the whole axis would be 82 MB
+    # the largest accepted cutoff on a 1000-angle axis: one theta1 row of
+    # weighted angle factors is 3.2 kB here, and the whole axis would be 3.2 MB
     argv = ("sweep", "--n-max", "100", "--theta1", "0:3.1:1000", "--theta2", "0.2",
             "--occupation", "1,1", "--centers", "0.2,0,0,0.1")
-    fock._polarizer_sectors(100)  # the cached basis is not a block temporary
     seen = []
     for module in (fock, geomphase, pdistribution):
         monkeypatch.setattr(module, "np", _RecordingNumpy(np, seen))
@@ -373,8 +373,7 @@ def test_sweep_block_temporaries_stay_under_the_cap(monkeypatch):
     lines = out.strip().split("\n")
     assert len(lines) == 1001 and all(line.endswith(",ok") for line in lines[1:])
     # the angle rows (cos, sin) of the 1000 theta1 values came in blocks
-    k = len(fock._polarizer_sectors(100)[4])
-    angle_rows = [shape[0] for shape, _ in seen if shape[1:] == (2, k)]
+    angle_rows = [shape[0] for shape, _ in seen if shape[1:] == (2, 100)]
     assert angle_rows and max(angle_rows) < 1000
     assert max(nbytes for _, nbytes in seen) <= fock.BLOCK_BYTES
     # the live temporaries and the sweep's output together peak at about 3.7
@@ -383,7 +382,7 @@ def test_sweep_block_temporaries_stay_under_the_cap(monkeypatch):
 
 
 def test_sweep_prepares_its_initial_state_once(capsys, monkeypatch):
-    calls = {"columns": 0, "p_objects": 0}
+    calls = {"amplitudes": 0, "p_objects": 0}
 
     def counted(name, real):
         def wrapper(*args, **kwargs):
@@ -391,7 +390,7 @@ def test_sweep_prepares_its_initial_state_once(capsys, monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(fock, "_displacement_columns", counted("columns", fock._displacement_columns))
+    monkeypatch.setattr(fock, "_number_amplitudes", counted("amplitudes", fock._number_amplitudes))
     monkeypatch.setattr(
         geomphase, "mehta_p_function", counted("p_objects", geomphase.mehta_p_function)
     )
@@ -401,8 +400,8 @@ def test_sweep_prepares_its_initial_state_once(capsys, monkeypatch):
     )
     assert code == 0
     assert len(out.strip().split("\n")) == 17
-    # one displacement call for both modes and one P object per sweep
-    assert calls == {"columns": 1, "p_objects": 1}
+    # one amplitude call for the initial state and one P object per sweep
+    assert calls == {"amplitudes": 1, "p_objects": 1}
 
 
 def test_sweep_beyond_the_guard_warns(capsys):
@@ -437,6 +436,43 @@ def test_sweep_failing_mid_grid_writes_nothing(tmp_path, capsys, monkeypatch):
     assert not target.exists()
 
 
+def csv_writer_reference(rows):
+    """The sweep CSV as csv.writer writes it, with format_float for every number."""
+    out = stdio.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(io_mod.SWEEP_COLUMNS)
+    for row in rows:
+        writer.writerow([io_mod.format_float(row[name]) for name in io_mod.SWEEP_COLUMNS[:6]]
+                        + [row["flag"]])
+    return out.getvalue()
+
+
+@pytest.mark.filterwarnings("ignore::bargmann_phase.fock.TruncationLeakageWarning")
+@pytest.mark.parametrize("centers", ["0.2,0,0,0.1", "12,5,0,0"])
+def test_sweep_csv_matches_csv_writer_reference(centers):
+    # the default grid's rows as cmd_sweep reconciles them; far outside the
+    # cutoff most rows are undefined and their phases nan
+    grid = cli._parse_theta(f"0:{math.pi}:21", "--theta1", allow_grid=True)
+    vertex = cli._parse_vertex(centers)
+    state = geomphase.StateSpec((1, 1), *vertex)
+    dim = TruncationDim(5)
+    rows = [
+        io_mod.sweep_row(method_reconciliation(
+            PhaseScenario((1, 1), vertex, t1, t2, initial_state=state), dim=dim, results=results))
+        for (t1, t2), results in zip(
+            ((t1, t2) for t1 in grid for t2 in grid),
+            geomphase.evolved_grid_results(state, grid, grid, dim))
+    ]
+    rows.append({"theta1": -0.0, "theta2": 1e300, "phase_fock": -math.pi, "phase_pairing": 5e-324,
+                 "phase_printed": None, "abs_delta_max": math.inf, "flag": "disagree"})
+    got = stdio.StringIO()
+    io_mod.write_sweep_csv(rows, got)
+    assert got.getvalue() == csv_writer_reference(rows)
+    assert len(got.getvalue().splitlines()) == 443
+    if centers == "12,5,0,0":
+        assert got.getvalue().count(",nan,") > 400
+
+
 def test_sweep_json_document(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -467,6 +503,14 @@ def test_validate_passes(capsys):
     assert code == 0
     assert "/19 checks passed" in out
     assert "[FAIL]" not in out
+
+
+def test_validate_n_max_5_keeps_the_exact_checks():
+    # on n1 + n2 <= n_max the polarizer acts exactly and the states' amplitudes
+    # are exact, so these two hold at the smallest accepted cutoff
+    checks = {c.name: c for c in validation.run_all(n_max=5)}
+    assert checks["evolution_matches_label_map"].passed
+    assert checks["density_reconstruction"].passed
 
 
 def test_validate_rejects_n_max_above_bound(capsys):

@@ -191,6 +191,53 @@ def test_fock_invariant_converges_at_n_max_60():
     assert circular_delta(fock.phase, pairing.phase) <= 1e-9
 
 
+occupations_strategy = st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)])
+
+
+def vertex_from(values):
+    return (PhaseSpacePoint(values[0], values[1]), PhaseSpacePoint(values[2], values[3]))
+
+
+@pytest.mark.filterwarnings("ignore::bargmann_phase.fock.TruncationLeakageWarning")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n_max=st.integers(5, 25),
+    occupation=occupations_strategy,
+    centers=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    theta1=st.floats(-10.0, 10.0),
+    theta2=st.floats(-10.0, 10.0),
+)
+def test_chain_truncation_error_is_within_the_proven_bound(n_max, occupation, centers, theta1, theta2):
+    # f(t) = <psi1|e^{-itG}|psi1> loses at most w_out = 1 - sum(p), the weight
+    # beyond n1 + n2 <= n_max, and |f| <= 1, so the chain's invariant is within
+    # 3 w_out of the exact one, which the pairing computes
+    scenario = PhaseScenario.evolved(occupation, vertex_from(centers), theta1, theta2)
+    dim = TruncationDim(n_max)
+    w_out = 1.0 - scenario.initial_state.sector_weights(dim).sum()
+    error = abs(scenario.fock_invariant(dim).invariant - scenario.pairing_invariant().invariant)
+    assert error <= 3 * w_out + 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::bargmann_phase.fock.TruncationLeakageWarning")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n_max=st.integers(5, 25),
+    occupation=occupations_strategy,
+    centers=st.lists(st.floats(-2.0, 2.0), min_size=12, max_size=12),
+)
+def test_triangle_truncation_error_is_within_the_proven_bound(n_max, occupation, centers):
+    # each truncated overlap misses the exact one by at most sqrt(eps_i eps_j),
+    # eps_i the weight of state i beyond the cut (Cauchy-Schwarz), and every
+    # overlap has modulus at most 1
+    vertices = [vertex_from(centers[i : i + 4]) for i in (0, 4, 8)]
+    scenario = PhaseScenario.independent(occupation, *vertices)
+    dim = TruncationDim(n_max)
+    eps = [1.0 - np.linalg.norm(StateSpec(occupation, *v).state_vector(dim)) ** 2 for v in vertices]
+    bound = sum(math.sqrt(max(eps[i], 0.0) * max(eps[i - 1], 0.0)) for i in range(3))
+    error = abs(scenario.fock_invariant(dim).invariant - scenario.pairing_invariant().invariant)
+    assert error <= bound + 1e-12
+
+
 def real_coordinate_invariant(scenario, kernel):
     """The pairing in (q, p) coordinates by the derivative recursion of tests/oracles.py."""
     def state(vertex):

@@ -26,31 +26,24 @@ from .fock import (
     TruncationDim,
     TruncationLeakageWarning,
     chain_invariant,
-    coherent_state,
     displaced_fock_state,
     displacement_operator,
     evolve,
     evolve_state,
     mode_annihilation,
-    polarizer_generator,
     polarizer_unitary,
     principal_phase,
     triple_overlap,
     triple_product_trace,
 )
 from .geomphase import (
-    ClosedFormTerms,
     PhaseScenario,
     ReconciliationReport,
     ReconciliationRow,
     StateSpec,
-    TriangleConfig,
     closed_form_audit,
-    closed_form_terms,
-    geometric_phase,
     method_reconciliation,
     phase_space_trace,
-    phase_space_trace_evolved,
     random_evolved_scenarios,
     random_independent_scenarios,
     run_reconciliation,

@@ -15,7 +15,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 
 from . import io as io_mod
 from .fock import TruncationDim
@@ -48,19 +47,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    n_max: int
-    tol: float
-    seed: int
-    fmt: str
-    out: str | None
-
-    @property
-    def dim(self) -> TruncationDim:
-        return TruncationDim(self.n_max)
 
 
 def _parse_occupation(text: str) -> tuple[int, int]:
@@ -123,14 +109,15 @@ def _add_common(parser, default_n_max=25):
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
-def _run_config(args, fmt: str, n_max_bound: int | None = None) -> RunConfig:
+def _checked_dim(args, n_max_bound: int | None = None) -> TruncationDim:
+    """The cutoff of --n-max, after checking it and --tol."""
     if args.n_max < 5:
         raise ValueError(f"--n-max must be >= 5, got {args.n_max}")
     if n_max_bound is not None and args.n_max > n_max_bound:
         raise ValueError(f"--n-max must be <= {n_max_bound} for {args.command}, got {args.n_max}")
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be finite and positive, got {args.tol!r}")
-    return RunConfig(n_max=args.n_max, tol=args.tol, seed=args.seed, fmt=fmt, out=args.out)
+    return TruncationDim(args.n_max)
 
 
 def _emit(text: str, out: str | None):
@@ -173,11 +160,11 @@ def _scenario_from_pfunc_files(paths, occupation_flag) -> PhaseScenario:
     return PhaseScenario.independent(occupation, *vertices)
 
 
-def _phase_text(row, config: RunConfig) -> str:
+def _phase_text(row, args) -> str:
     lines = []
     scenario = io_mod.scenario_to_dict(row.scenario)
     lines.append(f"scenario: {json.dumps(scenario, sort_keys=True)}")
-    lines.append(f"n_max: {config.n_max}   tolerance: {config.tol:g}")
+    lines.append(f"n_max: {args.n_max}   tolerance: {args.tol:g}")
     lines.append(f"{'method':<24}{'phase':>20}{'|invariant|':>20}")
     for name in ("fock_oracle", "phase_space_pairing", "coherent_closed_form", "printed_closed_form"):
         res = row.results.get(name)
@@ -194,19 +181,19 @@ def _phase_text(row, config: RunConfig) -> str:
 
 
 def cmd_phase(args) -> int:
-    config = _run_config(args, args.format, N_MAX)
+    dim = _checked_dim(args, N_MAX)
     if args.from_pfunc:
         if args.centers != "0,0,0,0" or args.theta1 is not None or args.theta2 is not None:
             raise ValueError("--from-pfunc replaces --centers and angles")
         scenario = _scenario_from_pfunc_files(args.from_pfunc, args.occupation)
     else:
         scenario = _scenario_from_args(args)
-    row = method_reconciliation(scenario, dim=config.dim, tolerance=config.tol)
-    if config.fmt == "json":
-        doc = io_mod.phase_document(row, config.n_max, config.tol)
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", config.out)
+    row = method_reconciliation(scenario, dim=dim, tolerance=args.tol)
+    if args.format == "json":
+        doc = io_mod.phase_document(row, args.n_max, args.tol)
+        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     else:
-        _emit(_phase_text(row, config), config.out)
+        _emit(_phase_text(row, args), args.out)
     return EXIT_DISAGREE if row.flag == "disagree" else EXIT_OK
 
 
@@ -215,7 +202,7 @@ def cmd_phase(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _run_config(args, args.format, N_MAX)
+    dim = _checked_dim(args, N_MAX)
     occupation = _parse_occupation(args.occupation)
     vertices = _parse_centers(args.centers)
     if len(vertices) != 1:
@@ -229,25 +216,25 @@ def cmd_sweep(args) -> int:
         # the routes run as arrays over blocks of the grid, from the one initial
         # state; each point is then reconciled on its own, formatted, and only
         # its formatted output is kept
-        routes = evolved_grid_results(state, grid1, grid2, config.dim)
+        routes = evolved_grid_results(state, grid1, grid2, dim)
         for (t1, t2), results in zip(itertools.product(grid1, grid2), routes):
-            scenario = PhaseScenario(occupation, vertices[0], t1, t2, initial_state=state)
+            scenario = PhaseScenario(occupation, vertices[0], t1, t2)
             row = io_mod.sweep_row(method_reconciliation(
-                scenario, dim=config.dim, tolerance=config.tol, results=results
+                scenario, dim=dim, tolerance=args.tol, results=results
             ))
             flags.add(row["flag"])
             yield row
 
     # the whole grid is formatted before anything is written, so a failing
     # row leaves no partial output
-    if config.fmt == "json":
-        doc = io_mod.sweep_document(sweep_rows(), config.n_max, config.tol)
+    if args.format == "json":
+        doc = io_mod.sweep_document(sweep_rows(), args.n_max, args.tol)
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     else:
         buf = io.StringIO()
         io_mod.write_sweep_csv(sweep_rows(), buf)
         text = buf.getvalue()
-    _emit(text, config.out)
+    _emit(text, args.out)
     return EXIT_DISAGREE if "disagree" in flags else EXIT_OK
 
 
@@ -256,12 +243,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    config = _run_config(args, args.format, VALIDATE_N_MAX)
-    checks = run_all(n_max=config.n_max, seed=config.seed)
+    _checked_dim(args, VALIDATE_N_MAX)
+    checks = run_all(n_max=args.n_max, seed=args.seed)
     ok = all(c.passed for c in checks)
-    if config.fmt == "json":
-        doc = io_mod.validation_document(checks, config.n_max, config.seed)
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", config.out)
+    if args.format == "json":
+        doc = io_mod.validation_document(checks, args.n_max, args.seed)
+        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     else:
         lines = []
         for c in checks:
@@ -269,7 +256,7 @@ def cmd_validate(args) -> int:
             lines.append(f"[{status}] {c.name}: value={c.value:.3e} threshold={c.threshold:.3e}")
             lines.append(f"       {c.detail}")
         lines.append(f"{sum(c.passed for c in checks)}/{len(checks)} checks passed")
-        _emit("\n".join(lines) + "\n", config.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK if ok else EXIT_DISAGREE
 
 
@@ -278,7 +265,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_pfunc(args) -> int:
-    config = _run_config(args, "json")
+    _checked_dim(args)
     occupation = _parse_occupation(args.occupation)
     vertices = _parse_centers(args.centers)
     if len(vertices) != 1:
@@ -286,7 +273,7 @@ def cmd_pfunc(args) -> int:
     shift = vertices[0]
     p = mehta_p_function(occupation, shift)
     doc = io_mod.pfunc_document(occupation, shift, p)
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", config.out)
+    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 
 

@@ -65,13 +65,11 @@ __all__ = [
     "phase_result",
     "principal_phase",
     "mode_annihilation",
-    "polarizer_generator",
     "polarizer_unitary",
     "single_mode_displacement",
     "displacement_operator",
     "displaced_fock_state",
     "displaced_fock_states",
-    "coherent_state",
     "evolve_state",
     "chain_weights",
     "chain_invariant",
@@ -187,15 +185,6 @@ def mode_annihilation(mode: int, dim: TruncationDim) -> np.ndarray:
     return np.kron(a, eye) if mode == 1 else np.kron(eye, a)
 
 
-def polarizer_generator() -> np.ndarray:
-    """Mode-coupling matrix of the polarizer generator, ((0, 1), (1, 0)).
-
-    The generator itself is a1†a2 + a2†a1; this is its coefficient matrix
-    in the quadratic form sum_jk G[j,k] aj†ak.
-    """
-    return np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
 def _reduced_angle(theta: float) -> float:
     """theta modulo 2 pi in [-pi, pi]: sin and cos reduce exactly, theta % (2 pi)
     does not. The oracle's spectrum is the integers -n_max..n_max, so the
@@ -273,11 +262,6 @@ def displaced_fock_state(
 ) -> np.ndarray:
     """State vector D(z1, z2)|n1, n2> cut to n1 + n2 <= n_max."""
     return displaced_fock_states([(z1, n1, z2, n2)], dim)[0]
-
-
-def coherent_state(z1: complex, z2: complex, dim: TruncationDim) -> np.ndarray:
-    """Two-mode coherent state vector |z1, z2> = D(z1, z2)|0, 0>."""
-    return displaced_fock_state(z1, 0, z2, 0, dim)
 
 
 # ---------------------------------------------------------------------------

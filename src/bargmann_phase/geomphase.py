@@ -35,23 +35,23 @@ loop that reconstructs density elements) evaluates it exactly as a sum
 over partial matchings of z with zbar derivatives. See
 docs/derivations.md.
 
-A state's derived data, its P object (born in Wirtinger form) and its
-Fock chain weights per cutoff, is computed once per StateSpec and kept on
-it. A PhaseScenario holds its initial StateSpec for its lifetime. A sweep's
+Below PhaseScenario the routes read coordinates: a vertex is the tuple
+(q1, p1, q2, p2), floats for one scenario and arrays for a grid. A sweep's
 grid shares one initial state and varies only the two angles, so
-evolved_grid_results runs every route over blocks of the grid as arrays:
-the Fock chain as fock.chain_invariants, the pairing as one batched
-pair_product over the stacked chain kernels, and the labels and the printed
-form's terms as array arithmetic. method_reconciliation then reconciles
-each point from those results. A single scenario's routes run the same code
-on a grid of one, so a grid point and a fresh scenario give the same bits.
+evolved_grid_results builds the state's P object and Fock chain weights
+once and runs every route over blocks of the grid as arrays: the Fock chain
+as fock.chain_invariants, the pairing as one batched pair_product over the
+stacked chain kernels, and the labels and the printed form's terms as array
+arithmetic. method_reconciliation then reconciles each point from those
+results. A single scenario's routes run the same code on a grid of one, so
+a grid point and a fresh scenario give the same bits.
 """
 from __future__ import annotations
 
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -67,7 +67,6 @@ from .fock import (
     chain_invariant,
     chain_invariants,
     chain_weights,
-    displaced_fock_state,
     phase_result,
     principal_phase,
     triangle_invariant,
@@ -84,13 +83,8 @@ from .pdistribution import (
 __all__ = [
     "ModePair",
     "StateSpec",
-    "TriangleConfig",
-    "ClosedFormTerms",
     "PhaseScenario",
     "phase_space_trace",
-    "phase_space_trace_evolved",
-    "closed_form_terms",
-    "geometric_phase",
     "ReconciliationRow",
     "ReconciliationReport",
     "method_reconciliation",
@@ -104,23 +98,22 @@ __all__ = [
 ModePair = tuple[PhaseSpacePoint, PhaseSpacePoint]
 
 
+def _check_occupation(occupation):
+    n1, n2 = occupation
+    if n1 not in (0, 1) or n2 not in (0, 1):
+        raise ValueError(f"supported occupations are 0 and 1 per mode, got {occupation}")
+
+
 @dataclass(frozen=True)
 class StateSpec:
-    """A displaced Fock state: occupation per mode plus phase-space centers.
-
-    Its P object and its Fock chain weights are computed once per instance
-    (per cutoff for the weights) and kept on it; equality and hashing see the
-    fields only.
-    """
+    """A displaced Fock state: occupation per mode plus phase-space centers."""
 
     occupation: tuple[int, int]
     center1: PhaseSpacePoint = ORIGIN
     center2: PhaseSpacePoint = ORIGIN
 
     def __post_init__(self):
-        n1, n2 = self.occupation
-        if n1 not in (0, 1) or n2 not in (0, 1):
-            raise ValueError(f"supported occupations are 0 and 1 per mode, got {self.occupation}")
+        _check_occupation(self.occupation)
 
     @classmethod
     def from_complex(cls, occupation: tuple[int, int], z1: complex, z2: complex) -> "StateSpec":
@@ -134,47 +127,14 @@ class StateSpec:
     def centers(self) -> ModePair:
         return (self.center1, self.center2)
 
-    def label(self) -> CoherentLabel:
-        return CoherentLabel(self.center1.to_complex(), self.center2.to_complex())
-
     def quasi_probability(self) -> QuasiProbability:
-        return self._quasi_probability
-
-    @cached_property
-    def _quasi_probability(self) -> QuasiProbability:
         return mehta_p_function(self.occupation, shift=self.centers)
-
-    def state_vector(self, dim: TruncationDim) -> np.ndarray:
-        (n1, n2), (c1, c2) = self.occupation, self.centers
-        return displaced_fock_state(c1.to_complex(), n1, c2.to_complex(), n2, dim)
 
     def sector_weights(self, dim: TruncationDim) -> np.ndarray:
         """fock.chain_weights of the state, the weights on the polarizer's integer
-        eigenvalues, built once per cutoff."""
-        weights = self._sector_weights.get(dim.n_max)
-        if weights is None:
-            (n1, n2), (c1, c2) = self.occupation, self.centers
-            weights = chain_weights(c1.to_complex(), n1, c2.to_complex(), n2, dim)
-            weights.flags.writeable = False
-            self._sector_weights[dim.n_max] = weights
-        return weights
-
-    @cached_property
-    def _sector_weights(self) -> dict:
-        return {}
-
-
-@dataclass(frozen=True)
-class TriangleConfig:
-    """Three two-mode phase-space vertices (one ModePair per state)."""
-
-    vertex_a: ModePair
-    vertex_b: ModePair
-    vertex_c: ModePair
-
-    def mode_vertices(self, mode: int) -> tuple[PhaseSpacePoint, PhaseSpacePoint, PhaseSpacePoint]:
-        i = mode - 1
-        return (self.vertex_a[i], self.vertex_b[i], self.vertex_c[i])
+        eigenvalues."""
+        (n1, n2), (c1, c2) = self.occupation, self.centers
+        return chain_weights(c1.to_complex(), n1, c2.to_complex(), n2, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -287,39 +247,8 @@ def phase_space_trace(
     return phase_result(pair_product(ps, _independent_kernel(kernel)), METHOD_PHASE_SPACE_PAIRING)
 
 
-def phase_space_trace_evolved(
-    s1: StateSpec, theta1: float, theta2: float, *, kernel: str = "derived"
-) -> PhaseResult:
-    """Invariant of the polarizer chain rho1, U1† rho1 U1, U2† U1† rho1 U1 U2.
-
-    The initial P is reused in every slot; evolution is composed into the
-    kernel through the label maps. Exact at the distributional level.
-    """
-    pairing = _chain_pairings(s1.quasi_probability(), _single_trig(theta1, theta2), kernel)
-    return phase_result(pairing, METHOD_PHASE_SPACE_PAIRING)
-
-
 # ---------------------------------------------------------------------------
 # Reference closed form (transcribed verbatim; audited, not trusted)
-
-
-@dataclass(frozen=True)
-class ClosedFormTerms:
-    """Ingredients of the reference closed form.
-
-    symplectic_sum is the cyclic bilinear sum over both modes (twice the
-    summed signed triangle areas); (x_i, y_i) feed the occupied-mode
-    arctan corrections.
-    """
-
-    symplectic_sum: float
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    def phase(self, occupation: tuple[int, int] = (1, 1)) -> float:
-        return _printed_phase(self.symplectic_sum, self.x1, self.y1, self.x2, self.y2, occupation)
 
 
 def _printed_phase(symplectic_sum, x1, y1, x2, y2, occupation) -> float:
@@ -383,21 +312,10 @@ def _mode_terms(a, b, c) -> tuple:
     return cycles, x1, y1, x2, y2
 
 
-def closed_form_terms(tri: TriangleConfig) -> ClosedFormTerms:
-    """Evaluate the reference closed form's ingredients on a triangle."""
-    return ClosedFormTerms(*_mode_terms(
-        *(_coordinates(v) for v in (tri.vertex_a, tri.vertex_b, tri.vertex_c))))
-
-
-def geometric_phase(tri: TriangleConfig, occupation: tuple[int, int] = (1, 1)) -> PhaseResult:
-    """Reference closed-form phase (bilinear sum + occupied-mode arctans).
-
-    The result is phase-only; the invariant slot carries the unit-modulus
-    complex exp(i phase) so downstream consumers see a consistent pair.
-    With occupation (0, 0) the arctan terms drop and the form reduces to
-    the bilinear sum, which is exact for coherent states.
-    """
-    return _printed_result(closed_form_terms(tri).phase(occupation))
+def _coherent_result(a, b, c) -> PhaseResult:
+    """bargmann_triple_coherent of three vertices given as (q1, p1, q2, p2) floats."""
+    return bargmann_triple_coherent(
+        *(CoherentLabel(complex(q1, p1), complex(q2, p2)) for q1, p1, q2, p2 in (a, b, c)))
 
 
 def _chain_labels(a: tuple, trig: tuple) -> tuple:
@@ -420,25 +338,14 @@ def _coordinates(vertex: ModePair) -> tuple:
     return (vertex[0].q, vertex[0].p, vertex[1].q, vertex[1].p)
 
 
-def _mode_pair(coordinates) -> ModePair:
-    q1, p1, q2, p2 = coordinates
-    return (PhaseSpacePoint(q1, p1), PhaseSpacePoint(q2, p2))
-
-
 @dataclass(frozen=True)
 class PhaseScenario:
     """One reconciliation case: either a polarizer chain or three states.
 
     Evolved scenarios carry (vertex_a, theta1, theta2); the other two
-    vertices shown by triangle() are the label-mapped centers, which the
-    closed forms consume. Independent scenarios carry three vertices and
-    no angles. The same occupation applies to every state in the chain.
-
-    initial_state, the StateSpec at vertex_a, is built once and held for the
-    scenario's lifetime; it does not take part in equality. Scenarios given
-    one initial_state, as the grid points of a sweep are, or made from one
-    another with dataclasses.replace share it, and with it the state's
-    derived data.
+    vertices the closed forms consume are the label-mapped centers.
+    Independent scenarios carry three vertices and no angles. The same
+    occupation applies to every state in the chain.
     """
 
     occupation: tuple[int, int]
@@ -447,14 +354,9 @@ class PhaseScenario:
     theta2: float | None = None
     vertex_b: ModePair | None = None
     vertex_c: ModePair | None = None
-    initial_state: StateSpec | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        state = self.initial_state
-        if state is None:
-            object.__setattr__(self, "initial_state", StateSpec(self.occupation, *self.vertex_a))
-        elif (state.occupation, state.centers) != (tuple(self.occupation), tuple(self.vertex_a)):
-            raise ValueError("initial_state does not match occupation and vertex_a")
+        _check_occupation(self.occupation)
 
     @classmethod
     def evolved(
@@ -482,20 +384,23 @@ class PhaseScenario:
     def is_evolved(self) -> bool:
         return self.theta1 is not None
 
-    def triangle(self) -> TriangleConfig:
-        return self._triangle
+    @property
+    def initial_state(self) -> StateSpec:
+        return StateSpec(self.occupation, *self.vertex_a)
 
     @cached_property
     def _trig(self) -> tuple:
-        """_single_trig of the angles, shared by triangle() and the pairing route."""
+        """_single_trig of the angles, shared by the labels and the pairing route."""
         return _single_trig(self.theta1, self.theta2)
 
     @cached_property
-    def _triangle(self) -> TriangleConfig:
+    def _vertices(self) -> tuple:
+        """The three vertices as (q1, p1, q2, p2) floats; a chain's last two are
+        the label-mapped centers."""
+        a = _coordinates(self.vertex_a)
         if self.is_evolved:
-            labels = _chain_labels(_coordinates(self.vertex_a), self._trig)
-            return TriangleConfig(self.vertex_a, *(_mode_pair(v) for v in labels))
-        return TriangleConfig(self.vertex_a, self.vertex_b, self.vertex_c)
+            return (a, *_chain_labels(a, self._trig))
+        return (a, _coordinates(self.vertex_b), _coordinates(self.vertex_c))
 
     def fock_invariant(self, dim: TruncationDim) -> PhaseResult:
         if self.is_evolved:
@@ -518,18 +423,13 @@ class PhaseScenario:
         )
 
     def printed_invariant(self) -> PhaseResult:
-        return geometric_phase(self.triangle(), self.occupation)
+        return _printed_result(_printed_phase(*_mode_terms(*self._vertices), self.occupation))
 
     def coherent_invariant(self) -> PhaseResult | None:
         """Exact coherent closed form; applicable only to occupation (0, 0)."""
         if self.occupation != (0, 0):
             return None
-        tri = self.triangle()
-        labels = [
-            CoherentLabel(v[0].to_complex(), v[1].to_complex())
-            for v in (tri.vertex_a, tri.vertex_b, tri.vertex_c)
-        ]
-        return bargmann_triple_coherent(*labels)
+        return _coherent_result(*self._vertices)
 
 
 def circular_delta(phase_a: float, phase_b: float) -> float:
@@ -640,7 +540,7 @@ def evolved_grid_results(state: StateSpec, thetas1, thetas2, dim: TruncationDim)
     and the printed form's terms).
     """
     weights = state.sector_weights(dim)
-    p, a, origin = state.quasi_probability(), _coordinates(state.centers), state.label()
+    p, a = state.quasi_probability(), _coordinates(state.centers)
     coherent = state.occupation == (0, 0)
     n1, n2 = len(thetas1), len(thetas2)
     points = max(1, fock.BLOCK_BYTES // (16 * 7 * 7))  # one (7, 7) kernel form a point
@@ -668,12 +568,8 @@ def evolved_grid_results(state: StateSpec, thetas1, thetas2, dim: TruncationDim)
                     "phase_space_pairing": phase_result(point[1], METHOD_PHASE_SPACE_PAIRING),
                 }
                 if coherent:
-                    bq1, bp1, bq2, bp2, cq1, cp1, cq2, cp2 = (x[g] for x in grid[5:])
-                    results["coherent_closed_form"] = bargmann_triple_coherent(
-                        origin,
-                        CoherentLabel(complex(bq1, bp1), complex(bq2, bp2)),
-                        CoherentLabel(complex(cq1, cp1), complex(cq2, cp2)),
-                    )
+                    bc = [x[g] for x in grid[5:]]
+                    results["coherent_closed_form"] = _coherent_result(a, bc[:4], bc[4:])
                 results["printed_closed_form"] = _printed_result(
                     _printed_phase(*point[2:], state.occupation))
                 yield results

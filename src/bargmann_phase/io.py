@@ -210,7 +210,9 @@ def _numbers(obj, name: str, length: int, kind=float) -> list:
     if name not in obj:
         raise ValueError(f"pfunc document lacks the field {name!r}")
     value = obj[name]
-    if isinstance(value, list) and len(value) == length:
+    # JSON true and false are no numbers, though bool is an int subclass
+    if isinstance(value, list) and len(value) == length and not any(
+            isinstance(x, bool) for x in value):
         try:
             numbers = [kind(x) for x in value]
         except (TypeError, ValueError):

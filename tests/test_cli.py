@@ -1,16 +1,20 @@
 import contextlib
 import csv
+import importlib.util
 import io as stdio
 import json
 import math
+import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bargmann_phase
 from bargmann_phase import cli, fock, geomphase, pdistribution, validation
 from bargmann_phase import io as io_mod
 from bargmann_phase.fock import TruncationDim, TruncationLeakageWarning
@@ -458,7 +462,7 @@ def test_sweep_csv_matches_csv_writer_reference(centers):
     dim = TruncationDim(5)
     rows = [
         io_mod.sweep_row(method_reconciliation(
-            PhaseScenario((1, 1), vertex, t1, t2, initial_state=state), dim=dim, results=results))
+            PhaseScenario((1, 1), vertex, t1, t2), dim=dim, results=results))
         for (t1, t2), results in zip(
             ((t1, t2) for t1 in grid for t2 in grid),
             geomphase.evolved_grid_results(state, grid, grid, dim))
@@ -632,6 +636,10 @@ def test_pfunc_from_tampered_document_rejected(tmp_path, capsys):
     assert "error" in err
 
 
+def with_first_term(doc, **fields):
+    return {**doc, "terms": [{**doc["terms"][0], **fields}, *doc["terms"][1:]]}
+
+
 @pytest.mark.parametrize(
     "tamper, field",
     [
@@ -641,9 +649,15 @@ def test_pfunc_from_tampered_document_rejected(tmp_path, capsys):
         (lambda doc: {**doc, "shift": doc["shift"][:3]}, "'shift'"),
         (lambda doc: {**doc, "envelope": False}, "'envelope'"),
         (lambda doc: {**doc, "occupation": [1.9, 0.2]}, "'occupation'"),
+        (lambda doc: {**doc, "occupation": [True, False]}, "'occupation'"),
+        (lambda doc: {**doc, "shift": [False, 0, 0, 0]}, "'shift'"),
+        (lambda doc: with_first_term(doc, coeff=[0.25, False]), "'coeff'"),
+        (lambda doc: with_first_term(doc, center=[False, 0, 0, 0]), "'center'"),
+        (lambda doc: with_first_term(doc, orders=[2, 0, 0, False]), "'orders'"),
     ],
     ids=["not-an-object", "missing-terms", "missing-shift", "short-shift", "envelope-false",
-         "fractional-occupation"],
+         "fractional-occupation", "boolean-occupation", "boolean-shift", "boolean-coeff",
+         "boolean-center", "boolean-orders"],
 )
 def test_pfunc_from_malformed_document_is_usage_error(tmp_path, capsys, tamper, field):
     path = tmp_path / "p.json"
@@ -701,3 +715,28 @@ def test_sweep_full_default_grid(capsys):
     lines = out.strip().split("\n")
     assert len(lines) == 1 + 21 * 21
     assert all(line.endswith(",ok") for line in lines[1:])
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_benchmark_tracer_targets_resolve_on_the_package():
+    # the benchmark's traced run fails on a target it cannot find; reading the
+    # targets here fails the same deletion in seconds
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for name, home, path, _ in tracer.TARGETS:
+        owner = getattr(bargmann_phase, home)
+        for attr in path.split("."):
+            owner = getattr(owner, attr, None)
+        assert callable(owner), f"{name}: {home}.{path} is absent"
+
+
+def test_readme_python_blocks_run(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.rstrip().endswith(" ok")

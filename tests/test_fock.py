@@ -15,7 +15,6 @@ from bargmann_phase.fock import (
     chain_invariant,
     chain_invariants,
     chain_weights,
-    coherent_state,
     displaced_fock_state,
     displaced_fock_states,
     displacement_operator,
@@ -23,7 +22,6 @@ from bargmann_phase.fock import (
     evolve_state,
     mode_annihilation,
     phase_result,
-    polarizer_generator,
     polarizer_unitary,
     principal_phase,
     single_mode_displacement,
@@ -69,10 +67,6 @@ def test_mode_annihilation_action_on_basis():
     assert np.count_nonzero(out2) == 1
 
 
-def test_polarizer_generator_matrix():
-    np.testing.assert_array_equal(polarizer_generator(), [[0.0, 1.0], [1.0, 0.0]])
-
-
 def test_polarizer_generator_from_transmission_derivative():
     # the mode-coupling direction is the angle derivative of the
     # transmission matrix at zero rotation
@@ -81,7 +75,7 @@ def test_polarizer_generator_from_transmission_derivative():
             deriv = oracles.central_difference(
                 lambda t, r=row, c=col: oracles.transmission_matrix(t)[r, c], 0.0, 1
             )
-            assert deriv == pytest.approx(polarizer_generator()[row, col], abs=1e-9)
+            assert deriv == pytest.approx([[0, 1], [1, 0]][row][col], abs=1e-9)
 
 
 @pytest.mark.parametrize("theta", [0.37, math.pi / 2, math.pi])
@@ -138,7 +132,7 @@ def test_polarizer_sectors_reject_non_orthogonal_basis(monkeypatch):
         return vals, vecs * 1.001
 
     dim = TruncationDim(7)
-    rho = DensityOperator.from_state_vector(coherent_state(0.1, 0.2j, dim), dim)
+    rho = DensityOperator.from_state_vector(displaced_fock_state(0.1, 0, 0.2j, 0, dim), dim)
     monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
     with pytest.raises(ValueError, match="not unitary"):
         evolve(rho, polarizer_unitary(0.5, dim))
@@ -362,7 +356,7 @@ def test_displacement_matches_per_z_eigh():
 def test_two_mode_coherent_state_amplitudes():
     dim = TruncationDim(20)
     z1, z2 = 0.2 + 0.1j, -0.15 + 0.25j
-    vec = coherent_state(z1, z2, dim)
+    vec = displaced_fock_state(z1, 0, z2, 0, dim)
     np.testing.assert_allclose(
         vec, oracles.two_mode_coherent_vector(z1, z2, dim.n_max), atol=1e-12
     )
@@ -424,14 +418,14 @@ def test_evolve_matches_coherent_label_map():
     dim = TruncationDim(22)
     z1, z2 = 0.21 - 0.13j, -0.08 + 0.26j
     theta = 0.83
-    rho = DensityOperator.from_state_vector(coherent_state(z1, z2, dim), dim)
+    rho = DensityOperator.from_state_vector(displaced_fock_state(z1, 0, z2, 0, dim), dim)
     evolved = evolve(rho, polarizer_unitary(theta, dim))
     mapped = polarizer_label_map(theta, CoherentLabel(z1, z2))
-    target_vec = coherent_state(mapped.z1, mapped.z2, dim)
+    target_vec = displaced_fock_state(mapped.z1, 0, mapped.z2, 0, dim)
     target = DensityOperator.from_state_vector(target_vec, dim)
     assert np.max(np.abs(evolved.matrix - target.matrix)) < 1e-10
     # the vector form carries no residual phase either
-    vec = coherent_state(z1, z2, dim)
+    vec = displaced_fock_state(z1, 0, z2, 0, dim)
     assert np.max(np.abs(evolve_state(vec, theta, dim) - target_vec)) < 1e-12
 
 
@@ -508,7 +502,7 @@ def test_triple_overlap_matches_projector_trace():
         assert abs(got.invariant - triple_product_trace(*rhos).invariant) <= 1e-12
         assert got.method == "fock_oracle"
     with pytest.raises(ValueError):
-        triple_overlap(vecs[0], vecs[1], coherent_state(0.0, 0.0, TruncationDim(6)))
+        triple_overlap(vecs[0], vecs[1], displaced_fock_state(0.0, 0, 0.0, 0, TruncationDim(6)))
 
 
 def test_phase_result_cutoff_and_principal_branch():

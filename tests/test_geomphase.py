@@ -4,16 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from bargmann_phase import io as io_mod
-from bargmann_phase import pdistribution
+from bargmann_phase import geomphase, pdistribution
 from bargmann_phase.coherent import label_map_matrix
 from bargmann_phase.fock import (
     DensityOperator,
     TruncationDim,
+    displaced_fock_state,
     evolve,
     polarizer_unitary,
     triple_overlap,
@@ -22,14 +23,10 @@ from bargmann_phase.fock import (
 from bargmann_phase.geomphase import (
     PhaseScenario,
     StateSpec,
-    TriangleConfig,
     circular_delta,
     closed_form_audit,
-    closed_form_terms,
-    geometric_phase,
     method_reconciliation,
     phase_space_trace,
-    phase_space_trace_evolved,
     random_evolved_scenarios,
     random_independent_scenarios,
     run_reconciliation,
@@ -48,6 +45,11 @@ def random_spec(rng, scale=0.35, occupation=None):
     return spec(occupation, complex(vals[0], vals[1]), complex(vals[2], vals[3]))
 
 
+def state_vector(occupation, vertex, dim):
+    return displaced_fock_state(vertex[0].to_complex(), occupation[0],
+                                vertex[1].to_complex(), occupation[1], dim)
+
+
 def oracle_invariant(specs):
     return oracles.triple_invariant_independent(
         [s.occupation for s in specs],
@@ -58,17 +60,19 @@ def oracle_invariant(specs):
 def test_state_spec_validation_and_views():
     s = spec((1, 0), 0.3 - 0.2j, 0.1j)
     assert s.centers[0].to_complex() == 0.3 - 0.2j
-    assert s.label().z2 == 0.1j
+    assert s.centers[1].to_complex() == 0.1j
     with pytest.raises(ValueError):
         StateSpec((2, 0), ORIGIN, ORIGIN)
+    with pytest.raises(ValueError, match="supported occupations"):
+        PhaseScenario.evolved((2, 0), (ORIGIN, ORIGIN), 0.1, 0.2)
 
 
-def test_state_spec_memo_leaves_equality_and_hash_on_fields():
+def test_state_spec_equality_and_hash_on_fields():
     a = spec((1, 1), 0.3 - 0.2j, 0.1 + 0.25j)
     b = spec((1, 1), 0.3 - 0.2j, 0.1 + 0.25j)
     dim = TruncationDim(12)
-    assert a.quasi_probability() is a.quasi_probability()
-    assert a.sector_weights(dim) is a.sector_weights(dim)
+    assert a.quasi_probability() == b.quasi_probability()
+    np.testing.assert_array_equal(a.sector_weights(dim), b.sector_weights(dim))
     assert a == b and hash(a) == hash(b)
     assert a != spec((1, 0), 0.3 - 0.2j, 0.1 + 0.25j)
 
@@ -78,17 +82,9 @@ def test_scenario_holds_a_matching_initial_state():
     first = PhaseScenario.evolved((1, 1), vertex, 0.4, 0.7)
     assert first.initial_state == StateSpec((1, 1), *vertex)
     moved = dataclasses.replace(first, theta1=1.1)
-    assert moved.initial_state is first.initial_state
+    assert moved.initial_state == first.initial_state
     assert moved == PhaseScenario.evolved((1, 1), vertex, 1.1, 0.7)
-    with pytest.raises(ValueError, match="initial_state"):
-        dataclasses.replace(first, vertex_a=(ORIGIN, ORIGIN))
-
-
-def test_state_spec_state_vector_matches_label():
-    dim = TruncationDim(16)
-    s = spec((0, 0), 0.2 + 0.1j, -0.15j)
-    vec = oracles.two_mode_coherent_vector(0.2 + 0.1j, -0.15j, dim.n_max)
-    np.testing.assert_allclose(s.state_vector(dim), vec, atol=1e-10)
+    assert dataclasses.replace(first, vertex_a=(ORIGIN, ORIGIN)).initial_state == StateSpec((1, 1))
 
 
 def test_pairing_matches_analytic_oracle_independent():
@@ -117,7 +113,7 @@ def test_pairing_matches_fock_oracle_independent():
     for _ in range(5):
         specs = [random_spec(rng, scale=0.3) for _ in range(3)]
         pairing = phase_space_trace(*specs)
-        fock = triple_overlap(*(s.state_vector(dim) for s in specs))
+        fock = triple_overlap(*(state_vector(s.occupation, s.centers, dim) for s in specs))
         assert abs(pairing.invariant - fock.invariant) <= 1e-8
 
 
@@ -161,12 +157,13 @@ def test_evolved_pairing_matches_fock_oracle():
 def dense_fock_invariant(scenario, dim):
     """Tr(rho1 rho2 rho3) from density matrices and the dense polarizer."""
     if scenario.is_evolved:
-        rho1 = DensityOperator.from_state_vector(scenario.initial_state.state_vector(dim), dim)
+        psi1 = state_vector(scenario.occupation, scenario.vertex_a, dim)
+        rho1 = DensityOperator.from_state_vector(psi1, dim)
         rho2 = evolve(rho1, polarizer_unitary(scenario.theta1, dim))
         rhos = (rho1, rho2, evolve(rho2, polarizer_unitary(scenario.theta2, dim)))
     else:
         vertices = (scenario.vertex_a, scenario.vertex_b, scenario.vertex_c)
-        vecs = [StateSpec(scenario.occupation, *v).state_vector(dim) for v in vertices]
+        vecs = [state_vector(scenario.occupation, v, dim) for v in vertices]
         rhos = [DensityOperator.from_state_vector(v, dim) for v in vecs]
     return triple_product_trace(*rhos).invariant
 
@@ -198,6 +195,23 @@ def vertex_from(values):
     return (PhaseSpacePoint(values[0], values[1]), PhaseSpacePoint(values[2], values[3]))
 
 
+def chain_bound(scenario, dim):
+    """3 w_out: f(t) = <psi1|e^{-itG}|psi1> loses at most w_out = 1 - sum(p), the
+    weight beyond n1 + n2 <= n_max, and |f| <= 1, so the chain's invariant is
+    within 3 w_out of the exact one, which the pairing computes."""
+    return 3 * (1.0 - scenario.initial_state.sector_weights(dim).sum())
+
+
+def triangle_bound(scenario, dim):
+    """The sum over pairs of sqrt(eps_i eps_j): each truncated overlap misses the
+    exact one by at most sqrt(eps_i eps_j), eps_i the weight of state i beyond the
+    cut (Cauchy-Schwarz), and every overlap has modulus at most 1."""
+    vertices = (scenario.vertex_a, scenario.vertex_b, scenario.vertex_c)
+    eps = [max(1.0 - np.linalg.norm(state_vector(scenario.occupation, v, dim)) ** 2, 0.0)
+           for v in vertices]
+    return sum(math.sqrt(eps[i] * eps[i - 1]) for i in range(3))
+
+
 @pytest.mark.filterwarnings("ignore::bargmann_phase.fock.TruncationLeakageWarning")
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
@@ -208,14 +222,10 @@ def vertex_from(values):
     theta2=st.floats(-10.0, 10.0),
 )
 def test_chain_truncation_error_is_within_the_proven_bound(n_max, occupation, centers, theta1, theta2):
-    # f(t) = <psi1|e^{-itG}|psi1> loses at most w_out = 1 - sum(p), the weight
-    # beyond n1 + n2 <= n_max, and |f| <= 1, so the chain's invariant is within
-    # 3 w_out of the exact one, which the pairing computes
     scenario = PhaseScenario.evolved(occupation, vertex_from(centers), theta1, theta2)
     dim = TruncationDim(n_max)
-    w_out = 1.0 - scenario.initial_state.sector_weights(dim).sum()
     error = abs(scenario.fock_invariant(dim).invariant - scenario.pairing_invariant().invariant)
-    assert error <= 3 * w_out + 1e-12
+    assert error <= chain_bound(scenario, dim) + 1e-12
 
 
 @pytest.mark.filterwarnings("ignore::bargmann_phase.fock.TruncationLeakageWarning")
@@ -226,16 +236,52 @@ def test_chain_truncation_error_is_within_the_proven_bound(n_max, occupation, ce
     centers=st.lists(st.floats(-2.0, 2.0), min_size=12, max_size=12),
 )
 def test_triangle_truncation_error_is_within_the_proven_bound(n_max, occupation, centers):
-    # each truncated overlap misses the exact one by at most sqrt(eps_i eps_j),
-    # eps_i the weight of state i beyond the cut (Cauchy-Schwarz), and every
-    # overlap has modulus at most 1
     vertices = [vertex_from(centers[i : i + 4]) for i in (0, 4, 8)]
     scenario = PhaseScenario.independent(occupation, *vertices)
     dim = TruncationDim(n_max)
-    eps = [1.0 - np.linalg.norm(StateSpec(occupation, *v).state_vector(dim)) ** 2 for v in vertices]
-    bound = sum(math.sqrt(max(eps[i], 0.0) * max(eps[i - 1], 0.0)) for i in range(3))
     error = abs(scenario.fock_invariant(dim).invariant - scenario.pairing_invariant().invariant)
-    assert error <= bound + 1e-12
+    assert error <= triangle_bound(scenario, dim) + 1e-12
+
+
+def assert_phases_agree_under_the_bound(scenario, bound, dim, tol):
+    # the Fock invariant lies within bound (plus 1e-12 of rounding, as above) of
+    # the exact one; relative to |exact| below sin(tol), its phase is within tol
+    exact = scenario.pairing_invariant()
+    assume(bound + 1e-12 < tol / 10 * abs(exact.invariant))
+    fock = scenario.fock_invariant(dim)
+    assert circular_delta(fock.phase, exact.phase) <= tol
+
+
+@pytest.mark.filterwarnings("ignore::bargmann_phase.fock.TruncationLeakageWarning")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n_max=st.integers(5, 25),
+    occupation=occupations_strategy,
+    centers=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    theta1=st.floats(-10.0, 10.0),
+    theta2=st.floats(-10.0, 10.0),
+    tol=st.sampled_from([1e-6, 1e-3]),
+)
+def test_chain_phases_agree_when_the_bound_is_below_a_tenth_of_tol(
+    n_max, occupation, centers, theta1, theta2, tol
+):
+    scenario = PhaseScenario.evolved(occupation, vertex_from(centers), theta1, theta2)
+    dim = TruncationDim(n_max)
+    assert_phases_agree_under_the_bound(scenario, chain_bound(scenario, dim), dim, tol)
+
+
+@pytest.mark.filterwarnings("ignore::bargmann_phase.fock.TruncationLeakageWarning")
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n_max=st.integers(5, 25),
+    occupation=occupations_strategy,
+    centers=st.lists(st.floats(-2.0, 2.0), min_size=12, max_size=12),
+    tol=st.sampled_from([1e-6, 1e-3]),
+)
+def test_triangle_phases_agree_when_the_bound_is_below_a_tenth_of_tol(n_max, occupation, centers, tol):
+    scenario = PhaseScenario.independent(occupation, *(vertex_from(centers[i : i + 4]) for i in (0, 4, 8)))
+    dim = TruncationDim(n_max)
+    assert_phases_agree_under_the_bound(scenario, triangle_bound(scenario, dim), dim, tol)
 
 
 def real_coordinate_invariant(scenario, kernel):
@@ -299,22 +345,20 @@ def test_wirtinger_form_of_single_photons_is_one_term():
 
 
 def test_evolved_pairing_zero_angles_gives_unit_invariant():
-    s = spec((1, 1), 0.25, -0.2j)
-    res = phase_space_trace_evolved(s, 0.0, 0.0)
+    scenario = PhaseScenario.evolved((1, 1), (PhaseSpacePoint(0.25, 0.0), PhaseSpacePoint(0.0, -0.2)),
+                                     0.0, 0.0)
+    res = scenario.pairing_invariant()
     assert abs(res.invariant - 1.0) < 1e-12
     assert res.phase == pytest.approx(0.0, abs=1e-12)
 
 
 def test_evolved_triangle_vertices_follow_label_map():
     scenario = PhaseScenario.evolved((1, 1), (PhaseSpacePoint(1.0, 0.0), ORIGIN), math.pi / 2, 0.0)
-    tri = scenario.triangle()
-    b1, b2 = tri.vertex_b
-    assert b1.to_complex() == pytest.approx(0.0, abs=1e-15)
-    assert b2.to_complex() == pytest.approx(-1j, abs=1e-15)
+    a, b, c = scenario._vertices
+    assert a == (1.0, 0.0, 0.0, 0.0)
+    assert b == pytest.approx((0.0, 0.0, 0.0, -1.0), abs=1e-15)
     # theta2 = 0 keeps the third vertex equal to the second
-    c1, c2 = tri.vertex_c
-    assert c1.to_complex() == pytest.approx(b1.to_complex(), abs=1e-15)
-    assert c2.to_complex() == pytest.approx(b2.to_complex(), abs=1e-15)
+    assert c == pytest.approx(b, abs=1e-15)
 
 
 def test_transcribed_kernel_fails_equal_states_sanity():
@@ -337,25 +381,18 @@ def test_unknown_kernel_rejected():
 def test_closed_form_terms_hand_worked_triangle():
     # mode-1 vertices (0,0), (1,0), (0,1), mode 2 at the origin:
     # cycle = 1, x1 = y1 = 1, x2 = 1, y2 = 0
-    tri = TriangleConfig(
-        vertex_a=(ORIGIN, ORIGIN),
-        vertex_b=(PhaseSpacePoint(1.0, 0.0), ORIGIN),
-        vertex_c=(PhaseSpacePoint(0.0, 1.0), ORIGIN),
-    )
-    terms = closed_form_terms(tri)
-    assert terms.symplectic_sum == 1.0
-    assert (terms.x1, terms.y1) == (1.0, 1.0)
-    assert (terms.x2, terms.y2) == (1.0, 0.0)
-    assert terms.phase((0, 0)) == pytest.approx(1.0, abs=1e-15)
-    assert terms.phase((0, 1)) == pytest.approx(1.0, abs=1e-15)
-    assert terms.phase((1, 0)) == pytest.approx(1.0 + math.pi / 4, abs=1e-15)
-    assert terms.phase((1, 1)) == pytest.approx(1.0 + math.pi / 4, abs=1e-15)
+    vertices = ((ORIGIN, ORIGIN), (PhaseSpacePoint(1.0, 0.0), ORIGIN), (PhaseSpacePoint(0.0, 1.0), ORIGIN))
+    terms = geomphase._mode_terms(*(geomphase._coordinates(v) for v in vertices))
+    assert terms == (1.0, 1.0, 1.0, 1.0, 0.0)
+    want = {(0, 0): 1.0, (0, 1): 1.0, (1, 0): 1.0 + math.pi / 4, (1, 1): 1.0 + math.pi / 4}
+    for occupation, phase in want.items():
+        res = PhaseScenario.independent(occupation, *vertices).printed_invariant()
+        assert res.phase == pytest.approx(phase, abs=1e-15)
 
 
 def test_closed_form_origin_triangle_is_zero():
-    tri = TriangleConfig((ORIGIN, ORIGIN), (ORIGIN, ORIGIN), (ORIGIN, ORIGIN))
     for occupation in [(0, 0), (1, 1)]:
-        res = geometric_phase(tri, occupation)
+        res = PhaseScenario.independent(occupation, *((ORIGIN, ORIGIN),) * 3).printed_invariant()
         assert res.phase == 0.0
         assert res.invariant == 1.0 + 0.0j
 
@@ -378,12 +415,13 @@ def test_closed_form_vacuum_reduction_is_exact():
 
 
 def test_geometric_phase_unit_modulus():
-    tri = TriangleConfig(
+    scenario = PhaseScenario.independent(
+        (1, 1),
         (PhaseSpacePoint(0.3, 0.1), ORIGIN),
         (PhaseSpacePoint(-0.2, 0.4), PhaseSpacePoint(0.1, 0.0)),
         (ORIGIN, PhaseSpacePoint(0.2, -0.3)),
     )
-    res = geometric_phase(tri, (1, 1))
+    res = scenario.printed_invariant()
     assert abs(res.invariant) == pytest.approx(1.0, rel=1e-15)
     assert res.phase == pytest.approx(cmath.phase(res.invariant), abs=1e-12)
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from bargmann_phase import geomphase, pdistribution
-from bargmann_phase.fock import DensityOperator, TruncationDim
+from bargmann_phase.fock import DensityOperator, TruncationDim, displaced_fock_state
 from bargmann_phase.geomphase import (
     StateSpec,
     random_evolved_scenarios,
@@ -273,8 +273,9 @@ mode_numbers = st.tuples(st.integers(0, 3), st.integers(0, 3))
 )
 def test_reconstruction_matches_state_vector_outer_product(occupation, centers, bra, ket):
     dim = TruncationDim(20)
-    state = StateSpec.from_complex(occupation, complex(*centers[:2]), complex(*centers[2:]))
-    psi = state.state_vector(dim)
+    z1, z2 = complex(*centers[:2]), complex(*centers[2:])
+    state = StateSpec.from_complex(occupation, z1, z2)
+    psi = displaced_fock_state(z1, occupation[0], z2, occupation[1], dim)
     want = psi[dim.index(*bra)] * np.conjugate(psi[dim.index(*ket)])
     got = reconstruct_density_element(state.quasi_probability(), bra, ket)
     assert abs(got - want) <= 1e-8

@@ -49,7 +49,6 @@ from .geomphase import (
     run_reconciliation,
 )
 from .pdistribution import (
-    DeltaDerivativeTerm,
     PhaseSpacePoint,
     QuasiProbability,
     fock_element_function,

@@ -52,7 +52,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -141,34 +141,18 @@ class StateSpec:
 # Phase-space pairing engine
 
 
-# The kernel is exp(conj(w)·W·w), w the stacked labels of the three slots.
-_KERNEL_WEIGHTS = {
-    # <w1|w2><w2|w3><w3|w1>: -|w_i|^2 plus the cyclic coupling conj(w_i)·w_{i+1}
-    "derived": np.kron(np.roll(np.eye(3), 1, axis=1) - np.eye(3), np.eye(2)),
-    # Verbatim structure of the source's complex-label trace expression:
-    # slot-2 self-energy doubled in mode 1 and missing in mode 2, slot-3
-    # self-energy sign-flipped and then doubled by a self-coupling that
-    # replaces the cycle-closing cross term. Kept for the audit; fails
-    # the equal-states sanity check away from the origin.
-    "transcribed": np.kron([[-1, 1, 0], [0, 0, 1], [0, 0, 2]], np.eye(2))
-    + np.diag([0, 0, -2, 0, 0, 0]),
-}
+# The kernel <w1|w2><w2|w3><w3|w1> is exp(conj(w)·W·w), w the stacked labels of the
+# three slots: -|w_i|^2 plus the cyclic coupling conj(w_i)·w_{i+1}.
+_KERNEL_WEIGHTS = np.kron(np.roll(np.eye(3), 1, axis=1) - np.eye(3), np.eye(2))
 
-
-def _kernel_weights(kernel: str) -> np.ndarray:
-    if kernel not in _KERNEL_WEIGHTS:
-        raise ValueError(f"unknown kernel {kernel!r}")
-    return _KERNEL_WEIGHTS[kernel]
-
-
-@lru_cache(maxsize=None)
-def _independent_kernel(kernel: str) -> GaussianFunction:
-    """The kernel exp(conj(z)·W·z) over the P variables 2*slot + mode of three
-    independent states as a GaussianFunction, built once per kernel."""
-    form = np.zeros((7, 7))  # no linear or constant part
-    form[:6, :6] = _kernel_weights(kernel)
-    form.flags.writeable = False
-    return GaussianFunction(form)
+# Where _chain_kernel writes each value, as flat indices into the float view of a
+# (7, 7) complex form, and the form's constant diagonal. A map
+# M = [[c, -i s], [-i s, c]] puts c in the real part of its block's diagonal and -s
+# in the imaginary part off it; (M1 M2)† has +s12 there.
+_KERNEL_INDEX = np.array([14 * (r + i) + 2 * (c + j) + part for r, c in ((0, 2), (2, 4), (4, 0))
+                          for i, j, part in ((0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1))])
+_KERNEL_DIAGONAL = np.zeros(98)
+_KERNEL_DIAGONAL[16 * np.arange(6)] = np.diag(_KERNEL_WEIGHTS)
 
 
 def _chain_trig(thetas1, thetas2) -> tuple:
@@ -190,61 +174,40 @@ def _composed(c1, s1, c2, s2) -> tuple:
     return c1, s1, c2, s2, c1 * c2 - s1 * s2, s1 * c2 + c1 * s2
 
 
-@lru_cache(maxsize=None)
-def _chain_kernel_layout(kernel: str) -> tuple:
-    """Where _chain_kernel writes each value, as flat indices into the float view
-    of a (7, 7) complex form, and the form's constant diagonal. A map
-    M = [[c, -i s], [-i s, c]] puts c in the real part of its block's diagonal
-    and -s in the imaginary part off it; (M1 M2)† has +s12 there."""
-    blocks = ((0, 2), (2, 4)) + (((4, 0),) if kernel == "derived" else ((2, 2),))
-    index = np.array([14 * (r + i) + 2 * (c + j) + part for r, c in blocks
-                      for i, j, part in ((0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1))])
-    diag = np.zeros(98)
-    diag[16 * np.arange(6)] = np.diag(_kernel_weights(kernel))
-    for a in (index, diag):
-        a.flags.writeable = False
-    return index, diag
-
-
-def _chain_kernel(trig: tuple, kernel: str) -> GaussianFunction:
+def _chain_kernel(trig: tuple) -> GaussianFunction:
     """The kernels exp(conj(z)·B·z) of the chains of a _chain_trig grid, stacked in
     row-major order, or the one kernel of _single_trig floats.
 
     B = L† W L with L = diag(1, M1, M1 M2) comes in closed block form: the maps
     are unitary, so a block W_ij = a I is a L_i† L_j, which is -1 on the diagonal
-    and M1, M2 or (M1 M2)† off it. The transcribed kernel's slot-2 block
-    diag(-2, 0) gives -2 conj(c1, -i s1)^T (c1, -i s1). Every entry is a trig
-    value or a real product of them, so a grid's form has the bits of the
-    single kernel of its chain."""
-    index, diag = _chain_kernel_layout(kernel)
+    and M1, M2 or (M1 M2)† off it. Every entry is a trig value, so a grid's form
+    has the bits of the single kernel of its chain."""
     c1, s1, c2, s2, c12, s12 = trig
-    values = [c1, c1, -s1, -s1, c2, c2, -s2, -s2]
-    if kernel == "derived":
-        values += [c12, c12, s12, s12]
-    else:
-        cs = 2 * c1 * s1
-        values += [-2 * c1 * c1, -2 * s1 * s1, cs, -cs]
+    values = [c1, c1, -s1, -s1, c2, c2, -s2, -s2, c12, c12, s12, s12]
     if not np.shape(c12):
-        form = diag.copy()
-        form[index] = values
+        form = _KERNEL_DIAGONAL.copy()
+        form[_KERNEL_INDEX] = values
         return GaussianFunction(form.view(complex).reshape(7, 7))
-    form = np.broadcast_to(diag, c12.shape + (98,)).copy()
-    form[..., index] = np.stack(np.broadcast_arrays(*values), axis=-1)
+    form = np.broadcast_to(_KERNEL_DIAGONAL, c12.shape + (98,)).copy()
+    form[..., _KERNEL_INDEX] = np.stack(np.broadcast_arrays(*values), axis=-1)
     return GaussianFunction(form.view(complex).reshape(-1, 7, 7))
 
 
-def _chain_pairings(p: QuasiProbability, trig: tuple, kernel: str) -> np.ndarray:
+def _chain_pairings(p: QuasiProbability, trig: tuple) -> np.ndarray:
     """pair_product of p in all three slots with every chain kernel of a _chain_trig
     grid, or with the one kernel of _single_trig floats."""
-    return pair_product((p,) * 3, _chain_kernel(trig, kernel))
+    return pair_product((p,) * 3, _chain_kernel(trig))
 
 
-def phase_space_trace(
-    s1: StateSpec, s2: StateSpec, s3: StateSpec, *, kernel: str = "derived"
-) -> PhaseResult:
+# Three independent states pair against the kernel of a chain with no polarizer,
+# L = 1, whose form is W over the P variables 2*slot + mode.
+_TRIANGLE_KERNEL = _chain_kernel(_single_trig(0.0, 0.0))
+
+
+def phase_space_trace(s1: StateSpec, s2: StateSpec, s3: StateSpec) -> PhaseResult:
     """Bargmann invariant of three independent states via their P objects."""
     ps = (s1.quasi_probability(), s2.quasi_probability(), s3.quasi_probability())
-    return phase_result(pair_product(ps, _independent_kernel(kernel)), METHOD_PHASE_SPACE_PAIRING)
+    return phase_result(pair_product(ps, _TRIANGLE_KERNEL), METHOD_PHASE_SPACE_PAIRING)
 
 
 # ---------------------------------------------------------------------------
@@ -411,15 +374,14 @@ class PhaseScenario:
                   for v in (self.vertex_a, self.vertex_b, self.vertex_c)]
         return triangle_invariant(states, dim)
 
-    def pairing_invariant(self, kernel: str = "derived") -> PhaseResult:
+    def pairing_invariant(self) -> PhaseResult:
         if self.is_evolved:
-            pairing = _chain_pairings(self.initial_state.quasi_probability(), self._trig, kernel)
+            pairing = _chain_pairings(self.initial_state.quasi_probability(), self._trig)
             return phase_result(pairing, METHOD_PHASE_SPACE_PAIRING)
         return phase_space_trace(
             self.initial_state,
             StateSpec(self.occupation, *self.vertex_b),
             StateSpec(self.occupation, *self.vertex_c),
-            kernel=kernel,
         )
 
     def printed_invariant(self) -> PhaseResult:
@@ -555,7 +517,7 @@ def evolved_grid_results(state: StateSpec, thetas1, thetas2, dim: TruncationDim)
             t1, t2 = thetas1[i : i + rows], thetas2[j : j + cols]
             fock_route = fock_block[i - i0 : i - i0 + rows, j : j + cols].ravel().tolist()
             trig = _chain_trig(t1, t2)
-            pairing = _chain_pairings(p, trig, "derived").tolist()
+            pairing = _chain_pairings(p, trig).tolist()
             # float arithmetic overflows to inf without a warning; so does this
             with np.errstate(over="ignore", invalid="ignore"):
                 b, c = _chain_labels(a, trig)

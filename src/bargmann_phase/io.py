@@ -11,7 +11,7 @@ import math
 import operator
 
 from .geomphase import PhaseScenario, ReconciliationRow
-from .pdistribution import DeltaDerivativeTerm, PhaseSpacePoint, QuasiProbability
+from .pdistribution import PhaseSpacePoint, QuasiProbability, mehta_p_function
 
 __all__ = [
     "SCHEMA",
@@ -124,15 +124,7 @@ def sweep_document(rows, n_max: int, tolerance: float) -> dict:
         "n_max": n_max,
         "tolerance": tolerance,
         "rows": [
-            {
-                "theta1": _round_trip(r["theta1"]),
-                "theta2": _round_trip(r["theta2"]),
-                "phase_fock": _round_trip(r["phase_fock"]),
-                "phase_pairing": _round_trip(r["phase_pairing"]),
-                "phase_printed": _round_trip(r["phase_printed"]),
-                "abs_delta_max": _round_trip(r["abs_delta_max"]),
-                "flag": r["flag"],
-            }
+            {**{name: _round_trip(r[name]) for name in SWEEP_COLUMNS[:-1]}, "flag": r["flag"]}
             for r in rows
         ],
     }
@@ -170,14 +162,15 @@ def validation_document(checks, n_max: int, seed: int) -> dict:
 _MODE_FACTORS = {0: ((1.0, (0, 0)),), 1: ((0.25, (2, 0)), (0.25, (0, 2)))}
 
 
-def _delta_terms(occupation, shift) -> tuple:
-    """The (q, p) terms of the P of D(shift)|occupation>, in the schema's order."""
+def _delta_terms(occupation) -> list:
+    """(coeff, orders) of each (q, p) term of the P of |occupation>, in the schema's
+    order; a displaced state's terms sit at its shift."""
     if any(n not in _MODE_FACTORS for n in occupation):
         raise ValueError(f"unsupported occupation {occupation}; modes must be 0 or 1")
-    return tuple(
-        DeltaDerivativeTerm(w1 * w2, shift[0], shift[1], (*o1, *o2))
+    return [
+        (w1 * w2, (*o1, *o2))
         for (w1, o1), (w2, o2) in itertools.product(*(_MODE_FACTORS[n] for n in occupation))
-    )
+    ]
 
 
 def pfunc_document(
@@ -187,39 +180,38 @@ def pfunc_document(
 ) -> dict:
     """The P object p of D(shift)|occupation> as a document; its terms are written
     as the (q, p) delta derivatives of the schema."""
+    center = [shift[0].q, shift[0].p, shift[1].q, shift[1].p]
     return {
         "schema": SCHEMA,
         "kind": "pfunc",
         "occupation": list(occupation),
-        "shift": [shift[0].q, shift[0].p, shift[1].q, shift[1].p],
+        "shift": center,
         "envelope": p.envelope,
         "terms": [
-            {
-                "coeff": [t.coeff.real, t.coeff.imag],
-                "center": list(t.centers),
-                "orders": list(t.orders),
-            }
-            for t in _delta_terms(occupation, shift)
+            {"coeff": [coeff, 0.0], "center": list(center), "orders": list(orders)}
+            for coeff, orders in _delta_terms(occupation)
         ],
     }
 
 
 def _numbers(obj, name: str, length: int, kind=float) -> list:
-    """obj[name] as a list of `length` numbers of the given kind, unchanged by
-    the conversion (so 1.5 is no int); a ValueError names the field otherwise."""
+    """obj[name] as a list of `length` finite numbers of the given kind, unchanged
+    by the conversion (so 1.5 is no int); a ValueError names the field otherwise."""
     if name not in obj:
         raise ValueError(f"pfunc document lacks the field {name!r}")
     value = obj[name]
-    # JSON true and false are no numbers, though bool is an int subclass
+    # JSON true and false are no numbers, though bool is an int subclass; json.load
+    # reads NaN and Infinity, and a list of NaN equals itself
     if isinstance(value, list) and len(value) == length and not any(
-            isinstance(x, bool) for x in value):
+            isinstance(x, bool) or (isinstance(x, float) and not math.isfinite(x)) for x in value):
         try:
             numbers = [kind(x) for x in value]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             numbers = None
         if numbers == value:
             return numbers
-    raise ValueError(f"pfunc field {name!r} must be {length} {kind.__name__} values, got {value!r}")
+    raise ValueError(
+        f"pfunc field {name!r} must be {length} finite {kind.__name__} values, got {value!r}")
 
 
 def pfunc_from_document(doc) -> tuple[tuple[int, int], tuple[PhaseSpacePoint, PhaseSpacePoint], QuasiProbability]:
@@ -248,17 +240,14 @@ def pfunc_from_document(doc) -> tuple[tuple[int, int], tuple[PhaseSpacePoint, Ph
     for t in doc["terms"]:
         if not isinstance(t, dict):
             raise ValueError(f"each pfunc term is a JSON object, got {t!r}")
-        coeff, c = _numbers(t, "coeff", 2), _numbers(t, "center", 4)
-        center1, center2 = PhaseSpacePoint(c[0], c[1]), PhaseSpacePoint(c[2], c[3])
-        orders = tuple(_numbers(t, "orders", 4, int))
-        terms.append(DeltaDerivativeTerm(complex(coeff[0], coeff[1]), center1, center2, orders))
-    expected = _delta_terms(occupation, shift)
-    if len(expected) != len(terms):
+        coeff = _numbers(t, "coeff", 2)
+        terms.append((complex(*coeff), _numbers(t, "center", 4), tuple(_numbers(t, "orders", 4, int))))
+    expected = _delta_terms(occupation)
+    # written so that a NaN fails them, though _numbers lets none through
+    if len(terms) != len(expected) or not all(
+            orders == want_orders and abs(coeff - want) <= 1e-12
+            for (coeff, _, orders), (want, want_orders) in zip(terms, expected)):
         raise ValueError("pfunc terms do not match the declared state")
-    for have, want in zip(terms, expected):
-        if have.orders != want.orders or abs(have.coeff - want.coeff) > 1e-12:
-            raise ValueError("pfunc terms do not match the declared state")
-        for hc, wc in zip(have.centers, want.centers):
-            if abs(hc - wc) > 1e-9:
-                raise ValueError("pfunc centers do not match the declared shift")
-    return occupation, shift, QuasiProbability.from_delta_terms(terms)
+    if not all(abs(x - y) <= 1e-9 for _, center, _ in terms for x, y in zip(center, s)):
+        raise ValueError("pfunc centers do not match the declared shift")
+    return occupation, shift, mehta_p_function(occupation, shift)

@@ -18,9 +18,10 @@ f_mn(z) = <m|z><z|n>, and pair(P, 1) = Tr rho = 1.
 
 P objects are born in Wirtinger form (z, conj z) per mode, where
 (1/4)(d_q^2 + d_p^2) = d_z d_zbar: mehta_p_function builds every supported
-state as one WirtingerTerm. (q, p) delta derivatives (DeltaDerivativeTerm)
-are a boundary form of the pfunc schema and GaussianFunction.partial, which
-QuasiProbability.from_delta_terms converts.
+state as one WirtingerTerm. The (q, p) derivative orders of
+GaussianFunction.partial are expanded into Wirtinger terms by
+d_q = d_z + d_zbar and d_p = i(d_z - d_zbar); the pfunc schema's (q, p)
+terms are written and checked in module io.
 
 Pairing engine. Every test function is exp Q with
 Q(w) = conj(w)·H·w + a·w + b·conj(w) + c, which has no z-z or zbar-zbar
@@ -45,7 +46,6 @@ above 1 are outside the supported family.
 """
 from __future__ import annotations
 
-import cmath
 import collections
 import itertools
 import math
@@ -59,7 +59,6 @@ from . import fock
 
 __all__ = [
     "PhaseSpacePoint",
-    "DeltaDerivativeTerm",
     "WirtingerTerm",
     "QuasiProbability",
     "mehta_p_function",
@@ -97,31 +96,6 @@ class PhaseSpacePoint:
 ORIGIN = PhaseSpacePoint(0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class DeltaDerivativeTerm:
-    """coeff * envelope * product of (q, p) delta derivatives at a common center.
-
-    orders = (dq1, dp1, dq2, dp2) are the delta derivative orders per axis,
-    each in {0, 1, 2}. The envelope exp{+(x - center)^2} per axis, centred with
-    the deltas, is on unless QuasiProbability.from_delta_terms is told otherwise.
-    """
-
-    coeff: complex
-    center1: PhaseSpacePoint
-    center2: PhaseSpacePoint
-    orders: tuple[int, int, int, int]
-
-    def __post_init__(self):
-        if len(self.orders) != 4 or any(o not in (0, 1, 2) for o in self.orders):
-            raise ValueError(f"orders must be four values in 0..2, got {self.orders}")
-        if not cmath.isfinite(self.coeff) or self.coeff == 0:
-            raise ValueError(f"term coefficient must be finite and nonzero, got {self.coeff}")
-
-    @property
-    def centers(self) -> tuple[float, float, float, float]:
-        return (self.center1.q, self.center1.p, self.center2.q, self.center2.p)
-
-
 class WirtingerTerm(NamedTuple):
     """A P term in Wirtinger form: paired with f it gives coeff times d^z_vars d^zbar_vars
     of envelope * f at the centers (c1, c2), so coeff holds the sign (-1)^order of the
@@ -143,19 +117,6 @@ class QuasiProbability:
     def __post_init__(self):
         if not self.terms:
             raise ValueError("a QuasiProbability needs at least one term")
-
-    @classmethod
-    def from_delta_terms(cls, terms, envelope: bool = True) -> "QuasiProbability":
-        """The P object of (q, p) DeltaDerivativeTerms. Equal Wirtinger terms are
-        collected, so the four (q, p) terms of |1, 1> become d_z d_zbar per mode."""
-        collected: dict = {}
-        for t in terms:
-            centers = (t.center1.to_complex(), t.center2.to_complex())
-            for (z, zbar), w in _wirtinger_expansion(t.orders).items():
-                key = (centers, z, zbar)
-                collected[key] = collected.get(key, 0.0) + t.coeff * w
-        terms = tuple(WirtingerTerm(w, *key) for key, w in collected.items() if w != 0)
-        return cls(terms, envelope)
 
     def shifted(self, d1: PhaseSpacePoint, d2: PhaseSpacePoint) -> "QuasiProbability":
         """Rigid translation by a displacement (d1 on mode 1, d2 on mode 2)."""
@@ -198,14 +159,14 @@ def mehta_p_function(
 
 @lru_cache(maxsize=None)
 def _wirtinger_expansion(orders: tuple) -> dict:
-    """(-1)^order d^orders over (q1, p1, q2, p2) as {(z vars, zbar vars): coeff}, by
+    """d^orders over (q1, p1, q2, p2) as {(z vars, zbar vars): coeff}, by
     d_q = d_z + d_zbar and d_p = i(d_z - d_zbar); mode m is variable m."""
     factors = [(a // 2, ((1.0, 1.0), (1j, -1j))[a % 2])
                for a, order in enumerate(orders) for _ in range(order)]
     expansion: dict = {}
     for picks in itertools.product((0, 1), repeat=len(factors)):  # 0: d_z, 1: d_zbar
         key = tuple(tuple(v for (v, _), pick in zip(factors, picks) if pick == side) for side in (0, 1))
-        w = (-1.0) ** len(factors) * math.prod(ws[pick] for (_, ws), pick in zip(factors, picks))
+        w = math.prod(ws[pick] for (_, ws), pick in zip(factors, picks))
         expansion[key] = expansion.get(key, 0.0) + w
     return expansion
 
@@ -308,11 +269,15 @@ class GaussianFunction:
     zbar_slots: tuple = ()
 
     def partial(self, orders, point) -> complex:
-        """d^orders f at point over (q1, p1, q2, p2): the pairing against one bare
-        delta-derivative term with coefficient (-1)^|orders|."""
-        term = DeltaDerivativeTerm((-1.0) ** sum(orders), PhaseSpacePoint(*point[:2]),
-                                   PhaseSpacePoint(*point[2:]), tuple(orders))
-        return pair(QuasiProbability.from_delta_terms((term,), envelope=False), self)
+        """d^orders f at point over (q1, p1, q2, p2), each order in 0..2: the pairing
+        against the bare Wirtinger terms of that derivative."""
+        orders = tuple(orders)
+        if len(orders) != 4 or any(o not in (0, 1, 2) for o in orders):
+            raise ValueError(f"orders must be four values in 0..2, got {orders}")
+        centers = (PhaseSpacePoint(*point[:2]).to_complex(), PhaseSpacePoint(*point[2:]).to_complex())
+        terms = tuple(WirtingerTerm(w, centers, z, zbar)
+                      for (z, zbar), w in _wirtinger_expansion(orders).items() if w != 0)
+        return pair(QuasiProbability(terms, envelope=False), self)
 
     def value(self, point) -> complex:
         return self.partial((0, 0, 0, 0), point)

@@ -1,9 +1,11 @@
+import ast
 import contextlib
 import csv
 import importlib.util
 import io as stdio
 import json
 import math
+import pkgutil
 import re
 import tracemalloc
 import warnings
@@ -654,10 +656,21 @@ def with_first_term(doc, **fields):
         (lambda doc: with_first_term(doc, coeff=[0.25, False]), "'coeff'"),
         (lambda doc: with_first_term(doc, center=[False, 0, 0, 0]), "'center'"),
         (lambda doc: with_first_term(doc, orders=[2, 0, 0, False]), "'orders'"),
+        (lambda doc: {**doc, "shift": [math.nan, 0, 0, 0]}, "'shift'"),
+        (lambda doc: {**doc, "shift": [0, 0, math.inf, 0]}, "'shift'"),
+        (lambda doc: with_first_term(doc, center=[0, math.nan, 0, 0]), "'center'"),
+        (lambda doc: with_first_term(doc, center=[0, 0, 0, -math.inf]), "'center'"),
+        (lambda doc: with_first_term(doc, coeff=[math.nan, 0.0]), "'coeff'"),
+        (lambda doc: with_first_term(doc, coeff=[0.25, math.inf]), "'coeff'"),
+        (lambda doc: {**doc, "occupation": [math.inf, 0]}, "'occupation'"),
+        (lambda doc: with_first_term(doc, orders=[2, 0, 0, math.inf]), "'orders'"),
+        (lambda doc: {**doc, "shift": [10**400, 0, 0, 0]}, "'shift'"),
     ],
     ids=["not-an-object", "missing-terms", "missing-shift", "short-shift", "envelope-false",
          "fractional-occupation", "boolean-occupation", "boolean-shift", "boolean-coeff",
-         "boolean-center", "boolean-orders"],
+         "boolean-center", "boolean-orders", "nan-shift", "infinite-shift", "nan-center",
+         "infinite-center", "nan-coeff", "infinite-coeff", "infinite-occupation",
+         "infinite-orders", "huge-integer-shift"],
 )
 def test_pfunc_from_malformed_document_is_usage_error(tmp_path, capsys, tamper, field):
     path = tmp_path / "p.json"
@@ -731,6 +744,20 @@ def test_benchmark_tracer_targets_resolve_on_the_package():
         for attr in path.split("."):
             owner = getattr(owner, attr, None)
         assert callable(owner), f"{name}: {home}.{path} is absent"
+
+
+def test_exports_resolve():
+    # a deletion that leaves a stale export behind fails here in seconds
+    for info in pkgutil.iter_modules(bargmann_phase.__path__):
+        module = importlib.import_module(f"bargmann_phase.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{info.name}.__all__ names the absent {name}"
+    init = Path(bargmann_phase.__file__).read_text(encoding="utf-8")
+    for node in ast.parse(init).body:
+        if isinstance(node, ast.ImportFrom):
+            exported = importlib.import_module(f"bargmann_phase.{node.module}").__all__
+            for alias in node.names:
+                assert alias.name in exported, f"{node.module}.__all__ lacks {alias.name}"
 
 
 def test_readme_python_blocks_run(capsys):

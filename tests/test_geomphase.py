@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bargmann_phase import io as io_mod
 from bargmann_phase import geomphase, pdistribution
 from bargmann_phase.coherent import label_map_matrix
 from bargmann_phase.fock import (
@@ -31,7 +30,7 @@ from bargmann_phase.geomphase import (
     random_independent_scenarios,
     run_reconciliation,
 )
-from bargmann_phase.pdistribution import ORIGIN, PhaseSpacePoint, QuasiProbability, mehta_p_function
+from bargmann_phase.pdistribution import ORIGIN, PhaseSpacePoint, mehta_p_function
 
 
 def spec(occupation, z1, z2):
@@ -284,7 +283,7 @@ def test_triangle_phases_agree_when_the_bound_is_below_a_tenth_of_tol(n_max, occ
     assert_phases_agree_under_the_bound(scenario, triangle_bound(scenario, dim), dim, tol)
 
 
-def real_coordinate_invariant(scenario, kernel):
+def real_coordinate_invariant(scenario):
     """The pairing in (q, p) coordinates by the derivative recursion of tests/oracles.py."""
     def state(vertex):
         return scenario.occupation, (vertex[0].q, vertex[0].p, vertex[1].q, vertex[1].p)
@@ -292,20 +291,19 @@ def real_coordinate_invariant(scenario, kernel):
     if scenario.is_evolved:
         m1 = label_map_matrix(scenario.theta1)
         maps = (np.eye(2), m1, m1 @ label_map_matrix(scenario.theta2))
-        return oracles.real_coordinate_pairing((state(scenario.vertex_a),) * 3, maps, kernel)
+        return oracles.real_coordinate_pairing((state(scenario.vertex_a),) * 3, maps)
     vertices = (scenario.vertex_a, scenario.vertex_b, scenario.vertex_c)
-    return oracles.real_coordinate_pairing([state(v) for v in vertices], (np.eye(2),) * 3, kernel)
+    return oracles.real_coordinate_pairing([state(v) for v in vertices], (np.eye(2),) * 3)
 
 
-@pytest.mark.parametrize("kernel", ["derived", "transcribed"])
-def test_pairing_matches_real_coordinate_oracle(kernel):
+def test_pairing_matches_real_coordinate_oracle():
     scenarios = random_evolved_scenarios(40, seed=11) + random_independent_scenarios(40, seed=12)
     assert {(s.is_evolved, s.occupation) for s in scenarios} == {
         (evolved, (n1, n2)) for evolved in (True, False) for n1 in (0, 1) for n2 in (0, 1)
     }
     for scenario in scenarios:
-        want = real_coordinate_invariant(scenario, kernel)
-        got = scenario.pairing_invariant(kernel).invariant
+        want = real_coordinate_invariant(scenario)
+        got = scenario.pairing_invariant().invariant
         assert abs(got - want) <= 1e-12 * abs(want)
 
 
@@ -315,33 +313,27 @@ def test_pairing_matches_real_coordinate_oracle(kernel):
     centers=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
     theta1=st.floats(-math.pi, math.pi),
     theta2=st.floats(-math.pi, math.pi),
-    kernel=st.sampled_from(["derived", "transcribed"]),
 )
-def test_pairing_matches_real_coordinate_oracle_property(occupation, centers, theta1, theta2, kernel):
+def test_pairing_matches_real_coordinate_oracle_property(occupation, centers, theta1, theta2):
     vertex = (PhaseSpacePoint(*centers[:2]), PhaseSpacePoint(*centers[2:]))
     scenario = PhaseScenario.evolved(occupation, vertex, theta1, theta2)
-    want = real_coordinate_invariant(scenario, kernel)
-    got = scenario.pairing_invariant(kernel).invariant
+    want = real_coordinate_invariant(scenario)
+    got = scenario.pairing_invariant().invariant
     # relative where |invariant| >= 1; an invariant crossing zero has no relative scale
     assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
 
 
 def test_wirtinger_form_of_single_photons_is_one_term():
     # (1/4)(d_q^2 + d_p^2) = d_z d_zbar per mode: the P of |1, 1> is born as
-    # one term with z and zbar derivatives on both modes, and the four (q, p)
-    # terms of the pfunc schema collect into that same term
+    # one term with z and zbar derivatives on both modes (the pfunc schema's
+    # (q, p) terms are tied to the real-coordinate oracle in test_pdistribution)
     shift = (PhaseSpacePoint(0.3, -0.1), ORIGIN)
     p = mehta_p_function((1, 1), shift=shift)
     assert p.terms == ((1.0, (0.3 - 0.1j, 0j), (0, 1), (0, 1)),)
     # as the second P object of a pairing its variables are 2 and 3
     assert pdistribution._product_vars((((), ()), p.terms[0][2:])) == ((2, 3), (2, 3))
-    schema_terms = io_mod._delta_terms((1, 1), shift)
-    assert len(schema_terms) == 4
-    assert QuasiProbability.from_delta_terms(schema_terms) == p
     vacuum = mehta_p_function((0, 0))
     assert vacuum.terms == ((1.0, (0j, 0j), (), ()),)
-    vacuum_schema_terms = io_mod._delta_terms((0, 0), (ORIGIN, ORIGIN))
-    assert QuasiProbability.from_delta_terms(vacuum_schema_terms) == vacuum
 
 
 def test_evolved_pairing_zero_angles_gives_unit_invariant():
@@ -362,20 +354,14 @@ def test_evolved_triangle_vertices_follow_label_map():
 
 
 def test_transcribed_kernel_fails_equal_states_sanity():
-    # the verbatim kernel transcription is kept for the audit trail; its
-    # asymmetric second-order block breaks the Tr(rho^3) = 1 sanity bound
-    # that the derived kernel satisfies
+    # the verbatim kernel transcription is kept in the real-coordinate oracle for
+    # the audit trail; its asymmetric second-order block breaks the Tr(rho^3) = 1
+    # sanity bound that the library's kernel satisfies
     s = spec((1, 1), 0.2, 0.1)
-    derived = phase_space_trace(s, s, s, kernel="derived")
-    transcribed = phase_space_trace(s, s, s, kernel="transcribed")
-    assert abs(derived.invariant - 1.0) < 1e-12
-    assert abs(transcribed.invariant - 1.0) > 0.1
-
-
-def test_unknown_kernel_rejected():
-    s = spec((0, 0), 0.1, 0.2)
-    with pytest.raises(ValueError):
-        phase_space_trace(s, s, s, kernel="mystery")
+    assert abs(phase_space_trace(s, s, s).invariant - 1.0) < 1e-12
+    state = ((1, 1), (s.center1.q, s.center1.p, s.center2.q, s.center2.p))
+    transcribed = oracles.real_coordinate_pairing((state,) * 3, (np.eye(2),) * 3, "transcribed")
+    assert abs(transcribed - 1.0) > 0.1
 
 
 def test_closed_form_terms_hand_worked_triangle():

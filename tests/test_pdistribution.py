@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from bargmann_phase import geomphase, pdistribution
+from bargmann_phase import io as io_mod
 from bargmann_phase.fock import DensityOperator, TruncationDim, displaced_fock_state
 from bargmann_phase.geomphase import (
     StateSpec,
@@ -15,7 +16,6 @@ from bargmann_phase.geomphase import (
 )
 from bargmann_phase.pdistribution import (
     ORIGIN,
-    DeltaDerivativeTerm,
     PhaseSpacePoint,
     QuasiProbability,
     constant_function,
@@ -41,10 +41,9 @@ def test_phase_space_point_complex_round_trip():
 
 
 def test_delta_term_validation():
-    with pytest.raises(ValueError):
-        DeltaDerivativeTerm(coeff=1.0, center1=ORIGIN, center2=ORIGIN, orders=(3, 0, 0, 0))
-    with pytest.raises(ValueError):
-        DeltaDerivativeTerm(coeff=0.0, center1=ORIGIN, center2=ORIGIN, orders=(0, 0, 0, 0))
+    for orders in ((3, 0, 0, 0), (0, 0, 0), (0, -1, 0, 0)):
+        with pytest.raises(ValueError):
+            constant_function().partial(orders, (0.0, 0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
         QuasiProbability(terms=())
 
@@ -64,14 +63,13 @@ def test_single_photon_p_term_structure():
     assert [(t.coeff, t.z_vars, t.zbar_vars) for t in p.terms] == [(1.0, (0,), (0,))]
     p11 = mehta_p_function((1, 1))
     assert [(t.coeff, t.z_vars, t.zbar_vars) for t in p11.terms] == [(1.0, (0, 1), (0, 1))]
-    # which is the (q, p) form (1/4)(d_q^2 + d_p^2) per mode
-    def from_orders(coeff, orders):
-        return QuasiProbability.from_delta_terms(
-            [DeltaDerivativeTerm(coeff, ORIGIN, ORIGIN, o) for o in orders]
-        )
-
-    assert from_orders(0.25, [(0, 2, 0, 0), (2, 0, 0, 0)]) == p
-    assert from_orders(0.0625, [(0, 2, 0, 2), (0, 2, 2, 0), (2, 0, 0, 2), (2, 0, 2, 0)]) == p11
+    # which the pfunc schema writes as the real-coordinate oracle's (q, p) form,
+    # (1/4)(d_q^2 + d_p^2) per occupied mode
+    shift = (PhaseSpacePoint(0.3, -0.1), PhaseSpacePoint(0.0, 0.2))
+    for occupation in ALL_OCCUPATIONS:
+        doc = io_mod.pfunc_document(occupation, shift, mehta_p_function(occupation, shift))
+        terms = [(complex(*t["coeff"]), tuple(t["center"]), tuple(t["orders"])) for t in doc["terms"]]
+        assert terms == oracles.delta_terms(occupation, (0.3, -0.1, 0.0, 0.2))
 
 
 def test_mehta_p_rejects_higher_occupation():
@@ -363,8 +361,7 @@ def test_pairing_caches_are_keyed_on_structure_only():
         for name, obj in vars(module).items()
         if hasattr(obj, "cache_info")
     }
-    assert {"_wirtinger_expansion", "_matching_plan", "_envelope_diagonal",
-            "_independent_kernel"} <= set(caches)
+    assert {"_wirtinger_expansion", "_matching_plan", "_envelope_diagonal"} <= set(caches)
 
     def one_round(seed):
         for s in random_evolved_scenarios(200, seed) + random_independent_scenarios(200, seed + 1):

@@ -19,7 +19,7 @@ import sys
 from . import io as io_mod
 from .fock import TruncationDim
 from .geomphase import PhaseScenario, StateSpec, evolved_grid_results, method_reconciliation
-from .pdistribution import PhaseSpacePoint, mehta_p_function
+from .pdistribution import PhaseSpacePoint
 from .validation import run_all
 
 EXIT_OK = 0
@@ -150,13 +150,13 @@ def _scenario_from_pfunc_files(paths, occupation_flag) -> PhaseScenario:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         loaded.append(io_mod.pfunc_from_document(doc))
-    occupations = {occ for occ, _, _ in loaded}
+    occupations = {occ for occ, _ in loaded}
     if len(occupations) != 1:
         raise ValueError("the three pfunc files carry different occupations")
     occupation = loaded[0][0]
     if occupation_flag is not None and _parse_occupation(occupation_flag) != occupation:
         raise ValueError("--occupation contradicts the pfunc files")
-    vertices = [shift for _, shift, _ in loaded]
+    vertices = [shift for _, shift in loaded]
     return PhaseScenario.independent(occupation, *vertices)
 
 
@@ -270,9 +270,7 @@ def cmd_pfunc(args) -> int:
     vertices = _parse_centers(args.centers)
     if len(vertices) != 1:
         raise ValueError("pfunc takes a single vertex as the shift")
-    shift = vertices[0]
-    p = mehta_p_function(occupation, shift)
-    doc = io_mod.pfunc_document(occupation, shift, p)
+    doc = io_mod.pfunc_document(occupation, vertices[0])
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
 

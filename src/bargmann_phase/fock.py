@@ -86,7 +86,8 @@ __all__ = [
 UNDEFINED_PHASE_CUTOFF = 1e-12
 
 # Bytes allowed for any one temporary of a grid evaluated in blocks of angles
-# (chain_invariants, and the pairing and printed routes of a sweep).
+# (chain_invariants, and the pairing and printed routes of a sweep, whose
+# blocks are sized by their lists of Python floats).
 BLOCK_BYTES = 2 << 20
 
 # Largest total displacement sqrt(|z1|^2 + |z2|^2) considered safe at cutoff

@@ -30,21 +30,25 @@ kernel. This is exact; no shape assumption is made about the evolved P
 
 In Wirtinger coordinates (z, conj z) per slot and mode the kernel is
 exp(conj(z)·B·z) with B = L† W L, a Gaussian with no z-z or zbar-zbar
-part. The pairing engine of module pdistribution (pair_product, the same
-loop that reconstructs density elements) evaluates it exactly as a sum
-over partial matchings of z with zbar derivatives. See
-docs/derivations.md.
+part, and each P term is a z and zbar derivative at its centers: a sum
+over partial matchings of z with zbar derivatives. Each slot's envelope
+cancels that slot's -|z|^2, so the zbar of slot i meets only the z of
+slot i + 1, through K_i = L_i† L_{i+1}. The matching sum is then one
+factor per edge of the cycle, each a sum over at most 2 x 2 slots, times
+the exponential of the summed edge exponents (_cycle_pairings). The
+general engine of module pdistribution (pair_product) is the tests'
+reference for this contraction. See docs/derivations.md.
 
 Below PhaseScenario the routes read coordinates: a vertex is the tuple
 (q1, p1, q2, p2), floats for one scenario and arrays for a grid. A sweep's
 grid shares one initial state and varies only the two angles, so
 evolved_grid_results builds the state's P object and Fock chain weights
 once and runs every route over blocks of the grid as arrays: the Fock chain
-as fock.chain_invariants, the pairing as one batched pair_product over the
-stacked chain kernels, and the labels and the printed form's terms as array
-arithmetic. method_reconciliation then reconciles each point from those
-results. A single scenario's routes run the same code on a grid of one, so
-a grid point and a fresh scenario give the same bits.
+as fock.chain_invariants, and the pairing's edges, the labels and the
+printed form's terms as real array arithmetic. method_reconciliation then
+reconciles each point from those results. A single scenario's routes run
+the same code on a grid of one or on floats, so a grid point and a fresh
+scenario give the same bits.
 """
 from __future__ import annotations
 
@@ -73,11 +77,10 @@ from .fock import (
 )
 from .pdistribution import (
     ORIGIN,
-    GaussianFunction,
     PhaseSpacePoint,
     QuasiProbability,
+    WirtingerTerm,
     mehta_p_function,
-    pair_product,
 )
 
 __all__ = [
@@ -138,21 +141,7 @@ class StateSpec:
 
 
 # ---------------------------------------------------------------------------
-# Phase-space pairing engine
-
-
-# The kernel <w1|w2><w2|w3><w3|w1> is exp(conj(w)·W·w), w the stacked labels of the
-# three slots: -|w_i|^2 plus the cyclic coupling conj(w_i)·w_{i+1}.
-_KERNEL_WEIGHTS = np.kron(np.roll(np.eye(3), 1, axis=1) - np.eye(3), np.eye(2))
-
-# Where _chain_kernel writes each value, as flat indices into the float view of a
-# (7, 7) complex form, and the form's constant diagonal. A map
-# M = [[c, -i s], [-i s, c]] puts c in the real part of its block's diagonal and -s
-# in the imaginary part off it; (M1 M2)† has +s12 there.
-_KERNEL_INDEX = np.array([14 * (r + i) + 2 * (c + j) + part for r, c in ((0, 2), (2, 4), (4, 0))
-                          for i, j, part in ((0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1))])
-_KERNEL_DIAGONAL = np.zeros(98)
-_KERNEL_DIAGONAL[16 * np.arange(6)] = np.diag(_KERNEL_WEIGHTS)
+# Phase-space pairing: the kernel cycle, edge by edge
 
 
 def _chain_trig(thetas1, thetas2) -> tuple:
@@ -174,40 +163,132 @@ def _composed(c1, s1, c2, s2) -> tuple:
     return c1, s1, c2, s2, c1 * c2 - s1 * s2, s1 * c2 + c1 * s2
 
 
-def _chain_kernel(trig: tuple) -> GaussianFunction:
-    """The kernels exp(conj(z)·B·z) of the chains of a _chain_trig grid, stacked in
-    row-major order, or the one kernel of _single_trig floats.
-
-    B = L† W L with L = diag(1, M1, M1 M2) comes in closed block form: the maps
-    are unitary, so a block W_ij = a I is a L_i† L_j, which is -1 on the diagonal
-    and M1, M2 or (M1 M2)† off it. Every entry is a trig value, so a grid's form
-    has the bits of the single kernel of its chain."""
+def _chain_edges(trig: tuple) -> tuple:
+    """The edge couplings (d, e), K = [[d, ie], [ie, d]], of the chains of a
+    _chain_trig grid or of _single_trig floats. Edge i couples slot i to slot i + 1
+    through K_i = L_i† L_{i+1} with L = (1, M1, M1 M2) and M = [[c, -i s], [-i s, c]]:
+    M1, M2 and (M1 M2)†."""
     c1, s1, c2, s2, c12, s12 = trig
-    values = [c1, c1, -s1, -s1, c2, c2, -s2, -s2, c12, c12, s12, s12]
-    if not np.shape(c12):
-        form = _KERNEL_DIAGONAL.copy()
-        form[_KERNEL_INDEX] = values
-        return GaussianFunction(form.view(complex).reshape(7, 7))
-    form = np.broadcast_to(_KERNEL_DIAGONAL, c12.shape + (98,)).copy()
-    form[..., _KERNEL_INDEX] = np.stack(np.broadcast_arrays(*values), axis=-1)
-    return GaussianFunction(form.view(complex).reshape(-1, 7, 7))
+    return (c1, -s1), (c2, -s2), (c12, s12)
 
 
-def _chain_pairings(p: QuasiProbability, trig: tuple) -> np.ndarray:
-    """pair_product of p in all three slots with every chain kernel of a _chain_trig
-    grid, or with the one kernel of _single_trig floats."""
-    return pair_product((p,) * 3, _chain_kernel(trig))
+# Three independent states pair against the chain with no polarizer, L = 1.
+_TRIANGLE_EDGES = ((1.0, 0.0),) * 3
 
 
-# Three independent states pair against the kernel of a chain with no polarizer,
-# L = 1, whose form is W over the P variables 2*slot + mode.
-_TRIANGLE_KERNEL = _chain_kernel(_single_trig(0.0, 0.0))
+def _edge(d, e, t: WirtingerTerm, u: WirtingerTerm) -> tuple:
+    """One edge of the kernel cycle, from term t in one slot to term u in the next,
+    centers a and b: the real and imaginary parts of the edge exponent
+    conj(a)·(K b - a) and of its factor, the sum over partial matchings of t's zbar
+    slots with u's z slots.
+
+    d and e are floats for one cycle or arrays for a grid of them; every step is
+    real elementwise arithmetic, so both give a point the same bits.
+    """
+    (a1, a2), (b1, b2) = t.centers, u.centers
+    aq1, ap1, aq2, ap2 = a1.real, a1.imag, a2.real, a2.imag
+    bq1, bp1, bq2, bp2 = b1.real, b1.imag, b2.real, b2.imag
+    # per mode, the zbar gradient K b - a and the z gradient conj(a) K - conj(b),
+    # as (mode, re, im)
+    zbar = ((0, d * bq1 - e * bp2 - aq1, d * bp1 + e * bq2 - ap1),
+            (1, d * bq2 - e * bp1 - aq2, d * bp2 + e * bq1 - ap2))
+    z = ((0, d * aq1 + e * ap2 - bq1, e * aq2 - d * ap1 + bp1),
+         (1, d * aq2 + e * ap1 - bq2, e * aq1 - d * ap2 + bp2)) if u.z_vars else ()
+    (_, r1, i1), (_, r2, i2) = zbar
+    return (aq1 * r1 + ap1 * i1 + aq2 * r2 + ap2 * i2,
+            aq1 * i1 - ap1 * r1 + aq2 * i2 - ap2 * r2,
+            *_matchings(d, e, [zbar[m] for m in t.zbar_vars], [z[m] for m in u.z_vars]))
+
+
+def _matchings(d, e, x, y) -> tuple:
+    """(Re, Im) of the sum over partial matchings of the slots x with the slots y,
+    each a list of at most two (mode, re, im): a matched pair (u, v) weighs K[u][v],
+    which is d for u = v and ie otherwise, and an unmatched slot its (re, im)."""
+    if len(x) < len(y):
+        x, y = y, x  # K is symmetric, so the sides may swap
+    if not y:
+        if not x:
+            return 1.0, 0.0
+        _, r, i = x[0]
+        if len(x) == 2:
+            _, r1, i1 = x[1]
+            r, i = r * r1 - i * i1, r * i1 + i * r1
+        return r, i
+    if len(x) == 1:  # the pair matched, or both left
+        (u, xr, xi), (v, yr, yi) = x[0], y[0]
+        r, i = xr * yr - xi * yi, xr * yi + xi * yr
+        return (r + d, i) if u == v else (r, i + e)
+    (u0, r0, i0), (u1, r1, i1) = x
+    if len(y) == 1:  # x0 x1 y + K[u0][v] x1 + K[u1][v] x0
+        v, yr, yi = y[0]
+        pr, pi = r0 * r1 - i0 * i1, r0 * i1 + i0 * r1
+        r, i = pr * yr - pi * yi, pr * yi + pi * yr
+        for u, sr, si in ((u0, r1, i1), (u1, r0, i0)):
+            r, i = (r + d * sr, i + d * si) if u == v else (r - e * si, i + e * sr)
+        return r, i
+    # two slots a side: none matched, one of the four pairs, or a perfect matching
+    (v0, s0, t0), (v1, s1, t1) = y
+    r00, i00 = r0 * s0 - i0 * t0, r0 * t0 + i0 * s0
+    r11, i11 = r1 * s1 - i1 * t1, r1 * t1 + i1 * s1
+    r01, i01 = r0 * s1 - i0 * t1, r0 * t1 + i0 * s1
+    r10, i10 = r1 * s0 - i1 * t0, r1 * t0 + i1 * s0
+    r, i = r00 * r11 - i00 * i11, r00 * i11 + i00 * r11
+    for u, v, sr, si in ((u0, v0, r11, i11), (u1, v1, r00, i00), (u0, v1, r10, i10), (u1, v0, r01, i01)):
+        r, i = (r + d * sr, i + d * si) if u == v else (r - e * si, i + e * sr)
+    # K[u0][v0] K[u1][v1] + K[u0][v1] K[u1][v0], each product d d, d (ie) or (ie)(ie)
+    for diagonal in ((u0 == v0) + (u1 == v1), (u0 == v1) + (u1 == v0)):
+        if diagonal == 2:
+            r = r + d * d
+        elif diagonal == 1:
+            i = i + d * e
+        else:
+            r = r - e * e
+    return r, i
+
+
+def _cycle_value(coeff, x0, y0, r0, i0, x1, y1, r1, i1, x2, y2, r2, i2) -> complex:
+    """coeff exp(sum of the edge exponents) times the edge factors, from the floats of
+    three _edge results, in Python's complex arithmetic. The exponent's real part is
+    at most 0 in exact arithmetic; one that overflows through rounding, or one that is
+    not finite, gives a non-finite invariant, which method_reconciliation rejects."""
+    try:
+        base = cmath.exp(complex(x0 + x1 + x2, y0 + y1 + y2))
+    except (OverflowError, ValueError):
+        return complex(math.nan, math.nan)
+    return coeff * base * complex(r0, i0) * complex(r1, i1) * complex(r2, i2)
+
+
+def _cycle_pairings(ps: tuple, edges: tuple, shape: tuple | None = None) -> list:
+    """The pairing of the P objects ps, one a slot, against the kernel cycle with
+    edge couplings edges: coeff exp(Q(c)) prod(edge factors) summed over the
+    products of their terms. Once each slot's envelope cancels that slot's -|z|^2,
+    slot i's zbar meets only slot i + 1's z, so the matching sum of the twelve
+    derivative slots is the product of the edges' own sums.
+
+    edges hold floats for one cycle, which gives a list of one invariant, or arrays
+    that broadcast to shape, which gives one invariant a point in row-major order.
+    """
+    total = []
+    for terms in itertools.product(*(p.terms for p in ps)):
+        values = []
+        for (d, e), t, u in zip(edges, terms, terms[1:] + terms[:1]):
+            values += _edge(d, e, t, u)
+        coeff = math.prod(t.coeff for t in terms)
+        if shape is None:
+            parts = [_cycle_value(coeff, *values)]
+        else:
+            columns = (np.broadcast_to(x, shape).ravel().tolist() for x in values)
+            parts = [_cycle_value(coeff, *point) for point in zip(*columns)]
+        # summed from 0j, so that a zero imaginary part is +0 and a real
+        # invariant's phase reads 0, not -0
+        total = [t + p for t, p in zip(total or [0j] * len(parts), parts)]
+    return total
 
 
 def phase_space_trace(s1: StateSpec, s2: StateSpec, s3: StateSpec) -> PhaseResult:
     """Bargmann invariant of three independent states via their P objects."""
     ps = (s1.quasi_probability(), s2.quasi_probability(), s3.quasi_probability())
-    return phase_result(pair_product(ps, _TRIANGLE_KERNEL), METHOD_PHASE_SPACE_PAIRING)
+    return phase_result(_cycle_pairings(ps, _TRIANGLE_EDGES)[0], METHOD_PHASE_SPACE_PAIRING)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +457,8 @@ class PhaseScenario:
 
     def pairing_invariant(self) -> PhaseResult:
         if self.is_evolved:
-            pairing = _chain_pairings(self.initial_state.quasi_probability(), self._trig)
+            p = self.initial_state.quasi_probability()
+            pairing = _cycle_pairings((p,) * 3, _chain_edges(self._trig))[0]
             return phase_result(pairing, METHOD_PHASE_SPACE_PAIRING)
         return phase_space_trace(
             self.initial_state,
@@ -495,17 +577,19 @@ def evolved_grid_results(state: StateSpec, thetas1, thetas2, dim: TruncationDim)
 
     The routes run as arrays over blocks of whole grid rows, or of one row's
     points when a row alone is too large, with no temporary above
-    fock.BLOCK_BYTES; only the arctans, the principal branch and the coherent
-    closed form are taken point by point. A point's results have the bits of
-    its PhaseScenario's own routes: those run the same code on a 1 x 1 grid
-    (chain_invariants), a batch of one (pair_product) or floats (the labels
-    and the printed form's terms).
+    fock.BLOCK_BYTES; only the pairing's exponentials and last products, the
+    arctans, the principal branch and the coherent closed form are taken point
+    by point. A point's results have the bits of its PhaseScenario's own routes:
+    those run the same code on a 1 x 1 grid (chain_invariants) or on floats (the
+    pairing's edges, the labels and the printed form's terms).
     """
     weights = state.sector_weights(dim)
     p, a = state.quasi_probability(), _coordinates(state.centers)
     coherent = state.occupation == (0, 0)
     n1, n2 = len(thetas1), len(thetas2)
-    points = max(1, fock.BLOCK_BYTES // (16 * 7 * 7))  # one (7, 7) kernel form a point
+    # some 30 lists a point (the pairing's edge values, the printed form's terms,
+    # the labels), at 32 bytes an entry for a Python float and its pointer
+    points = max(1, fock.BLOCK_BYTES // (32 * 32))
     cols = min(n2, points)
     rows = max(1, points // cols)
     # the Fock route takes more rows at a time, as its angle rows are the costly
@@ -517,9 +601,9 @@ def evolved_grid_results(state: StateSpec, thetas1, thetas2, dim: TruncationDim)
             t1, t2 = thetas1[i : i + rows], thetas2[j : j + cols]
             fock_route = fock_block[i - i0 : i - i0 + rows, j : j + cols].ravel().tolist()
             trig = _chain_trig(t1, t2)
-            pairing = _chain_pairings(p, trig).tolist()
             # float arithmetic overflows to inf without a warning; so does this
             with np.errstate(over="ignore", invalid="ignore"):
+                pairing = _cycle_pairings((p,) * 3, _chain_edges(trig), trig[4].shape)
                 b, c = _chain_labels(a, trig)
                 terms = _mode_terms(a, b, c)
             grid = [np.broadcast_to(x, trig[4].shape).ravel().tolist()

@@ -11,7 +11,7 @@ import math
 import operator
 
 from .geomphase import PhaseScenario, ReconciliationRow
-from .pdistribution import PhaseSpacePoint, QuasiProbability, mehta_p_function
+from .pdistribution import PhaseSpacePoint
 
 __all__ = [
     "SCHEMA",
@@ -173,20 +173,17 @@ def _delta_terms(occupation) -> list:
     ]
 
 
-def pfunc_document(
-    occupation: tuple[int, int],
-    shift: tuple[PhaseSpacePoint, PhaseSpacePoint],
-    p: QuasiProbability,
-) -> dict:
-    """The P object p of D(shift)|occupation> as a document; its terms are written
-    as the (q, p) delta derivatives of the schema."""
+def pfunc_document(occupation: tuple[int, int], shift: tuple[PhaseSpacePoint, PhaseSpacePoint]) -> dict:
+    """The P object of D(shift)|occupation> as a document; its terms are written
+    as the (q, p) delta derivatives of the schema, with the envelope that
+    mehta_p_function always attaches."""
     center = [shift[0].q, shift[0].p, shift[1].q, shift[1].p]
     return {
         "schema": SCHEMA,
         "kind": "pfunc",
         "occupation": list(occupation),
         "shift": center,
-        "envelope": p.envelope,
+        "envelope": True,
         "terms": [
             {"coeff": [coeff, 0.0], "center": list(center), "orders": list(orders)}
             for coeff, orders in _delta_terms(occupation)
@@ -214,13 +211,14 @@ def _numbers(obj, name: str, length: int, kind=float) -> list:
         f"pfunc field {name!r} must be {length} finite {kind.__name__} values, got {value!r}")
 
 
-def pfunc_from_document(doc) -> tuple[tuple[int, int], tuple[PhaseSpacePoint, PhaseSpacePoint], QuasiProbability]:
-    """Parse a pfunc document; verifies the terms match the metadata.
+def pfunc_from_document(doc) -> tuple[tuple[int, int], tuple[PhaseSpacePoint, PhaseSpacePoint]]:
+    """Parse a pfunc document into its occupation and shift; verifies the terms
+    match them.
 
-    The occupation and shift are what downstream consumers (the matrix
-    oracle in particular) need; the explicit term list must agree with
-    the one they generate, otherwise the document is inconsistent.
-    Malformed documents raise ValueError naming the offending field.
+    The occupation and shift are what the routes read, and they determine the
+    P object (mehta_p_function); the explicit term list must agree with the
+    one they generate, otherwise the document is inconsistent. Malformed
+    documents raise ValueError naming the offending field.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a pfunc document is a JSON object, got {type(doc).__name__}")
@@ -250,4 +248,4 @@ def pfunc_from_document(doc) -> tuple[tuple[int, int], tuple[PhaseSpacePoint, Ph
         raise ValueError("pfunc terms do not match the declared state")
     if not all(abs(x - y) <= 1e-9 for _, center, _ in terms for x, y in zip(center, s)):
         raise ValueError("pfunc centers do not match the declared shift")
-    return occupation, shift, mehta_p_function(occupation, shift)
+    return occupation, shift

@@ -30,16 +30,17 @@ z^m conj(z)^n e^{-|z|^2} = d_gbar^m d_g^n exp(-|z|^2 + conj(z) g + conj(g) z)
 at g = 0. The envelopes add |z - c|^2 to Q. Each product of P terms is
 therefore a mixed derivative of e^Q at the centers, a sum over partial
 matchings of the z derivatives with the zbar derivatives (_matching_sum).
-pair_product pairs several P objects at once; geomphase uses it with the
-coherent-overlap kernel. See docs/derivations.md.
+pair_product pairs several P objects at once. See docs/derivations.md.
 
 What depends only on structure is built once per structure: the
 matching-sum plan (_matching_plan), the variables of a product of terms
 (_product_vars) and the Wirtinger expansion of (q, p) orders. None is keyed
-on centers or coefficients; those enter each call as numbers. The numbers
-may come in batches: pair_product takes a stack of forms, such as the
-kernels of a sweep's polarizer chains, and runs one matching-sum DP over
-all of them.
+on centers or coefficients; those enter each call as numbers.
+
+The Bargmann invariant does not run this engine: its kernel is a cycle, and
+module geomphase contracts it edge by edge. The engine serves the test
+functions that are not cycles, and it is the tests' reference for that
+contraction.
 
 Two-mode states are tensor products of the per-mode factors. Occupations
 above 1 are outside the supported family.
@@ -54,8 +55,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-
-from . import fock
 
 __all__ = [
     "PhaseSpacePoint",
@@ -205,7 +204,7 @@ def _matching_plan(z_vars: tuple, zbar_vars: tuple, size: int) -> tuple:
     z = np.array(z_vars, dtype=int)
     source, free, scale = _count_tables(tuple(counted.values()))
     source = np.vstack([source, np.arange(len(scale))])
-    steps = np.hstack([size * zbar_u + z[:, None], size * size + z[:, None]])[:, None, :]
+    steps = np.hstack([size * zbar_u + z[:, None], size * size + z[:, None]])
     start = np.zeros(len(scale) + 1, dtype=complex)
     start[0] = 1.0 / scale[0]
     exponents = np.arange(max(counted.values(), default=0) + 1)
@@ -216,42 +215,32 @@ def _matching_plan(z_vars: tuple, zbar_vars: tuple, size: int) -> tuple:
     return plan
 
 
-def _matching_sum(z_vars, zbar_vars, grad_z, grad_zbar, hess) -> np.ndarray:
+def _matching_sum(z_vars, zbar_vars, grad_z, grad_zbar, hess) -> complex:
     """exp(-Q) d^z_vars d^zbar_vars exp(Q), Q quadratic with no z-z or zbar-zbar part,
-    for a batch of G forms: hess (G, n, n), grad_z and grad_zbar (G, n).
+    with n x n hess and the gradients grad_z and grad_zbar of length n.
 
     The sum over partial matchings of z slots with zbar slots: a pair weighs
     hess[zbar, z], an unmatched slot its gradient entry. Slots of one zbar
     variable are interchangeable, so a state counts the matched slots per
-    distinct zbar variable. sums[:, s] covers the z slots so far, times
+    distinct zbar variable. sums[s] covers the z slots so far, times
     prod(free!) so that each step is one weighted sum over the sources of s
     (one per zbar variable, and s itself for the slot left unmatched);
-    sums[:, -1] stays 0. The indices come from _matching_plan, built once per
-    slot structure. Each step is a matmul per batch member, so a member's sum
-    has the bits of its batch of one. A batch whose gathered sources would
-    exceed fock.BLOCK_BYTES is summed in chunks.
+    sums[-1] stays 0. The indices come from _matching_plan, built once per
+    slot structure.
     """
-    g = len(hess)
     if not (z_vars or zbar_vars):
-        return np.ones(g, dtype=complex)
+        return 1.0 + 0j
     z, zbar_u, steps, source, start, scale, exponents, powers = _matching_plan(
-        tuple(z_vars), tuple(zbar_vars), hess.shape[-1])
-    chunk = max(1, fock.BLOCK_BYTES // (16 * source.size))
-    if g > chunk:
-        return np.concatenate([
-            _matching_sum(z_vars, zbar_vars, grad_z[lo : lo + chunk], grad_zbar[lo : lo + chunk],
-                          hess[lo : lo + chunk])
-            for lo in range(0, g, chunk)
-        ])
-    weights = np.concatenate((hess.reshape(g, -1), grad_z), axis=1).take(steps, axis=1)
-    sums = np.tile(start, (g, 1))
-    head = sums[:, None, :-1]
+        tuple(z_vars), tuple(zbar_vars), len(hess))
+    weights = np.concatenate((hess.ravel(), grad_z)).take(steps)
+    sums = start.copy()
+    head = sums[:-1]
     for k in range(len(z)):
         # take copies every source before matmul overwrites the states
-        np.matmul(weights[:, k], sums.take(source, axis=1), out=head)
-    table = grad_zbar.take(zbar_u, axis=1)[:, :, None] ** exponents
-    unmatched = table.reshape(g, -1).take(powers, axis=1).prod(axis=1)
-    return np.matmul(head, (scale * unmatched)[:, :, None])[:, 0, 0]
+        np.matmul(weights[k], sums.take(source), out=head)
+    table = grad_zbar.take(zbar_u)[:, None] ** exponents
+    unmatched = table.ravel().take(powers).prod(axis=0)
+    return complex(head @ (scale * unmatched))
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,7 +289,7 @@ def _envelope_diagonal(envelope: tuple, size: int) -> np.ndarray:
     return diag
 
 
-def pair_product(ps, f: GaussianFunction):
+def pair_product(ps, f: GaussianFunction) -> complex:
     """integral P_1(x_1) ... P_k(x_k) f(x_1, ..., x_k) dx in the absorbed measure.
 
     Each enveloped P adds |z - c|^2 to Q, which at its centers c changes
@@ -308,36 +297,24 @@ def pair_product(ps, f: GaussianFunction):
     matching sum with gradients grad_z Q = conj(w')·form and
     grad_zbar Q = form·w' at w' = (centers, 0, 1), times exp Q; the zbar-z
     curvature is H plus 1 on the enveloped variables' diagonal.
-
-    f.form may stack G forms along a leading axis; the result is then the array
-    of the G pairings, each with the bits of the pairing of its form alone: the
-    sums are matmuls per form, and products of complex numbers are taken one
-    form at a time. A single form is the batch of one and gives a
-    complex number.
     """
-    forms = f.form.reshape(-1, *f.form.shape[-2:])
-    size = forms.shape[-1]
+    size = len(f.form)
     n_p = 2 * len(ps)
-    hess = forms + _envelope_diagonal(tuple(p.envelope for p in ps), size)
+    hess = f.form + _envelope_diagonal(tuple(p.envelope for p in ps), size)
     w = np.zeros(size, dtype=complex)
     w[-1] = 1.0
-    total = [0j] * len(forms)
-    # overflow yields a non-finite invariant, which method_reconciliation rejects
+    total = 0j
+    # overflow yields a non-finite pairing
     with np.errstate(over="ignore", invalid="ignore"):
         for terms in itertools.product(*(p.terms for p in ps)):
             w[:n_p] = [z for t in terms for z in t.centers]
             z_vars, zbar_vars = _product_vars(tuple(t[2:] for t in terms))
             w_bar = w.conj()
-            grad_zbar = np.matmul(forms, w)
-            grad_z = np.matmul(w_bar, forms)
+            grad_zbar = f.form @ w
             moment = _matching_sum(
-                z_vars + f.z_slots, zbar_vars + f.zbar_slots, grad_z, grad_zbar, hess)
-            base = np.exp(np.matmul(grad_zbar[:, None, :], w_bar)).ravel()
-            coeff = math.prod(t.coeff for t in terms)
-            # numpy's complex product fuses in some loops and not in others;
-            # Python's gives a form the same bits in any batch
-            total = [t + coeff * m * b for t, m, b in zip(total, moment.tolist(), base.tolist())]
-    return total[0] if f.form.ndim == 2 else np.array(total)
+                z_vars + f.z_slots, zbar_vars + f.zbar_slots, w_bar @ f.form, grad_zbar, hess)
+            total += math.prod(t.coeff for t in terms) * moment * complex(np.exp(grad_zbar @ w_bar))
+    return total
 
 
 def pair(p: QuasiProbability, f: GaussianFunction) -> complex:

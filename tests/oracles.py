@@ -1,11 +1,12 @@
 """Independent oracles for the test suite.
 
 Everything here is computed by routes the library does not use: explicit
-Fock amplitude series, closed-form overlap tables for displaced zero- and
-one-photon states, the shoelace area formula, plain finite differences, a
-per-z eigendecomposition of the displacement generator, and the pairing
-of P objects in real (q, p) coordinates by a derivative recursion. Library results are compared against these, never against
-other library results.
+Fock amplitude series, closed-form (Laguerre) overlaps of displaced number
+states up to two photons and the exact chain invariant built from them, the
+shoelace area formula, plain finite differences, a per-z eigendecomposition
+of the displacement generator, and the pairing of P objects in real (q, p)
+coordinates by a derivative recursion. Library results are compared against
+these, never against other library results.
 """
 from __future__ import annotations
 
@@ -64,18 +65,23 @@ def displacement_phase(alpha: complex, beta: complex) -> complex:
     return cmath.exp(-1j * (np.conjugate(alpha) * beta).imag)
 
 
+def _laguerre(n: int, alpha: int, x: float) -> float:
+    """The generalized Laguerre polynomial L_n^(alpha)(x) for n <= 2."""
+    return (1.0, 1.0 + alpha - x, 0.5 * (x * x - 2 * (alpha + 2) * x + (alpha + 1) * (alpha + 2)))[n]
+
+
 def displaced_number_overlap(m: int, beta: complex, n: int) -> complex:
-    """<m|D(beta)|n> for m, n in {0, 1}, closed form (Laguerre family)."""
-    gauss = cmath.exp(-0.5 * abs(beta) ** 2)
-    if (m, n) == (0, 0):
-        return gauss
-    if (m, n) == (1, 0):
-        return beta * gauss
-    if (m, n) == (0, 1):
-        return -np.conjugate(beta) * gauss
-    if (m, n) == (1, 1):
-        return (1.0 - abs(beta) ** 2) * gauss
-    raise ValueError("oracle table covers occupations 0 and 1 only")
+    """<m|D(beta)|n> for m, n in {0, 1, 2}, closed form (Cahill and Glauber):
+    sqrt(n!/m!) beta^(m-n) e^{-|beta|^2/2} L_n^(m-n)(|beta|^2) for m >= n, and
+    sqrt(m!/n!) (-conj beta)^(n-m) e^{-|beta|^2/2} L_m^(n-m)(|beta|^2) below."""
+    if not (0 <= m <= 2 and 0 <= n <= 2):
+        raise ValueError("oracle table covers occupations 0, 1 and 2 only")
+    x = abs(beta) ** 2
+    gauss = cmath.exp(-0.5 * x)
+    if m >= n:
+        return math.sqrt(math.factorial(n) / math.factorial(m)) * beta ** (m - n) * gauss * _laguerre(n, m - n, x)
+    return (math.sqrt(math.factorial(m) / math.factorial(n)) * (-np.conjugate(beta)) ** (n - m)
+            * gauss * _laguerre(m, n - m, x))
 
 
 def displaced_fock_overlap(m: int, alpha: complex, n: int, beta: complex) -> complex:
@@ -100,6 +106,42 @@ def triple_invariant_independent(occupations, centers) -> complex:
                 occupations[i][mode], centers[i][mode], occupations[j][mode], centers[j][mode]
             )
     return total
+
+
+# |n1, n2> in the modes b± = (a1 ± a2)/sqrt(2), as (coefficient, n+, n-): a photon
+# in a1 or a2 is (b+ ± b-)/sqrt(2), and |1, 1> is the Hong-Ou-Mandel pair.
+_B_MODES = {
+    (0, 0): ((1.0, 0, 0),),
+    (1, 0): ((math.sqrt(0.5), 1, 0), (math.sqrt(0.5), 0, 1)),
+    (0, 1): ((math.sqrt(0.5), 1, 0), (-math.sqrt(0.5), 0, 1)),
+    (1, 1): ((math.sqrt(0.5), 2, 0), (-math.sqrt(0.5), 0, 2)),
+}
+
+
+def exact_chain_invariant(occupation, z1: complex, z2: complex, theta1: float, theta2: float) -> complex:
+    """Exact <psi1|psi2><psi2|psi3><psi3|psi1> of a polarizer chain from
+    psi1 = D(z1, z2)|occupation>, with no truncation.
+
+    The polarizer is exp(-i t (n+ - n-)) in the b modes, where psi1 is
+    D(w+) D(w-) of at most two number-state terms, w± = (z1 ± z2)/sqrt(2), and
+    exp(-i t n) D(w)|j> = exp(-i t j) D(w exp(-i t))|j>. So
+    f(t) = <psi1|exp(-i t G)|psi1> is a finite sum of displaced-number overlaps,
+    and the invariant is f(theta1) f(theta2) conj f(theta1 + theta2), with
+    exp(-i (theta1 + theta2)) formed as a product.
+    """
+    w_plus, w_minus = (z1 + z2) * math.sqrt(0.5), (z1 - z2) * math.sqrt(0.5)
+    terms = _B_MODES[tuple(occupation)]
+
+    def f(u):  # u = exp(-i t)
+        return sum(
+            cj * ck * u ** kp * np.conjugate(u) ** km
+            * displaced_fock_overlap(jp, w_plus, kp, w_plus * u)
+            * displaced_fock_overlap(jm, w_minus, km, w_minus * np.conjugate(u))
+            for cj, jp, jm in terms for ck, kp, km in terms
+        )
+
+    u1, u2 = cmath.exp(-1j * theta1), cmath.exp(-1j * theta2)
+    return complex(f(u1) * f(u2) * np.conjugate(f(u1 * u2)))
 
 
 def shoelace_signed_area(p1, p2, p3) -> float:

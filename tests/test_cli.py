@@ -1,4 +1,5 @@
 import ast
+import cmath
 import contextlib
 import csv
 import importlib.util
@@ -152,6 +153,34 @@ def test_non_finite_invariant_is_usage_error_not_disagree(capsys):
     assert code == 1
     assert out == ""
     assert "phase_space_pairing route returned a non-finite invariant" in err
+
+
+@pytest.mark.parametrize("occupation", ["1,0", "0,1", "1,1"])
+@pytest.mark.parametrize(
+    "centers, angles",
+    [
+        # rounding leaves the chain's summed exponent far above exp's range
+        ("1e100,3e99,7e99,1e99", ("--theta1", "1e-9", "--theta2", "1e-9")),
+        # each edge's own exponent is far above it; their sum is far below
+        ("1e100,3e99,7e99,1e99;1.1e100,2e99,7e99,1e99;1e100,3e99,7.1e99,1.2e99", ()),
+    ],
+    ids=["chain", "triangle"],
+)
+def test_huge_accepted_inputs_never_end_in_a_traceback(capsys, centers, angles, occupation):
+    argv = ("phase", "--occupation", occupation, "--centers", centers, *angles, "--n-max", "25")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationLeakageWarning)
+        code, out, err = run_cli(capsys, *argv)
+        scenario = cli._scenario_from_args(cli.build_parser().parse_args(argv))
+        pairing = scenario.pairing_invariant().invariant
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert out == ""
+        assert re.fullmatch(r"bargmann-phase: error: the \w+ route returned a non-finite invariant\n", err)
+    if not cmath.isfinite(pairing):
+        assert code == 1
+        assert "the phase_space_pairing route returned a non-finite invariant" in err
 
 
 @pytest.mark.parametrize("occupation", ["1,1", "0,0"])
@@ -581,9 +610,9 @@ def test_pfunc_document_round_trip_keeps_the_pairing(occupation):
     # mehta_p_function builds, so reading a written document pairs identically
     shift = (PhaseSpacePoint(0.31, -0.17), PhaseSpacePoint(-0.05, 0.42))
     p = mehta_p_function(occupation, shift)
-    doc = json.loads(json.dumps(io_mod.pfunc_document(occupation, shift, p)))
-    got_occupation, got_shift, got = io_mod.pfunc_from_document(doc)
-    assert (got_occupation, got_shift) == (occupation, shift)
+    doc = json.loads(json.dumps(io_mod.pfunc_document(occupation, shift)))
+    assert io_mod.pfunc_from_document(doc) == (occupation, shift)
+    got = mehta_p_function(*io_mod.pfunc_from_document(doc))
     assert got == p
     for f in (fock_element_function((1, 0), (1, 1)), gaussian_smear_function(0.4)):
         assert pair(got, f) == pair(p, f)

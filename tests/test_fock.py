@@ -375,6 +375,16 @@ def test_displaced_fock_overlap_laguerre_form():
     assert abs(expected - oracles.displaced_fock_overlap(1, z, 1, zp)) < 1e-15
 
 
+def test_laguerre_overlap_oracle_matches_the_displacement_matrix():
+    # the oracle's closed form up to two photons, against a per-z eigendecomposition
+    # of the displacement at a cutoff far above its support
+    for beta in (0.3 - 0.2j, 1.1 + 0.7j, -0.4j):
+        dense = oracles.displacement_by_eigh(beta, 40)
+        for m in range(3):
+            for n in range(3):
+                assert abs(oracles.displaced_number_overlap(m, beta, n) - dense[m, n]) < 1e-12
+
+
 def test_displaced_fock_overlaps_against_oracle():
     dim = TruncationDim(25)
     rng = np.random.default_rng(11)

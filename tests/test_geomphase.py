@@ -194,10 +194,21 @@ def vertex_from(values):
     return (PhaseSpacePoint(values[0], values[1]), PhaseSpacePoint(values[2], values[3]))
 
 
+def exact_chain(scenario):
+    """The chain's invariant from the exact Laguerre overlaps of tests/oracles.py."""
+    z1, z2 = (v.to_complex() for v in scenario.vertex_a)
+    return oracles.exact_chain_invariant(scenario.occupation, z1, z2, scenario.theta1, scenario.theta2)
+
+
+def exact_triangle(scenario):
+    vertices = (scenario.vertex_a, scenario.vertex_b, scenario.vertex_c)
+    return oracle_invariant([StateSpec(scenario.occupation, *v) for v in vertices])
+
+
 def chain_bound(scenario, dim):
     """3 w_out: f(t) = <psi1|e^{-itG}|psi1> loses at most w_out = 1 - sum(p), the
     weight beyond n1 + n2 <= n_max, and |f| <= 1, so the chain's invariant is
-    within 3 w_out of the exact one, which the pairing computes."""
+    within 3 w_out of the exact one."""
     return 3 * (1.0 - scenario.initial_state.sector_weights(dim).sum())
 
 
@@ -223,7 +234,7 @@ def triangle_bound(scenario, dim):
 def test_chain_truncation_error_is_within_the_proven_bound(n_max, occupation, centers, theta1, theta2):
     scenario = PhaseScenario.evolved(occupation, vertex_from(centers), theta1, theta2)
     dim = TruncationDim(n_max)
-    error = abs(scenario.fock_invariant(dim).invariant - scenario.pairing_invariant().invariant)
+    error = abs(scenario.fock_invariant(dim).invariant - exact_chain(scenario))
     assert error <= chain_bound(scenario, dim) + 1e-12
 
 
@@ -238,17 +249,16 @@ def test_triangle_truncation_error_is_within_the_proven_bound(n_max, occupation,
     vertices = [vertex_from(centers[i : i + 4]) for i in (0, 4, 8)]
     scenario = PhaseScenario.independent(occupation, *vertices)
     dim = TruncationDim(n_max)
-    error = abs(scenario.fock_invariant(dim).invariant - scenario.pairing_invariant().invariant)
+    error = abs(scenario.fock_invariant(dim).invariant - exact_triangle(scenario))
     assert error <= triangle_bound(scenario, dim) + 1e-12
 
 
-def assert_phases_agree_under_the_bound(scenario, bound, dim, tol):
+def assert_phases_agree_under_the_bound(scenario, exact, bound, dim, tol):
     # the Fock invariant lies within bound (plus 1e-12 of rounding, as above) of
     # the exact one; relative to |exact| below sin(tol), its phase is within tol
-    exact = scenario.pairing_invariant()
-    assume(bound + 1e-12 < tol / 10 * abs(exact.invariant))
+    assume(bound + 1e-12 < tol / 10 * abs(exact))
     fock = scenario.fock_invariant(dim)
-    assert circular_delta(fock.phase, exact.phase) <= tol
+    assert circular_delta(fock.phase, cmath.phase(exact)) <= tol
 
 
 @pytest.mark.filterwarnings("ignore::bargmann_phase.fock.TruncationLeakageWarning")
@@ -266,7 +276,7 @@ def test_chain_phases_agree_when_the_bound_is_below_a_tenth_of_tol(
 ):
     scenario = PhaseScenario.evolved(occupation, vertex_from(centers), theta1, theta2)
     dim = TruncationDim(n_max)
-    assert_phases_agree_under_the_bound(scenario, chain_bound(scenario, dim), dim, tol)
+    assert_phases_agree_under_the_bound(scenario, exact_chain(scenario), chain_bound(scenario, dim), dim, tol)
 
 
 @pytest.mark.filterwarnings("ignore::bargmann_phase.fock.TruncationLeakageWarning")
@@ -280,7 +290,8 @@ def test_chain_phases_agree_when_the_bound_is_below_a_tenth_of_tol(
 def test_triangle_phases_agree_when_the_bound_is_below_a_tenth_of_tol(n_max, occupation, centers, tol):
     scenario = PhaseScenario.independent(occupation, *(vertex_from(centers[i : i + 4]) for i in (0, 4, 8)))
     dim = TruncationDim(n_max)
-    assert_phases_agree_under_the_bound(scenario, triangle_bound(scenario, dim), dim, tol)
+    assert_phases_agree_under_the_bound(
+        scenario, exact_triangle(scenario), triangle_bound(scenario, dim), dim, tol)
 
 
 def real_coordinate_invariant(scenario):
@@ -321,6 +332,106 @@ def test_pairing_matches_real_coordinate_oracle_property(occupation, centers, th
     got = scenario.pairing_invariant().invariant
     # relative where |invariant| >= 1; an invariant crossing zero has no relative scale
     assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+
+
+def engine_pairing(ps, maps):
+    """pdistribution.pair_product of three P objects against the kernel cycle under
+    the label maps L, as the dense form [[L† W L, 0], [0, 0]] over the six P
+    variables and the constant: W is -1 on each slot's own block and 1 on the
+    block of slot i's zbar and slot i + 1's z."""
+    lift = np.zeros((6, 6), dtype=complex)
+    for i, m in enumerate(maps):
+        lift[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = m
+    weights = np.kron(np.roll(np.eye(3), 1, axis=1) - np.eye(3), np.eye(2))
+    form = np.zeros((7, 7), dtype=complex)
+    form[:6, :6] = lift.conj().T @ weights @ lift
+    return pdistribution.pair_product(ps, pdistribution.GaussianFunction(form))
+
+
+def assert_matches_where_defined(got, want, rel):
+    if abs(want) > 1e-9:
+        assert abs(got - want) <= rel * abs(want)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    occupation=occupations_strategy,
+    centers=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    theta1=st.floats(-10.0, 10.0),
+    theta2=st.floats(-10.0, 10.0),
+)
+def test_chain_route_matches_the_general_engine(occupation, centers, theta1, theta2):
+    scenario = PhaseScenario.evolved(occupation, vertex_from(centers), theta1, theta2)
+    m1 = label_map_matrix(theta1)
+    want = engine_pairing((scenario.initial_state.quasi_probability(),) * 3,
+                          (np.eye(2), m1, m1 @ label_map_matrix(theta2)))
+    assert_matches_where_defined(scenario.pairing_invariant().invariant, want, 1e-10)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    occupations=st.lists(occupations_strategy, min_size=3, max_size=3),
+    centers=st.lists(st.floats(-2.0, 2.0), min_size=12, max_size=12),
+)
+def test_triangle_route_matches_the_general_engine(occupations, centers):
+    # mixed occupations as well: the edge factors take any pair of them
+    specs = [StateSpec(occ, *vertex_from(centers[4 * i : 4 * i + 4])) for i, occ in enumerate(occupations)]
+    want = engine_pairing([s.quasi_probability() for s in specs], (np.eye(2),) * 3)
+    assert_matches_where_defined(phase_space_trace(*specs).invariant, want, 1e-10)
+    if len(set(occupations)) == 1:
+        scenario = PhaseScenario.independent(occupations[0], *(s.centers for s in specs))
+        assert_matches_where_defined(scenario.pairing_invariant().invariant, want, 1e-10)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    occupation=occupations_strategy,
+    scale=st.sampled_from([0.35, 2.0, 6.0]),
+    unit=st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    theta1=st.floats(-10.0, 10.0),
+    theta2=st.floats(-10.0, 10.0),
+)
+def test_chain_route_matches_the_exact_chain(occupation, scale, unit, theta1, theta2):
+    # beyond the Fock oracle's reach: at scale 6, |z| runs to 8.5
+    scenario = PhaseScenario.evolved(occupation, vertex_from([scale * x for x in unit]), theta1, theta2)
+    assert_matches_where_defined(scenario.pairing_invariant().invariant, exact_chain(scenario), 1e-11)
+
+
+def test_cycle_contraction_sums_over_term_products():
+    # P objects of several terms pair as the sum over products of terms, on floats
+    # and on a grid, whose points keep the bits of their cycle alone
+    shift = (PhaseSpacePoint(0.3, -0.2), PhaseSpacePoint(0.1, 0.25))
+    p = mehta_p_function((1, 0), shift).combined(mehta_p_function((1, 1)).scaled(0.3 - 0.1j))
+    q = mehta_p_function((0, 1)).combined(mehta_p_function((0, 0), shift).scaled(-0.5))
+    want = engine_pairing((p, q, p), (np.eye(2),) * 3)
+    got = geomphase._cycle_pairings((p, q, p), geomphase._TRIANGLE_EDGES)
+    assert len(got) == 1 and abs(got[0] - want) <= 1e-12 * abs(want)
+    thetas1, thetas2 = [0.3, -1.1], [0.7, 2.0, 4.5]
+    grid = geomphase._cycle_pairings(
+        (p,) * 3, geomphase._chain_edges(geomphase._chain_trig(thetas1, thetas2)), (2, 3))
+    alone = [geomphase._cycle_pairings((p,) * 3, geomphase._chain_edges(geomphase._single_trig(t1, t2)))[0]
+             for t1 in thetas1 for t2 in thetas2]
+    assert grid == alone
+    m = label_map_matrix(thetas1[1])
+    want = engine_pairing((p,) * 3, (np.eye(2), m, m @ label_map_matrix(thetas2[2])))
+    assert abs(grid[-1] - want) <= 1e-12 * abs(want)
+
+
+def test_kernel_cycle_factors_of_a_triangle():
+    # the coherent triple product, times 1 - |Delta|^2 per edge for each occupied
+    # mode; the sign-flip triangle of closed_form_audit has one negative factor
+    a = (ORIGIN, ORIGIN)
+    b = (PhaseSpacePoint(1.3, 0.1), PhaseSpacePoint(0.1, 0.0))
+    c = (PhaseSpacePoint(0.4, -0.1), PhaseSpacePoint(0.0, 0.1))
+    labels = [tuple(p.to_complex() for p in v) for v in (a, b, c)]
+    coherent = oracles.triple_invariant_independent([(0, 0)] * 3, labels)
+    factors = [[1.0 - abs(labels[(i + 1) % 3][mode] - labels[i][mode]) ** 2 for i in range(3)]
+               for mode in (0, 1)]
+    for occupation in [(0, 0), (1, 0), (0, 1), (1, 1)]:
+        want = coherent * math.prod(f for mode in (0, 1) if occupation[mode] for f in factors[mode])
+        got = PhaseScenario.independent(occupation, a, b, c).pairing_invariant().invariant
+        assert abs(got - want) <= 1e-14
+    assert [sum(f < 0 for f in mode) for mode in factors] == [1, 0]
 
 
 def test_wirtinger_form_of_single_photons_is_one_term():

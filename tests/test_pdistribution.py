@@ -67,7 +67,7 @@ def test_single_photon_p_term_structure():
     # (1/4)(d_q^2 + d_p^2) per occupied mode
     shift = (PhaseSpacePoint(0.3, -0.1), PhaseSpacePoint(0.0, 0.2))
     for occupation in ALL_OCCUPATIONS:
-        doc = io_mod.pfunc_document(occupation, shift, mehta_p_function(occupation, shift))
+        doc = io_mod.pfunc_document(occupation, shift)
         terms = [(complex(*t["coeff"]), tuple(t["center"]), tuple(t["orders"])) for t in doc["terms"]]
         assert terms == oracles.delta_terms(occupation, (0.3, -0.1, 0.0, 0.2))
 
@@ -331,7 +331,7 @@ def test_oracle_central_difference_self_check():
 )
 def test_matching_sum_matches_enumeration(size, z_slots, zbar_slots, seed):
     # slots of one variable repeat freely, which exercises the counted states;
-    # a batch of three forms checks each member, and each against its batch of one
+    # three forms are checked
     z_vars = tuple(v % size for v in z_slots)
     zbar_vars = tuple(v % size for v in zbar_slots)
     rng = np.random.default_rng(seed)
@@ -339,18 +339,15 @@ def test_matching_sum_matches_enumeration(size, z_slots, zbar_slots, seed):
         rng.normal(size=shape) + 1j * rng.normal(size=shape)
         for shape in ((3, size, size), (3, size), (3, size))
     )
-    batch = pdistribution._matching_sum(z_vars, zbar_vars, grad_z, grad_zbar, hess)
     for g in range(3):
-        got = pdistribution._matching_sum(
-            z_vars, zbar_vars, grad_z[g : g + 1], grad_zbar[g : g + 1], hess[g : g + 1])
-        assert got.tolist() == [batch[g]]
+        got = pdistribution._matching_sum(z_vars, zbar_vars, grad_z[g], grad_zbar[g], hess[g])
         want = oracles.matching_sum_by_enumeration(
             z_vars, zbar_vars, grad_z[g], grad_zbar[g], hess[g])
         # the same enumeration over absolute values is the sum of |terms|
         scale = oracles.matching_sum_by_enumeration(
             z_vars, zbar_vars, abs(grad_z[g]), abs(grad_zbar[g]), abs(hess[g])
         ).real
-        assert abs(got[0] - want) <= 1e-12 * scale
+        assert abs(got - want) <= 1e-12 * scale
 
 
 def test_pairing_caches_are_keyed_on_structure_only():

@@ -43,13 +43,22 @@ class CoherentLabel:
 
 
 def overlap(a: CoherentLabel, b: CoherentLabel) -> complex:
-    """<a|b> = exp{-(|a|^2 + |b|^2)/2 + conj(a1) b1 + conj(a2) b2}."""
-    exponent = (
-        -0.5 * (a.norm_sq + b.norm_sq)
-        + np.conjugate(a.z1) * b.z1
-        + np.conjugate(a.z2) * b.z2
-    )
-    return cmath.exp(complex(exponent))
+    """<a|b> = exp{-(|a|^2 + |b|^2)/2 + conj(a1) b1 + conj(a2) b2}.
+
+    The exponent's real part is at most 0 in exact arithmetic. On huge labels
+    a squared norm can overflow, or the real part can round far above exp's
+    range; either gives a non-finite overlap, which method_reconciliation
+    rejects.
+    """
+    try:
+        exponent = (
+            -0.5 * (a.norm_sq + b.norm_sq)
+            + np.conjugate(a.z1) * b.z1
+            + np.conjugate(a.z2) * b.z2
+        )
+        return cmath.exp(complex(exponent))
+    except (OverflowError, ValueError):
+        return complex(math.nan, math.nan)
 
 
 def label_map_matrix(theta: float) -> np.ndarray:

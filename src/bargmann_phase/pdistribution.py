@@ -32,11 +32,6 @@ therefore a mixed derivative of e^Q at the centers, a sum over partial
 matchings of the z derivatives with the zbar derivatives (_matching_sum).
 pair_product pairs several P objects at once. See docs/derivations.md.
 
-What depends only on structure is built once per structure: the
-matching-sum plan (_matching_plan), the variables of a product of terms
-(_product_vars) and the Wirtinger expansion of (q, p) orders. None is keyed
-on centers or coefficients; those enter each call as numbers.
-
 The Bargmann invariant does not run this engine: its kernel is a cycle, and
 module geomphase contracts it edge by edge. The engine serves the test
 functions that are not cycles, and it is the tests' reference for that
@@ -177,70 +172,33 @@ def _product_vars(structure: tuple) -> tuple:
     return tuple(tuple(2 * i + v for i, t in enumerate(structure) for v in t[side]) for side in (0, 1))
 
 
-@lru_cache(maxsize=None)
-def _count_tables(counts: tuple) -> tuple:
-    """States s with 0 <= s[u] <= counts[u], flat in C order: source[u, s] = s less one u
-    (the state count if s[u] = 0), free = counts - s, and scale = 1 / prod(free!)."""
-    dims = tuple(c + 1 for c in counts)
-    states = np.indices(dims).reshape(len(dims), math.prod(dims))
-    strides = np.array([math.prod(dims[u + 1:]) for u in range(len(dims))], dtype=int)
-    source = np.where(states > 0, np.arange(states.shape[1]) - strides[:, None], states.shape[1])
-    free = np.array(counts, dtype=int)[:, None] - states
-    factorials = np.cumprod([1.0, *range(1, max(counts, default=0) + 1)])
-    return source, free, 1.0 / factorials[free].prod(axis=0)
-
-
-@lru_cache(maxsize=1024)
-def _matching_plan(z_vars: tuple, zbar_vars: tuple, size: int) -> tuple:
-    """What _matching_sum needs of its slots alone, for a size x size hess: the z
-    variables, the distinct zbar variables zbar_u, the index of each z slot's step
-    weights into a row hess.ravel() + grad_z (the pair weights hess[zbar_u, z],
-    then the slot's own gradient), the _count_tables source with the state itself
-    as the last source row, the initial states, the scale, and the index into the
-    table of gradient powers g[u]^e (u by e, flat) of each unmatched factor
-    g[u]^free[u, s]."""
-    counted = collections.Counter(zbar_vars)
-    zbar_u = np.array(tuple(counted), dtype=int)
-    z = np.array(z_vars, dtype=int)
-    source, free, scale = _count_tables(tuple(counted.values()))
-    source = np.vstack([source, np.arange(len(scale))])
-    steps = np.hstack([size * zbar_u + z[:, None], size * size + z[:, None]])
-    start = np.zeros(len(scale) + 1, dtype=complex)
-    start[0] = 1.0 / scale[0]
-    exponents = np.arange(max(counted.values(), default=0) + 1)
-    plan = (z, zbar_u, steps, source, start, scale, exponents,
-            len(exponents) * np.arange(len(zbar_u))[:, None] + free)
-    for a in plan:
-        a.flags.writeable = False
-    return plan
-
-
 def _matching_sum(z_vars, zbar_vars, grad_z, grad_zbar, hess) -> complex:
     """exp(-Q) d^z_vars d^zbar_vars exp(Q), Q quadratic with no z-z or zbar-zbar part,
     with n x n hess and the gradients grad_z and grad_zbar of length n.
 
     The sum over partial matchings of z slots with zbar slots: a pair weighs
-    hess[zbar, z], an unmatched slot its gradient entry. Slots of one zbar
-    variable are interchangeable, so a state counts the matched slots per
-    distinct zbar variable. sums[s] covers the z slots so far, times
-    prod(free!) so that each step is one weighted sum over the sources of s
-    (one per zbar variable, and s itself for the slot left unmatched);
-    sums[-1] stays 0. The indices come from _matching_plan, built once per
-    slot structure.
+    hess[zbar][z], an unmatched slot its gradient entry. Slots of one zbar
+    variable are interchangeable, so the sum walks the z slots keeping
+    {free slots per distinct zbar variable: partial sum}. A z slot on v stays
+    unmatched (grad_z[v]) or takes one of the c free slots of u (c * hess[u][v],
+    skipped where hess[u][v] is 0); the slots still free at the end weigh
+    grad_zbar[u] each.
     """
-    if not (z_vars or zbar_vars):
-        return 1.0 + 0j
-    z, zbar_u, steps, source, start, scale, exponents, powers = _matching_plan(
-        tuple(z_vars), tuple(zbar_vars), len(hess))
-    weights = np.concatenate((hess.ravel(), grad_z)).take(steps)
-    sums = start.copy()
-    head = sums[:-1]
-    for k in range(len(z)):
-        # take copies every source before matmul overwrites the states
-        np.matmul(weights[k], sums.take(source), out=head)
-    table = grad_zbar.take(zbar_u)[:, None] ** exponents
-    unmatched = table.ravel().take(powers).prod(axis=0)
-    return complex(head @ (scale * unmatched))
+    us = tuple(dict.fromkeys(zbar_vars))
+    sums = {tuple(map(zbar_vars.count, us)): 1.0 + 0j}
+    for v in z_vars:
+        pairs = [(k, w) for k, u in enumerate(us) if (w := hess[u][v])]
+        step = collections.defaultdict(complex)
+        for free, s in sums.items():
+            step[free] += s * grad_z[v]
+            for k, w in pairs:
+                if free[k]:
+                    step[free[:k] + (free[k] - 1,) + free[k + 1:]] += s * free[k] * w
+        sums = step
+    # repeated products, not **, so that overflow gives inf rather than raising
+    return complex(sum(
+        s * math.prod(grad_zbar[u] for u, c in zip(us, free) for _ in range(c))
+        for free, s in sums.items()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,15 +238,6 @@ class GaussianFunction:
         return replace(self, form=shift.conj().T @ self.form @ shift)
 
 
-@lru_cache(maxsize=1024)
-def _envelope_diagonal(envelope: tuple, size: int) -> np.ndarray:
-    """The size x size diagonal that is 1 on both variables of each enveloped P object."""
-    flags = [float(e) for e in envelope for _ in range(2)]
-    diag = np.diag(flags + [0.0] * (size - len(flags)))
-    diag.flags.writeable = False
-    return diag
-
-
 def pair_product(ps, f: GaussianFunction) -> complex:
     """integral P_1(x_1) ... P_k(x_k) f(x_1, ..., x_k) dx in the absorbed measure.
 
@@ -300,7 +249,8 @@ def pair_product(ps, f: GaussianFunction) -> complex:
     """
     size = len(f.form)
     n_p = 2 * len(ps)
-    hess = f.form + _envelope_diagonal(tuple(p.envelope for p in ps), size)
+    flags = [float(p.envelope) for p in ps for _ in range(2)]
+    hess = (f.form + np.diag(flags + [0.0] * (size - n_p))).tolist()
     w = np.zeros(size, dtype=complex)
     w[-1] = 1.0
     total = 0j
@@ -311,8 +261,8 @@ def pair_product(ps, f: GaussianFunction) -> complex:
             z_vars, zbar_vars = _product_vars(tuple(t[2:] for t in terms))
             w_bar = w.conj()
             grad_zbar = f.form @ w
-            moment = _matching_sum(
-                z_vars + f.z_slots, zbar_vars + f.zbar_slots, w_bar @ f.form, grad_zbar, hess)
+            moment = _matching_sum(z_vars + f.z_slots, zbar_vars + f.zbar_slots,
+                                   (w_bar @ f.form).tolist(), grad_zbar.tolist(), hess)
             total += math.prod(t.coeff for t in terms) * moment * complex(np.exp(grad_zbar @ w_bar))
     return total
 

@@ -155,7 +155,7 @@ def test_non_finite_invariant_is_usage_error_not_disagree(capsys):
     assert "phase_space_pairing route returned a non-finite invariant" in err
 
 
-@pytest.mark.parametrize("occupation", ["1,0", "0,1", "1,1"])
+@pytest.mark.parametrize("occupation", ["0,0", "1,0", "0,1", "1,1"])
 @pytest.mark.parametrize(
     "centers, angles",
     [
@@ -163,8 +163,13 @@ def test_non_finite_invariant_is_usage_error_not_disagree(capsys):
         ("1e100,3e99,7e99,1e99", ("--theta1", "1e-9", "--theta2", "1e-9")),
         # each edge's own exponent is far above it; their sum is far below
         ("1e100,3e99,7e99,1e99;1.1e100,2e99,7e99,1e99;1e100,3e99,7.1e99,1.2e99", ()),
+        # labels one ulp apart: rounding leaves a coherent overlap's exponent
+        # far above exp's range
+        ("1e100,0,0,0;1.0000000000000002e100,0,0,0;1.0000000000000004e100,0,0,0", ()),
+        # each mode's |z|^2 is finite, but the rotated labels' squared norms overflow
+        ("1.2e154,0,0,1.2e154", ("--theta1", "0.785398", "--theta2", "0.1")),
     ],
-    ids=["chain", "triangle"],
+    ids=["chain", "triangle", "ulp-triangle", "wide-chain"],
 )
 def test_huge_accepted_inputs_never_end_in_a_traceback(capsys, centers, angles, occupation):
     argv = ("phase", "--occupation", occupation, "--centers", centers, *angles, "--n-max", "25")

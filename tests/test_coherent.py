@@ -44,6 +44,20 @@ def test_overlap_modulus_from_label_distance():
         assert abs(overlap(a, b)) == pytest.approx(math.exp(-dist_sq / 2), rel=1e-13)
 
 
+def test_overlap_of_huge_labels_is_non_finite_rather_than_an_error():
+    def pair_at(x):
+        # two labels two ulps apart
+        return (CoherentLabel(z1=complex(x), z2=0j),
+                CoherentLabel(z1=complex(math.nextafter(math.nextafter(x, 2 * x), 2 * x)), z2=0j))
+
+    # at 1e100 rounding leaves the exponent's real part far above exp's range;
+    # at 1e200 the squared norms overflow
+    a, b = pair_at(1e100)
+    assert not cmath.isfinite(overlap(b, a))
+    assert not cmath.isfinite(bargmann_triple_coherent(a, b, a).invariant)
+    assert not cmath.isfinite(overlap(*pair_at(1e200)))
+
+
 def test_label_rejects_non_finite():
     with pytest.raises(ValueError):
         CoherentLabel(z1=complex("inf"), z2=0.0)

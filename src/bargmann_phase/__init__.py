@@ -15,7 +15,6 @@ from .coherent import (
     polarizer_label_map,
 )
 from .fock import (
-    DISPLACEMENT_GUARD_RATIO,
     METHOD_COHERENT_CLOSED_FORM,
     METHOD_FOCK_ORACLE,
     METHOD_PHASE_SPACE_PAIRING,

@@ -38,9 +38,6 @@ class CoherentLabel:
     def norm_sq(self) -> float:
         return abs(self.z1) ** 2 + abs(self.z2) ** 2
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.z1, self.z2])
-
 
 def overlap(a: CoherentLabel, b: CoherentLabel) -> complex:
     """<a|b> = exp{-(|a|^2 + |b|^2)/2 + conj(a1) b1 + conj(a2) b2}.
@@ -53,8 +50,8 @@ def overlap(a: CoherentLabel, b: CoherentLabel) -> complex:
     try:
         exponent = (
             -0.5 * (a.norm_sq + b.norm_sq)
-            + np.conjugate(a.z1) * b.z1
-            + np.conjugate(a.z2) * b.z2
+            + a.z1.conjugate() * b.z1
+            + a.z2.conjugate() * b.z2
         )
         return cmath.exp(complex(exponent))
     except (OverflowError, ValueError):
@@ -78,8 +75,8 @@ def polarizer_label_map(theta: float, v: CoherentLabel) -> CoherentLabel:
     Matches fock.evolve_state exactly: evolving the state vector of |v>
     yields the state vector of this label, with no residual phase.
     """
-    w1, w2 = label_map_matrix(theta) @ v.as_array()
-    return CoherentLabel(z1=complex(w1), z2=complex(w2))
+    c, s = math.cos(theta), math.sin(theta)
+    return CoherentLabel(z1=c * v.z1 - 1j * s * v.z2, z2=c * v.z2 - 1j * s * v.z1)
 
 
 def bargmann_triple_coherent(
@@ -97,16 +94,16 @@ def bargmann_triple_coherent(
     directly so that exactly representable inputs give exact phases.
     """
     bilinear = (
-        np.conjugate(a.z1) * b.z1
-        + np.conjugate(b.z1) * c.z1
-        + np.conjugate(c.z1) * a.z1
-        + np.conjugate(a.z2) * b.z2
-        + np.conjugate(b.z2) * c.z2
-        + np.conjugate(c.z2) * a.z2
+        a.z1.conjugate() * b.z1
+        + b.z1.conjugate() * c.z1
+        + c.z1.conjugate() * a.z1
+        + a.z2.conjugate() * b.z2
+        + b.z2.conjugate() * c.z2
+        + c.z2.conjugate() * a.z2
     )
     invariant = overlap(a, b) * overlap(b, c) * overlap(c, a)
     return phase_result(
         invariant,
         METHOD_COHERENT_CLOSED_FORM,
-        phase=principal_phase(float(np.imag(bilinear))),
+        phase=principal_phase(bilinear.imag),
     )

@@ -30,9 +30,10 @@ are O(n_max) sums over the two modes' amplitudes.
 Truncation is the only approximation, and its error is bounded: with
 w_out = 1 - sum p the weight of psi1 on N > n_max, a chain's invariant is
 within 3 w_out of the exact one, and three states with cut weights eps_i
-give an invariant within the sum over pairs of sqrt(eps_i eps_j).
-Displacements with total |z| = sqrt(|z1|^2 + |z2|^2) beyond n_max/10 leak
-noticeable weight past the cutoff and trigger a TruncationLeakageWarning.
+give an invariant within the sum over pairs of sqrt(eps_i eps_j). Each
+invariant comes with its bound (PhaseResult.bound), and
+geomphase.method_reconciliation raises a TruncationLeakageWarning when that
+bound exceeds the tolerance times |invariant|.
 
 The dense operator forms (polarizer_unitary, evolve_state, the
 displacements, DensityOperator, evolve, triple_product_trace) serve the
@@ -44,8 +45,6 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-import operator
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,7 +52,6 @@ import numpy as np
 
 __all__ = [
     "BLOCK_BYTES",
-    "DISPLACEMENT_GUARD_RATIO",
     "UNDEFINED_PHASE_CUTOFF",
     "METHOD_FOCK_ORACLE",
     "METHOD_COHERENT_CLOSED_FORM",
@@ -72,6 +70,7 @@ __all__ = [
     "displaced_fock_states",
     "evolve_state",
     "chain_weights",
+    "chain_bound",
     "chain_invariant",
     "chain_invariants",
     "triangle_invariant",
@@ -90,10 +89,6 @@ UNDEFINED_PHASE_CUTOFF = 1e-12
 # blocks are sized by their lists of Python floats).
 BLOCK_BYTES = 2 << 20
 
-# Largest total displacement sqrt(|z1|^2 + |z2|^2) considered safe at cutoff
-# n_max is DISPLACEMENT_GUARD_RATIO * n_max; beyond it a warning is emitted.
-DISPLACEMENT_GUARD_RATIO = 0.1
-
 METHOD_FOCK_ORACLE = "fock_oracle"
 METHOD_COHERENT_CLOSED_FORM = "coherent_closed_form"
 METHOD_PHASE_SPACE_PAIRING = "phase_space_pairing"
@@ -101,7 +96,7 @@ METHOD_PRINTED_CLOSED_FORM = "printed_closed_form"
 
 
 class TruncationLeakageWarning(UserWarning):
-    """A displacement is large enough to leak weight past the cutoff."""
+    """The Fock oracle's truncation bound exceeds the tolerance times |invariant|."""
 
 
 @dataclass(frozen=True)
@@ -137,12 +132,15 @@ class PhaseResult:
 
     phase is the principal argument of invariant in (-pi, pi], or None when
     the modulus is below UNDEFINED_PHASE_CUTOFF and the phase carries no
-    information. method names the computation route.
+    information. method names the computation route. bound is the Fock
+    oracle's proven truncation bound on |invariant - exact invariant|, and None
+    on the other routes.
     """
 
     invariant: complex
     phase: float | None
     method: str
+    bound: float | None = None
 
     @property
     def defined(self) -> bool:
@@ -157,7 +155,9 @@ def principal_phase(angle: float) -> float:
     return wrapped
 
 
-def phase_result(invariant: complex, method: str, phase: float | None = None) -> PhaseResult:
+def phase_result(
+    invariant: complex, method: str, phase: float | None = None, bound: float | None = None
+) -> PhaseResult:
     """Package an invariant, flagging near-zero modulus as undefined.
 
     An explicitly supplied phase (already principal) overrides the arg of
@@ -169,12 +169,12 @@ def phase_result(invariant: complex, method: str, phase: float | None = None) ->
     # abs of a NaN complex can raise OverflowError when errno is left at ERANGE
     # by an earlier overflow (as np.exp leaves it), so only finite values reach it
     if cmath.isfinite(invariant) and abs(invariant) < UNDEFINED_PHASE_CUTOFF:
-        return PhaseResult(invariant=invariant, phase=None, method=method)
+        return PhaseResult(invariant=invariant, phase=None, method=method, bound=bound)
     if phase is None:
         phase = cmath.phase(invariant)
     if phase < -math.pi + 1e-12:
         phase = math.pi
-    return PhaseResult(invariant=invariant, phase=phase, method=method)
+    return PhaseResult(invariant=invariant, phase=phase, method=method, bound=bound)
 
 
 def mode_annihilation(mode: int, dim: TruncationDim) -> np.ndarray:
@@ -195,17 +195,6 @@ def _reduced_angle(theta: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Exact amplitudes of displaced number states
-
-
-def _displacement_guard(r: float, n_max: int):
-    if r > DISPLACEMENT_GUARD_RATIO * n_max:
-        warnings.warn(
-            f"displacement |z|={r:.3g} exceeds the guard "
-            f"{DISPLACEMENT_GUARD_RATIO * n_max:.3g} at n_max={n_max}; "
-            "truncation leakage may be significant",
-            TruncationLeakageWarning,
-            stacklevel=3,
-        )
 
 
 @lru_cache(maxsize=32)
@@ -234,7 +223,6 @@ def _number_amplitudes(states, n_max: int) -> np.ndarray:
         raise ValueError(f"occupations must be >= 0, got {js}")
     # |z|^2, inf past the float range, where e^{-|z|^2/2} is 0 already
     squares = [z.real * z.real + z.imag * z.imag for z in zs]
-    _displacement_guard(math.sqrt(max(map(operator.add, squares[0::2], squares[1::2]))), n_max)
     top = max(js)
     m, half_log_fact, sqrt_m = _ladder_table(n_max, top)
     # log z is -1e300 at z = 0, so that z^0 is 1 and every higher power 0
@@ -310,6 +298,13 @@ def chain_weights(z1: complex, n1: int, z2: complex, n2: int, dim: TruncationDim
     amplitude = np.einsum("ti,tj->ij", amps[:, 0] * [[c] for c, _, _ in terms], amps[:, 1])
     weights = np.abs(amplitude.ravel()) ** 2
     return np.bincount(_difference_slots(n), weights=weights, minlength=2 * n + 2)[:-1]
+
+
+def chain_bound(weights: np.ndarray) -> float:
+    """The chain's truncation bound 3 w_out, w_out = 1 - sum(weights) the weight
+    of psi1 beyond the cutoff: each factor f(t) loses at most w_out and |f| <= 1.
+    A kept sum that rounds past 1 reads as w_out = 0."""
+    return 3.0 * max(0.0, 1.0 - float(weights.sum()))
 
 
 # chain_invariants weighs the angle rows (C, S, S, C) of theta1 by (u, -u, -v, -v),
@@ -389,13 +384,14 @@ def chain_invariant(
     f(theta1) f(theta2) conj f(theta1 + theta2) with
     f(theta) = <psi1|e^{-i theta G}|psi1> = sum_k p_k e^{-i theta k}
     = p_0 + sum_{k > 0} (p_k e + p_-k conj e), e = e^{-i theta k}. This is the
-    1 x 1 grid of chain_invariants.
+    1 x 1 grid of chain_invariants. Its bound is chain_bound(weights).
     """
     invariant = chain_invariants(weights, (theta1,), (theta2,), dim)[0, 0]
-    return phase_result(invariant, METHOD_FOCK_ORACLE)
+    return phase_result(invariant, METHOD_FOCK_ORACLE, bound=chain_bound(weights))
 
 
-_NEXT_STATE = np.array([1, 2, 0])
+# i and j of triangle_invariant's <i|j>: (0, 1), (1, 2), (2, 0), then each state with itself
+_OVERLAP_PAIRS = (np.array([0, 1, 2, 0, 1, 2]), np.array([1, 2, 0, 0, 1, 2]))
 
 
 def triangle_invariant(states, dim: TruncationDim) -> PhaseResult:
@@ -404,12 +400,17 @@ def triangle_invariant(states, dim: TruncationDim) -> PhaseResult:
 
     A state is a product a1 (x) a2 of per-mode amplitudes, so the truncated
     overlap of states i and j is sum_m1 x[m1] Y[n_max - m1] with
-    x = conj(a1_i) a1_j and Y the running sum of conj(a2_i) a2_j."""
+    x = conj(a1_i) a1_j and Y the running sum of conj(a2_i) a2_j. The same sums
+    give each state's kept norm <i|i> = 1 - eps_i, and the bound is the sum over
+    pairs of sqrt(eps_i eps_j)."""
     amps = _number_amplitudes(states, dim.n_max)
-    products = amps.conj() * amps[_NEXT_STATE]
+    left, right = _OVERLAP_PAIRS
+    products = amps[left].conj() * amps[right]
     y = np.cumsum(products[:, 1], axis=1)
-    o12, o23, o31 = np.einsum("pm,pm->p", products[:, 0], y[:, ::-1]).tolist()
-    return phase_result(o12 * o23 * o31, METHOD_FOCK_ORACLE)
+    o12, o23, o31, *kept = np.einsum("pm,pm->p", products[:, 0], y[:, ::-1]).tolist()
+    eps = [max(0.0, 1.0 - k.real) for k in kept]
+    bound = sum(math.sqrt(eps[i] * eps[i - 1]) for i in range(3))
+    return phase_result(o12 * o23 * o31, METHOD_FOCK_ORACLE, bound=bound)
 
 
 def triple_overlap(psi1: np.ndarray, psi2: np.ndarray, psi3: np.ndarray) -> PhaseResult:

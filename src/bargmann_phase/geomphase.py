@@ -55,7 +55,9 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+import sys
+import warnings
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -68,6 +70,8 @@ from .fock import (
     METHOD_PRINTED_CLOSED_FORM,
     PhaseResult,
     TruncationDim,
+    TruncationLeakageWarning,
+    chain_bound,
     chain_invariant,
     chain_invariants,
     chain_weights,
@@ -481,16 +485,20 @@ def circular_delta(phase_a: float, phase_b: float) -> float:
     return abs(principal_phase(phase_a - phase_b))
 
 
-_GATED_PAIRS_BASE = ("fock_oracle", "phase_space_pairing", "coherent_closed_form")
-
-
 @dataclass(frozen=True)
 class ReconciliationRow:
     scenario: PhaseScenario
     results: dict
-    deltas: dict
     abs_delta_max: float | None
     flag: str
+
+    @property
+    def deltas(self) -> dict:
+        """circular_delta of each pair of defined phases, keyed "a|b"; {} on an undefined row."""
+        defined = [] if self.flag == "undefined" else [
+            (name, res.phase) for name, res in self.results.items() if res.phase is not None]
+        return {f"{a}|{b}": circular_delta(pa, pb)
+                for (a, pa), (b, pb) in itertools.combinations(defined, 2)}
 
     def phase_of(self, method: str) -> float | None:
         res = self.results.get(method)
@@ -527,47 +535,45 @@ def method_reconciliation(
     invariant has undefined phase the row is flagged undefined and the
     reference phase is suppressed too (its premise, the arg of the
     invariant, is vacuous there). A non-finite invariant from any route
-    raises ValueError rather than being flagged as a disagreement.
+    raises ValueError rather than being flagged as a disagreement. Before that,
+    a Fock truncation bound above tolerance * |invariant| raises a
+    TruncationLeakageWarning; its text names the state's bound and n_max only,
+    so the default filter shows it once per state.
 
     results, when given, holds the routes' PhaseResults by method name as
     evolved_grid_results yields them, and the routes are not run again.
     """
     if results is None:
-        results = {
-            "fock_oracle": scenario.fock_invariant(dim),
-            "phase_space_pairing": scenario.pairing_invariant(),
-        }
-        coherent = scenario.coherent_invariant()
-        if coherent is not None:
-            results["coherent_closed_form"] = coherent
-        results["printed_closed_form"] = scenario.printed_invariant()
+        routes = {"fock_oracle": scenario.fock_invariant(dim),
+                  "phase_space_pairing": scenario.pairing_invariant(),
+                  "coherent_closed_form": scenario.coherent_invariant(),
+                  "printed_closed_form": scenario.printed_invariant()}
+        results = {name: res for name, res in routes.items() if res is not None}
+    # A kept weight 1 - eps_i, running sums of n_max + 1 terms a mode, rounds by under
+    # (n_max + 1) epsilons (0.7 (n_max + 1) at most, measured to n_max 100); either
+    # bound is at most 3 max eps_i, so below that floor it may be rounding alone.
+    fock_route, floor = results["fock_oracle"], 3 * (dim.n_max + 1) * sys.float_info.epsilon
+    if fock_route.bound > max(tolerance * abs(fock_route.invariant), floor):
+        warnings.warn(f"the Fock oracle's truncation bound {fock_route.bound:.3g} at n_max="
+                      f"{dim.n_max} exceeds the tolerance times |invariant|; raise n_max",
+                      TruncationLeakageWarning, stacklevel=2)
     for res in results.values():
         if not cmath.isfinite(res.invariant):
             raise ValueError(f"the {res.method} route returned a non-finite invariant")
 
-    gated = [name for name in _GATED_PAIRS_BASE if name in results]
-    if any(results[name].phase is None for name in gated):
-        printed = results["printed_closed_form"]
-        results = {**results, "printed_closed_form": PhaseResult(
-            invariant=printed.invariant, phase=None, method=printed.method
-        )}
+    # the printed form gates only occupation (0, 0), and its phase is never None
+    gated = [res.phase for name, res in results.items()
+             if name != "printed_closed_form" or scenario.occupation == (0, 0)]
+    if None in gated:
+        printed = replace(results["printed_closed_form"], phase=None)
         return ReconciliationRow(
-            scenario=scenario, results=results, deltas={}, abs_delta_max=None, flag="undefined"
+            scenario=scenario, results={**results, "printed_closed_form": printed},
+            abs_delta_max=None, flag="undefined",
         )
 
-    if scenario.occupation == (0, 0):
-        gated.append("printed_closed_form")
-    deltas, abs_delta_max = {}, 0.0
-    for a, b in itertools.combinations(results, 2):
-        pa, pb = results[a].phase, results[b].phase
-        if pa is not None and pb is not None:
-            delta = deltas[f"{a}|{b}"] = circular_delta(pa, pb)
-            if a in gated and b in gated:
-                abs_delta_max = max(abs_delta_max, delta)
+    abs_delta_max = max(itertools.starmap(circular_delta, itertools.combinations(gated, 2)))
     flag = "ok" if abs_delta_max <= tolerance else "disagree"
-    return ReconciliationRow(
-        scenario=scenario, results=results, deltas=deltas, abs_delta_max=abs_delta_max, flag=flag
-    )
+    return ReconciliationRow(scenario=scenario, results=results, abs_delta_max=abs_delta_max, flag=flag)
 
 
 def evolved_grid_results(state: StateSpec, thetas1, thetas2, dim: TruncationDim):
@@ -584,6 +590,7 @@ def evolved_grid_results(state: StateSpec, thetas1, thetas2, dim: TruncationDim)
     pairing's edges, the labels and the printed form's terms).
     """
     weights = state.sector_weights(dim)
+    bound = chain_bound(weights)
     p, a = state.quasi_probability(), _coordinates(state.centers)
     coherent = state.occupation == (0, 0)
     n1, n2 = len(thetas1), len(thetas2)
@@ -610,7 +617,7 @@ def evolved_grid_results(state: StateSpec, thetas1, thetas2, dim: TruncationDim)
                     for x in (*terms, *((*b, *c) if coherent else ()))]
             for g, point in enumerate(zip(fock_route, pairing, *grid[:5])):
                 results = {
-                    "fock_oracle": phase_result(point[0], METHOD_FOCK_ORACLE),
+                    "fock_oracle": phase_result(point[0], METHOD_FOCK_ORACLE, bound=bound),
                     "phase_space_pairing": phase_result(point[1], METHOD_PHASE_SPACE_PAIRING),
                 }
                 if coherent:
@@ -668,18 +675,13 @@ def closed_form_audit(report: ReconciliationReport) -> dict:
     wide-separation case showing a pi-size jump from the sign flip of the
     (1 - |Delta|^2) overlap factors, which a smooth arctan cannot track.
     """
-    vacuum_deltas = []
-    occupied_deltas = []
+    # the printed form's delta from the pairing, by whether the row is vacuum;
+    # an undefined row has no deltas
+    deltas = {True: [], False: []}
     for row in report.rows:
-        if row.flag == "undefined":
-            continue
         delta = row.deltas.get("phase_space_pairing|printed_closed_form")
-        if delta is None:
-            continue
-        if row.scenario.occupation == (0, 0):
-            vacuum_deltas.append(delta)
-        else:
-            occupied_deltas.append(delta)
+        if delta is not None:
+            deltas[row.scenario.occupation == (0, 0)].append(delta)
 
     ratios = []
     for k in range(8):
@@ -703,8 +705,8 @@ def closed_form_audit(report: ReconciliationReport) -> dict:
         }
 
     return {
-        "vacuum_abs_delta": stats(vacuum_deltas),
-        "occupied_abs_delta": stats(occupied_deltas),
+        "vacuum_abs_delta": stats(deltas[True]),
+        "occupied_abs_delta": stats(deltas[False]),
         "small_displacement_phase_ratio": stats(ratios),
         "sign_flip_probe": flip,
         "finding": (

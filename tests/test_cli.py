@@ -188,6 +188,49 @@ def test_huge_accepted_inputs_never_end_in_a_traceback(capsys, centers, angles, 
         assert "the phase_space_pairing route returned a non-finite invariant" in err
 
 
+def test_huge_coherent_chain_fails_without_numpy_warnings(capsys):
+    # the coherent closed form runs in Python complex numbers, which overflow
+    # to inf silently; the row still fails at the boundary with exit 1
+    argv = ("phase", "--occupation", "0,0", "--centers", "1.2e154,0,0,1.2e154",
+            "--theta1", "0.785398", "--theta2", "0.1", "--n-max", "25")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert code == 1
+    assert out == ""
+    assert err == "bargmann-phase: error: the coherent_closed_form route returned a non-finite invariant\n"
+
+
+# |invariant| is 1.4e-4; the Fock bound over it is 15.4 at n_max 25, 1.1e-6 at
+# 40 and 1.1e-9 at 45
+LEAKY_CHAIN = ("phase", "--occupation", "1,0", "--centers", "2.5,1,-1.5,1",
+               "--theta1", "0.7", "--theta2", "0.4")
+
+
+@pytest.mark.parametrize(
+    "argv, fires",
+    [
+        ((*LEAKY_CHAIN, "--n-max", "25"), True),
+        ((*LEAKY_CHAIN, "--n-max", "40"), True),
+        ((*LEAKY_CHAIN, "--n-max", "45"), False),
+        # truncation wipes the invariant out: bound 3 on an invariant of 0
+        (("phase", "--centers", "1e100,0,0,0", "--theta1", "0.3", "--n-max", "8"), True),
+        (("sweep", "--centers", "0.7,0,0,0", "--n-max", "5"), True),
+        (("sweep",), False),
+        (("phase", "--n-max", "100", "--occupation", "1,0", "--centers", "3,0.5,-1,1",
+          "--theta1", "0.7", "--theta2", "0.4"), False),
+    ],
+    ids=["chain-25", "chain-40", "chain-45", "wiped-out", "sweep-5", "default-sweep", "chain-100"],
+)
+def test_truncation_warning_fires_once_per_command_above_the_bound(capsys, argv, fires):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        run_cli(capsys, *argv)
+    leaks = [w for w in caught if issubclass(w.category, TruncationLeakageWarning)]
+    assert len(leaks) == fires
+
+
 @pytest.mark.parametrize("occupation", ["1,1", "0,0"])
 def test_phase_huge_angle_routes_agree(capsys, occupation):
     # the Fock route reduces the angle modulo 2 pi exactly and every route

@@ -75,6 +75,18 @@ def test_label_map_matrix_unitary_group_law():
     np.testing.assert_array_equal(label_map_matrix(0.0), np.eye(2))
 
 
+def test_label_map_is_the_matrix_product_bit_for_bit():
+    # polarizer_label_map applies M(theta) in plain numbers; validate's group-law
+    # check multiplies the matrices, and both give the same labels
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        v = random_label(rng, scale=50.0)
+        theta = float(rng.uniform(-10.0, 10.0))
+        w1, w2 = label_map_matrix(theta) @ np.array([v.z1, v.z2])
+        mapped = polarizer_label_map(theta, v)
+        assert (mapped.z1, mapped.z2) == (complex(w1), complex(w2))
+
+
 def test_label_map_half_turn_swaps_with_quadrature_phase():
     mapped = polarizer_label_map(math.pi / 2, CoherentLabel(1.0, 0.0))
     assert mapped.z1 == pytest.approx(0.0, abs=1e-15)

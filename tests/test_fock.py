@@ -11,7 +11,6 @@ from bargmann_phase.fock import (
     DensityOperator,
     PhaseResult,
     TruncationDim,
-    TruncationLeakageWarning,
     chain_invariant,
     chain_invariants,
     chain_weights,
@@ -160,7 +159,6 @@ def spectral_weights(psi, dim):
     return p
 
 
-@pytest.mark.filterwarnings("ignore::bargmann_phase.fock.TruncationLeakageWarning")
 @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 25, 26, 49, 50, 100])
 def test_grouped_sector_bases_match_per_sector_solves(n_max):
     # chain_weights groups every sector's weight by the eigenvalue k with one
@@ -226,7 +224,6 @@ centers_strategy = st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4)
 occupations_strategy = st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1)])
 
 
-@pytest.mark.filterwarnings("ignore::bargmann_phase.fock.TruncationLeakageWarning")
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     n_max=st.sampled_from([5, 12, 25]),
@@ -246,7 +243,6 @@ def test_chain_invariant_matches_two_evolutions(n_max, occupation, centers, thet
     assert abs(chain_invariant(weights, theta1, theta2, dim).invariant - want) <= 1e-13
 
 
-@pytest.mark.filterwarnings("ignore::bargmann_phase.fock.TruncationLeakageWarning")
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     n_max=st.integers(5, 30),
@@ -287,7 +283,6 @@ def test_sector_weights_drop_the_padding():
         assert weights.sum() < 1.0 - 1e-6
 
 
-@pytest.mark.filterwarnings("ignore::bargmann_phase.fock.TruncationLeakageWarning")
 @pytest.mark.parametrize("n_max", [5, 12, 25])
 def test_triangle_invariant_matches_state_vectors(n_max):
     # the O(n_max) pair sums give triple_overlap of the cut state vectors
@@ -314,7 +309,6 @@ def test_displaced_states_are_exact_in_log_space():
         # |z|^2 past the float range underflows to zero, with no overflow or nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            warnings.simplefilter("ignore", TruncationLeakageWarning)
             far = displaced_fock_state(1e154, n1, 1e154j, n2, dim)
             assert not far.any()
             assert chain_weights(1e154, n1, 1e154j, n2, dim).sum() == 0.0
@@ -397,13 +391,15 @@ def test_displaced_fock_overlaps_against_oracle():
         assert abs(np.vdot(va, vb) - want) < 1e-10
 
 
-def test_displacement_guard_warns():
-    dim = TruncationDim(5)
-    with pytest.warns(TruncationLeakageWarning):
-        displaced_fock_state(1.4, 0, 0.0, 0, dim)
+def test_amplitudes_issue_no_warning():
+    # the truncation warning reads the proven bound in method_reconciliation;
+    # amplitudes far past the cutoff's support, or well inside it, warn about nothing
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        displaced_fock_state(1.4, 0, 0.0, 0, TruncationDim(5))
         displaced_fock_state(0.4, 1, 0.0, 1, TruncationDim(25))
+        chain_weights(3.0, 1, -2.0j, 1, TruncationDim(5))
+        triangle_invariant([(3.0, 1, 0.0, 0), (0.0, 0, 2.0, 1), (1.0, 1, 1.0, 1)], TruncationDim(5))
 
 
 def test_density_operator_validate():

@@ -1,6 +1,8 @@
 import cmath
 import dataclasses
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from bargmann_phase.coherent import label_map_matrix
 from bargmann_phase.fock import (
     DensityOperator,
     TruncationDim,
+    TruncationLeakageWarning,
     displaced_fock_state,
     evolve,
     polarizer_unitary,
@@ -222,7 +225,6 @@ def triangle_bound(scenario, dim):
     return sum(math.sqrt(eps[i] * eps[i - 1]) for i in range(3))
 
 
-@pytest.mark.filterwarnings("ignore::bargmann_phase.fock.TruncationLeakageWarning")
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     n_max=st.integers(5, 25),
@@ -238,7 +240,6 @@ def test_chain_truncation_error_is_within_the_proven_bound(n_max, occupation, ce
     assert error <= chain_bound(scenario, dim) + 1e-12
 
 
-@pytest.mark.filterwarnings("ignore::bargmann_phase.fock.TruncationLeakageWarning")
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     n_max=st.integers(5, 25),
@@ -261,7 +262,6 @@ def assert_phases_agree_under_the_bound(scenario, exact, bound, dim, tol):
     assert circular_delta(fock.phase, cmath.phase(exact)) <= tol
 
 
-@pytest.mark.filterwarnings("ignore::bargmann_phase.fock.TruncationLeakageWarning")
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     n_max=st.integers(5, 25),
@@ -279,7 +279,6 @@ def test_chain_phases_agree_when_the_bound_is_below_a_tenth_of_tol(
     assert_phases_agree_under_the_bound(scenario, exact_chain(scenario), chain_bound(scenario, dim), dim, tol)
 
 
-@pytest.mark.filterwarnings("ignore::bargmann_phase.fock.TruncationLeakageWarning")
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     n_max=st.integers(5, 25),
@@ -292,6 +291,67 @@ def test_triangle_phases_agree_when_the_bound_is_below_a_tenth_of_tol(n_max, occ
     dim = TruncationDim(n_max)
     assert_phases_agree_under_the_bound(
         scenario, exact_triangle(scenario), triangle_bound(scenario, dim), dim, tol)
+
+
+def leakage_warnings(scenario, dim, tol):
+    """method_reconciliation's row and the TruncationLeakageWarnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        row = method_reconciliation(scenario, dim=dim, tolerance=tol)
+    return row, [w for w in caught if issubclass(w.category, TruncationLeakageWarning)]
+
+
+def assert_warns_exactly_when_the_bound_exceeds_tol(row, caught, dim, tol):
+    # rounding alone leaves a kept weight of n_max + 1 levels a mode within
+    # (n_max + 1) float epsilons of its value, and either bound is at most 3 max eps_i
+    floor = 3 * (dim.n_max + 1) * sys.float_info.epsilon
+    fock = row.results["fock_oracle"]
+    assert len(caught) == (fock.bound > max(tol * abs(fock.invariant), floor))
+    for w in caught:
+        assert f"n_max={dim.n_max}" in str(w.message)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n_max=st.integers(5, 25),
+    occupation=occupations_strategy,
+    centers=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+    theta1=st.floats(-10.0, 10.0),
+    theta2=st.floats(-10.0, 10.0),
+    tol=st.sampled_from([1e-6, 1e-3]),
+)
+def test_chain_warns_exactly_when_its_bound_exceeds_tol(n_max, occupation, centers, theta1, theta2, tol):
+    scenario = PhaseScenario.evolved(occupation, vertex_from(centers), theta1, theta2)
+    dim = TruncationDim(n_max)
+    row, caught = leakage_warnings(scenario, dim, tol)
+    # the same weights as the reference, clamped where their sum rounds past 1
+    assert row.results["fock_oracle"].bound == max(0.0, chain_bound(scenario, dim))
+    assert_warns_exactly_when_the_bound_exceeds_tol(row, caught, dim, tol)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n_max=st.integers(5, 25),
+    occupation=occupations_strategy,
+    centers=st.lists(st.floats(-2.0, 2.0), min_size=12, max_size=12),
+    tol=st.sampled_from([1e-6, 1e-3]),
+)
+def test_triangle_warns_exactly_when_its_bound_exceeds_tol(n_max, occupation, centers, tol):
+    scenario = PhaseScenario.independent(occupation, *(vertex_from(centers[i : i + 4]) for i in (0, 4, 8)))
+    dim = TruncationDim(n_max)
+    row, caught = leakage_warnings(scenario, dim, tol)
+    # each eps_i rounds differently in the two sums, by up to delta = (n_max + 1)
+    # float epsilons, and sqrt(eps_i eps_j) then moves by up to 2 sqrt(delta)
+    delta = (n_max + 1) * sys.float_info.epsilon
+    assert abs(row.results["fock_oracle"].bound - triangle_bound(scenario, dim)) <= 6 * math.sqrt(delta)
+    assert_warns_exactly_when_the_bound_exceeds_tol(row, caught, dim, tol)
+
+
+def test_bound_rides_only_on_the_fock_route():
+    scenario = random_evolved_scenarios(1, seed=3)[0]
+    row = method_reconciliation(scenario, dim=TruncationDim(25))
+    assert row.results["fock_oracle"].bound is not None
+    assert [r.bound for name, r in row.results.items() if name != "fock_oracle"] == [None, None]
 
 
 def real_coordinate_invariant(scenario):

@@ -134,7 +134,7 @@ def _emit(text: str, out: str | None):
 
 def _scenario_from_args(args) -> PhaseScenario:
     occupation = _parse_occupation("1,1" if args.occupation is None else args.occupation)
-    vertices = _parse_centers(args.centers)
+    vertices = _parse_centers("0,0,0,0" if args.centers is None else args.centers)
     if len(vertices) == 3:
         if args.theta1 is not None or args.theta2 is not None:
             raise ValueError("angles and three explicit vertices are mutually exclusive")
@@ -183,7 +183,7 @@ def _phase_text(row, args) -> str:
 def cmd_phase(args) -> int:
     dim = _checked_dim(args, N_MAX)
     if args.from_pfunc:
-        if args.centers != "0,0,0,0" or args.theta1 is not None or args.theta2 is not None:
+        if args.centers is not None or args.theta1 is not None or args.theta2 is not None:
             raise ValueError("--from-pfunc replaces --centers and angles")
         scenario = _scenario_from_pfunc_files(args.from_pfunc, args.occupation)
     else:
@@ -292,8 +292,9 @@ def build_parser() -> _Parser:
                               "--from-pfunc it must match the files")
     p_phase.add_argument(
         "--centers",
-        default="0,0,0,0",
-        help="'q1,p1,q2,p2' for a polarizer chain, or three ';'-separated vertices",
+        default=None,
+        help="'q1,p1,q2,p2' for a polarizer chain, or three ';'-separated vertices "
+             "(default 0,0,0,0)",
     )
     p_phase.add_argument("--theta1", default=None, help="first polarizer angle (radians)")
     p_phase.add_argument("--theta2", default=None, help="second polarizer angle (radians)")

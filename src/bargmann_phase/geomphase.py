@@ -30,22 +30,25 @@ kernel. This is exact; no shape assumption is made about the evolved P
 
 In Wirtinger coordinates (z, conj z) per slot and mode the kernel is
 exp(conj(z)·B·z) with B = L† W L, a Gaussian with no z-z or zbar-zbar
-part, and each P term is a z and zbar derivative at its centers: a sum
-over partial matchings of z with zbar derivatives. Each slot's envelope
+part. Every supported state's P is one term (mehta_p_function), a z and
+zbar derivative on each occupied mode at the state's centers, so the route
+reads a state's occupation and centers and builds no P object; the pairing
+is a sum over partial matchings of z with zbar derivatives. Each slot's envelope
 cancels that slot's -|z|^2, so the zbar of slot i meets only the z of
 slot i + 1, through K_i = L_i† L_{i+1}. The matching sum is then one
 factor per edge of the cycle, each a sum over at most 2 x 2 slots, times
 the exponential of the summed edge exponents (_cycle_pairings). The
-general engine of module pdistribution (pair_product) is the tests'
-reference for this contraction. See docs/derivations.md.
+general engine of module pdistribution (pair_product), which pairs P
+objects of any number of terms, is the tests' reference for this
+contraction. See docs/derivations.md.
 
 Below PhaseScenario the routes read coordinates: a vertex is the tuple
 (q1, p1, q2, p2), floats for one scenario and arrays for a grid. A sweep's
 grid shares one initial state and varies only the two angles, so
-evolved_grid_results builds the state's P object and Fock chain weights
-once and runs every route over blocks of the grid as arrays: the Fock chain
-as fock.chain_invariants, and the pairing's edges, the labels and the
-printed form's terms as real array arithmetic. method_reconciliation then
+evolved_grid_results builds the state's Fock chain weights once, runs the
+Fock chain over the whole grid as fock.chain_invariants, and runs the
+pairing's edges, the labels and the printed form's terms over blocks of the
+grid as real array arithmetic. method_reconciliation then
 reconciles each point from those results. A single scenario's routes run
 the same code on a grid of one or on floats, so a grid point and a fresh
 scenario give the same bits.
@@ -79,13 +82,7 @@ from .fock import (
     principal_phase,
     triangle_invariant,
 )
-from .pdistribution import (
-    ORIGIN,
-    PhaseSpacePoint,
-    QuasiProbability,
-    WirtingerTerm,
-    mehta_p_function,
-)
+from .pdistribution import ORIGIN, PhaseSpacePoint
 
 __all__ = [
     "ModePair",
@@ -103,6 +100,10 @@ __all__ = [
 ]
 
 ModePair = tuple[PhaseSpacePoint, PhaseSpacePoint]
+
+
+def _coordinates(vertex: ModePair) -> tuple:
+    return (vertex[0].q, vertex[0].p, vertex[1].q, vertex[1].p)
 
 
 def _check_occupation(occupation):
@@ -133,9 +134,6 @@ class StateSpec:
     @property
     def centers(self) -> ModePair:
         return (self.center1, self.center2)
-
-    def quasi_probability(self) -> QuasiProbability:
-        return mehta_p_function(self.occupation, shift=self.centers)
 
     def sector_weights(self, dim: TruncationDim) -> np.ndarray:
         """fock.chain_weights of the state, the weights on the polarizer's integer
@@ -180,28 +178,28 @@ def _chain_edges(trig: tuple) -> tuple:
 _TRIANGLE_EDGES = ((1.0, 0.0),) * 3
 
 
-def _edge(d, e, t: WirtingerTerm, u: WirtingerTerm) -> tuple:
-    """One edge of the kernel cycle, from term t in one slot to term u in the next,
-    centers a and b: the real and imaginary parts of the edge exponent
-    conj(a)·(K b - a) and of its factor, the sum over partial matchings of t's zbar
-    slots with u's z slots.
+def _edge(d, e, t: StateSpec, u: StateSpec) -> tuple:
+    """One edge of the kernel cycle, from state t in one slot to state u in the
+    next, centers a and b: the real and imaginary parts of the edge exponent
+    conj(a)·(K b - a) and of its factor, the sum over partial matchings of the zbar
+    slots of t's occupied modes with the z slots of u's.
 
     d and e are floats for one cycle or arrays for a grid of them; every step is
     real elementwise arithmetic, so both give a point the same bits.
     """
-    (a1, a2), (b1, b2) = t.centers, u.centers
-    aq1, ap1, aq2, ap2 = a1.real, a1.imag, a2.real, a2.imag
-    bq1, bp1, bq2, bp2 = b1.real, b1.imag, b2.real, b2.imag
+    aq1, ap1, aq2, ap2 = _coordinates(t.centers)
+    bq1, bp1, bq2, bp2 = _coordinates(u.centers)
     # per mode, the zbar gradient K b - a and the z gradient conj(a) K - conj(b),
     # as (mode, re, im)
     zbar = ((0, d * bq1 - e * bp2 - aq1, d * bp1 + e * bq2 - ap1),
             (1, d * bq2 - e * bp1 - aq2, d * bp2 + e * bq1 - ap2))
     z = ((0, d * aq1 + e * ap2 - bq1, e * aq2 - d * ap1 + bp1),
-         (1, d * aq2 + e * ap1 - bq2, e * aq1 - d * ap2 + bp2)) if u.z_vars else ()
+         (1, d * aq2 + e * ap1 - bq2, e * aq1 - d * ap2 + bp2)) if any(u.occupation) else ()
     (_, r1, i1), (_, r2, i2) = zbar
     return (aq1 * r1 + ap1 * i1 + aq2 * r2 + ap2 * i2,
             aq1 * i1 - ap1 * r1 + aq2 * i2 - ap2 * r2,
-            *_matchings(d, e, [zbar[m] for m in t.zbar_vars], [z[m] for m in u.z_vars]))
+            *_matchings(d, e, [x for x, n in zip(zbar, t.occupation) if n],
+                        [y for y, n in zip(z, u.occupation) if n]))
 
 
 def _matchings(d, e, x, y) -> tuple:
@@ -250,8 +248,8 @@ def _matchings(d, e, x, y) -> tuple:
     return r, i
 
 
-def _cycle_value(coeff, x0, y0, r0, i0, x1, y1, r1, i1, x2, y2, r2, i2) -> complex:
-    """coeff exp(sum of the edge exponents) times the edge factors, from the floats of
+def _cycle_value(x0, y0, r0, i0, x1, y1, r1, i1, x2, y2, r2, i2) -> complex:
+    """exp(sum of the edge exponents) times the edge factors, from the floats of
     three _edge results, in Python's complex arithmetic. The exponent's real part is
     at most 0 in exact arithmetic; one that overflows through rounding, or one that is
     not finite, gives a non-finite invariant, which method_reconciliation rejects."""
@@ -259,40 +257,34 @@ def _cycle_value(coeff, x0, y0, r0, i0, x1, y1, r1, i1, x2, y2, r2, i2) -> compl
         base = cmath.exp(complex(x0 + x1 + x2, y0 + y1 + y2))
     except (OverflowError, ValueError):
         return complex(math.nan, math.nan)
-    return coeff * base * complex(r0, i0) * complex(r1, i1) * complex(r2, i2)
+    # added to 0j, so that a zero imaginary part is +0 and a real invariant's
+    # phase reads 0, not -0
+    return 0j + base * complex(r0, i0) * complex(r1, i1) * complex(r2, i2)
 
 
-def _cycle_pairings(ps: tuple, edges: tuple, shape: tuple | None = None) -> list:
-    """The pairing of the P objects ps, one a slot, against the kernel cycle with
-    edge couplings edges: coeff exp(Q(c)) prod(edge factors) summed over the
-    products of their terms. Once each slot's envelope cancels that slot's -|z|^2,
-    slot i's zbar meets only slot i + 1's z, so the matching sum of the twelve
-    derivative slots is the product of the edges' own sums.
+def _cycle_pairings(states: tuple, edges: tuple, shape: tuple | None = None) -> list:
+    """The pairing of the states' P functions, one state a slot, against the kernel
+    cycle with edge couplings edges: exp(Q(c)) prod(edge factors). Each state's P is
+    one term, d_z d_zbar on each occupied mode at its centers (mehta_p_function).
+    Once each slot's envelope cancels that slot's -|z|^2, slot i's zbar meets only
+    slot i + 1's z, so the matching sum of the twelve derivative slots is the product
+    of the edges' own sums.
 
     edges hold floats for one cycle, which gives a list of one invariant, or arrays
     that broadcast to shape, which gives one invariant a point in row-major order.
     """
-    total = []
-    for terms in itertools.product(*(p.terms for p in ps)):
-        values = []
-        for (d, e), t, u in zip(edges, terms, terms[1:] + terms[:1]):
-            values += _edge(d, e, t, u)
-        coeff = math.prod(t.coeff for t in terms)
-        if shape is None:
-            parts = [_cycle_value(coeff, *values)]
-        else:
-            columns = (np.broadcast_to(x, shape).ravel().tolist() for x in values)
-            parts = [_cycle_value(coeff, *point) for point in zip(*columns)]
-        # summed from 0j, so that a zero imaginary part is +0 and a real
-        # invariant's phase reads 0, not -0
-        total = [t + p for t, p in zip(total or [0j] * len(parts), parts)]
-    return total
+    values = []
+    for (d, e), t, u in zip(edges, states, states[1:] + states[:1]):
+        values += _edge(d, e, t, u)
+    if shape is None:
+        return [_cycle_value(*values)]
+    columns = (np.broadcast_to(x, shape).ravel().tolist() for x in values)
+    return [_cycle_value(*point) for point in zip(*columns)]
 
 
 def phase_space_trace(s1: StateSpec, s2: StateSpec, s3: StateSpec) -> PhaseResult:
-    """Bargmann invariant of three independent states via their P objects."""
-    ps = (s1.quasi_probability(), s2.quasi_probability(), s3.quasi_probability())
-    return phase_result(_cycle_pairings(ps, _TRIANGLE_EDGES)[0], METHOD_PHASE_SPACE_PAIRING)
+    """Bargmann invariant of three independent states via their P functions."""
+    return phase_result(_cycle_pairings((s1, s2, s3), _TRIANGLE_EDGES)[0], METHOD_PHASE_SPACE_PAIRING)
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +374,6 @@ def _chain_labels(a: tuple, trig: tuple) -> tuple:
 # Scenarios and reconciliation
 
 
-def _coordinates(vertex: ModePair) -> tuple:
-    return (vertex[0].q, vertex[0].p, vertex[1].q, vertex[1].p)
-
-
 @dataclass(frozen=True)
 class PhaseScenario:
     """One reconciliation case: either a polarizer chain or three states.
@@ -461,8 +449,7 @@ class PhaseScenario:
 
     def pairing_invariant(self) -> PhaseResult:
         if self.is_evolved:
-            p = self.initial_state.quasi_probability()
-            pairing = _cycle_pairings((p,) * 3, _chain_edges(self._trig))[0]
+            pairing = _cycle_pairings((self.initial_state,) * 3, _chain_edges(self._trig))[0]
             return phase_result(pairing, METHOD_PHASE_SPACE_PAIRING)
         return phase_space_trace(
             self.initial_state,
@@ -581,7 +568,9 @@ def evolved_grid_results(state: StateSpec, thetas1, thetas2, dim: TruncationDim)
     state over the grid thetas1 x thetas2, one dict per point in row-major order
     (theta2 fastest).
 
-    The routes run as arrays over blocks of whole grid rows, or of one row's
+    The Fock route runs once over the whole grid (chain_invariants, which keeps
+    its temporaries under fock.BLOCK_BYTES); its result is 16 bytes a point. The
+    other routes run as arrays over blocks of whole grid rows, or of one row's
     points when a row alone is too large, with no temporary above
     fock.BLOCK_BYTES; only the pairing's exponentials and last products, the
     arctans, the principal branch and the coherent closed form are taken point
@@ -591,7 +580,8 @@ def evolved_grid_results(state: StateSpec, thetas1, thetas2, dim: TruncationDim)
     """
     weights = state.sector_weights(dim)
     bound = chain_bound(weights)
-    p, a = state.quasi_probability(), _coordinates(state.centers)
+    fock_grid = chain_invariants(weights, thetas1, thetas2, dim)
+    a = _coordinates(state.centers)
     coherent = state.occupation == (0, 0)
     n1, n2 = len(thetas1), len(thetas2)
     # some 30 lists a point (the pairing's edge values, the printed form's terms,
@@ -599,33 +589,28 @@ def evolved_grid_results(state: StateSpec, thetas1, thetas2, dim: TruncationDim)
     points = max(1, fock.BLOCK_BYTES // (32 * 32))
     cols = min(n2, points)
     rows = max(1, points // cols)
-    # the Fock route takes more rows at a time, as its angle rows are the costly
-    # part at large cutoffs and its result is 16 bytes a point
-    fock_rows = rows * max(1, fock.BLOCK_BYTES // (16 * n2 * rows))
-    for i0 in range(0, n1, fock_rows):
-        fock_block = chain_invariants(weights, thetas1[i0 : i0 + fock_rows], thetas2, dim)
-        for i, j in itertools.product(range(i0, min(i0 + fock_rows, n1), rows), range(0, n2, cols)):
-            t1, t2 = thetas1[i : i + rows], thetas2[j : j + cols]
-            fock_route = fock_block[i - i0 : i - i0 + rows, j : j + cols].ravel().tolist()
-            trig = _chain_trig(t1, t2)
-            # float arithmetic overflows to inf without a warning; so does this
-            with np.errstate(over="ignore", invalid="ignore"):
-                pairing = _cycle_pairings((p,) * 3, _chain_edges(trig), trig[4].shape)
-                b, c = _chain_labels(a, trig)
-                terms = _mode_terms(a, b, c)
-            grid = [np.broadcast_to(x, trig[4].shape).ravel().tolist()
-                    for x in (*terms, *((*b, *c) if coherent else ()))]
-            for g, point in enumerate(zip(fock_route, pairing, *grid[:5])):
-                results = {
-                    "fock_oracle": phase_result(point[0], METHOD_FOCK_ORACLE, bound=bound),
-                    "phase_space_pairing": phase_result(point[1], METHOD_PHASE_SPACE_PAIRING),
-                }
-                if coherent:
-                    bc = [x[g] for x in grid[5:]]
-                    results["coherent_closed_form"] = _coherent_result(a, bc[:4], bc[4:])
-                results["printed_closed_form"] = _printed_result(
-                    _printed_phase(*point[2:], state.occupation))
-                yield results
+    for i, j in itertools.product(range(0, n1, rows), range(0, n2, cols)):
+        t1, t2 = thetas1[i : i + rows], thetas2[j : j + cols]
+        fock_route = fock_grid[i : i + rows, j : j + cols].ravel().tolist()
+        trig = _chain_trig(t1, t2)
+        # float arithmetic overflows to inf without a warning; so does this
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairing = _cycle_pairings((state,) * 3, _chain_edges(trig), trig[4].shape)
+            b, c = _chain_labels(a, trig)
+            terms = _mode_terms(a, b, c)
+        grid = [np.broadcast_to(x, trig[4].shape).ravel().tolist()
+                for x in (*terms, *((*b, *c) if coherent else ()))]
+        for g, point in enumerate(zip(fock_route, pairing, *grid[:5])):
+            results = {
+                "fock_oracle": phase_result(point[0], METHOD_FOCK_ORACLE, bound=bound),
+                "phase_space_pairing": phase_result(point[1], METHOD_PHASE_SPACE_PAIRING),
+            }
+            if coherent:
+                bc = [x[g] for x in grid[5:]]
+                results["coherent_closed_form"] = _coherent_result(a, bc[:4], bc[4:])
+            results["printed_closed_form"] = _printed_result(
+                _printed_phase(*point[2:], state.occupation))
+            yield results
 
 
 def _random_mode_pair(rng, scale: float) -> ModePair:

@@ -8,6 +8,7 @@ import json
 import math
 import pkgutil
 import re
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -94,13 +95,15 @@ def test_phase_evolved_text_has_deltas(capsys):
 
 
 def test_phase_undefined_row_exits_zero(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "phase",
-        "--occupation", "1,1",
-        "--centers", "0,0,0,0;1,0,0,0;0,1,0,0",
-        "--n-max", "16",
-    )
+    # the row's truncation bound, 4.24e-12, is above its rounding floor
+    with pytest.warns(TruncationLeakageWarning):
+        code, out, _ = run_cli(
+            capsys,
+            "phase",
+            "--occupation", "1,1",
+            "--centers", "0,0,0,0;1,0,0,0;0,1,0,0",
+            "--n-max", "16",
+        )
     assert code == 0
     assert "flag: undefined" in out
     assert "undefined" in out
@@ -474,17 +477,26 @@ def test_sweep_prepares_its_initial_state_once(capsys, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(fock, "_number_amplitudes", counted("amplitudes", fock._number_amplitudes))
-    monkeypatch.setattr(
-        geomphase, "mehta_p_function", counted("p_objects", geomphase.mehta_p_function)
-    )
+    # every package module that holds the P builder, wherever it was imported
+    real_p = pdistribution.mehta_p_function
+    for module in [m for name, m in list(sys.modules.items()) if name.startswith("bargmann_phase")]:
+        if getattr(module, "mehta_p_function", None) is real_p:
+            monkeypatch.setattr(module, "mehta_p_function", counted("p_objects", real_p))
     code, out, _ = run_cli(
         capsys, "sweep", "--theta1", "0:3:4", "--theta2", "0.5:2:4",
         "--centers", "0.3,-0.2,0.1,0.25", "--n-max", "12",
     )
     assert code == 0
     assert len(out.strip().split("\n")) == 17
-    # one amplitude call for the initial state and one P object per sweep
-    assert calls == {"amplitudes": 1, "p_objects": 1}
+    # one amplitude call for the initial state; the pairing reads the state's
+    # occupation and centers and builds no P object
+    assert calls == {"amplitudes": 1, "p_objects": 0}
+    # nor does a phase run, on a chain or on a triangle
+    chain = ("--centers", "0.3,-0.2,0.1,0.25", "--theta1", "0.5")
+    triangle = ("--centers", "0.3,-0.2,0.1,0.25;0.1,0,0,0.2;0,0.1,-0.2,0")
+    for argv in (chain, triangle):
+        assert run_cli(capsys, "phase", *argv, "--n-max", "12")[0] == 0
+    assert calls["p_objects"] == 0
 
 
 def test_sweep_beyond_the_guard_warns(capsys):
@@ -701,6 +713,17 @@ def test_pfunc_occupation_contradiction_is_usage_error(tmp_path, capsys):
                            "--n-max", "10", "--format", "json")
     assert code == 0
     assert json.loads(out)["scenario"]["occupation"] == [1, 1]
+
+
+@pytest.mark.parametrize("centers", ["0,0,0,0", "0.0,0,0,0"])
+def test_pfunc_with_centers_is_usage_error(tmp_path, capsys, centers):
+    # --from-pfunc replaces --centers, also when the value given is the origin
+    path = tmp_path / "p.json"
+    assert run_cli(capsys, "pfunc", "--out", str(path))[0] == 0
+    code, out, err = run_cli(capsys, "phase", "--from-pfunc", str(path), str(path), str(path),
+                             "--centers", centers)
+    assert (code, out) == (1, "")
+    assert "--from-pfunc replaces --centers and angles" in err
 
 
 def test_pfunc_from_tampered_document_rejected(tmp_path, capsys):

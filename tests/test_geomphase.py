@@ -73,7 +73,6 @@ def test_state_spec_equality_and_hash_on_fields():
     a = spec((1, 1), 0.3 - 0.2j, 0.1 + 0.25j)
     b = spec((1, 1), 0.3 - 0.2j, 0.1 + 0.25j)
     dim = TruncationDim(12)
-    assert a.quasi_probability() == b.quasi_probability()
     np.testing.assert_array_equal(a.sector_weights(dim), b.sector_weights(dim))
     assert a == b and hash(a) == hash(b)
     assert a != spec((1, 0), 0.3 - 0.2j, 0.1 + 0.25j)
@@ -423,7 +422,8 @@ def assert_matches_where_defined(got, want, rel):
 def test_chain_route_matches_the_general_engine(occupation, centers, theta1, theta2):
     scenario = PhaseScenario.evolved(occupation, vertex_from(centers), theta1, theta2)
     m1 = label_map_matrix(theta1)
-    want = engine_pairing((scenario.initial_state.quasi_probability(),) * 3,
+    state = scenario.initial_state
+    want = engine_pairing((mehta_p_function(state.occupation, state.centers),) * 3,
                           (np.eye(2), m1, m1 @ label_map_matrix(theta2)))
     assert_matches_where_defined(scenario.pairing_invariant().invariant, want, 1e-10)
 
@@ -436,7 +436,7 @@ def test_chain_route_matches_the_general_engine(occupation, centers, theta1, the
 def test_triangle_route_matches_the_general_engine(occupations, centers):
     # mixed occupations as well: the edge factors take any pair of them
     specs = [StateSpec(occ, *vertex_from(centers[4 * i : 4 * i + 4])) for i, occ in enumerate(occupations)]
-    want = engine_pairing([s.quasi_probability() for s in specs], (np.eye(2),) * 3)
+    want = engine_pairing([mehta_p_function(s.occupation, s.centers) for s in specs], (np.eye(2),) * 3)
     assert_matches_where_defined(phase_space_trace(*specs).invariant, want, 1e-10)
     if len(set(occupations)) == 1:
         scenario = PhaseScenario.independent(occupations[0], *(s.centers for s in specs))
@@ -457,23 +457,26 @@ def test_chain_route_matches_the_exact_chain(occupation, scale, unit, theta1, th
     assert_matches_where_defined(scenario.pairing_invariant().invariant, exact_chain(scenario), 1e-11)
 
 
-def test_cycle_contraction_sums_over_term_products():
-    # P objects of several terms pair as the sum over products of terms, on floats
-    # and on a grid, whose points keep the bits of their cycle alone
+def test_cycle_contraction_on_floats_and_on_a_grid():
+    # the states pair as their P objects do in the general engine: a triangle of
+    # mixed occupations, one of them the vacuum, on floats, and a grid of chains,
+    # whose points keep the bits of their cycle alone
     shift = (PhaseSpacePoint(0.3, -0.2), PhaseSpacePoint(0.1, 0.25))
-    p = mehta_p_function((1, 0), shift).combined(mehta_p_function((1, 1)).scaled(0.3 - 0.1j))
-    q = mehta_p_function((0, 1)).combined(mehta_p_function((0, 0), shift).scaled(-0.5))
-    want = engine_pairing((p, q, p), (np.eye(2),) * 3)
-    got = geomphase._cycle_pairings((p, q, p), geomphase._TRIANGLE_EDGES)
+    states = (StateSpec((1, 0), *shift), StateSpec((0, 0), shift[1], ORIGIN),
+              StateSpec((1, 1), shift[1], shift[0]))
+    ps = [mehta_p_function(s.occupation, s.centers) for s in states]
+    want = engine_pairing(ps, (np.eye(2),) * 3)
+    got = geomphase._cycle_pairings(states, geomphase._TRIANGLE_EDGES)
     assert len(got) == 1 and abs(got[0] - want) <= 1e-12 * abs(want)
     thetas1, thetas2 = [0.3, -1.1], [0.7, 2.0, 4.5]
+    chain = (states[2],) * 3
     grid = geomphase._cycle_pairings(
-        (p,) * 3, geomphase._chain_edges(geomphase._chain_trig(thetas1, thetas2)), (2, 3))
-    alone = [geomphase._cycle_pairings((p,) * 3, geomphase._chain_edges(geomphase._single_trig(t1, t2)))[0]
+        chain, geomphase._chain_edges(geomphase._chain_trig(thetas1, thetas2)), (2, 3))
+    alone = [geomphase._cycle_pairings(chain, geomphase._chain_edges(geomphase._single_trig(t1, t2)))[0]
              for t1 in thetas1 for t2 in thetas2]
-    assert grid == alone
+    assert [(z.real.hex(), z.imag.hex()) for z in grid] == [(z.real.hex(), z.imag.hex()) for z in alone]
     m = label_map_matrix(thetas1[1])
-    want = engine_pairing((p,) * 3, (np.eye(2), m, m @ label_map_matrix(thetas2[2])))
+    want = engine_pairing((ps[2],) * 3, (np.eye(2), m, m @ label_map_matrix(thetas2[2])))
     assert abs(grid[-1] - want) <= 1e-12 * abs(want)
 
 

@@ -275,7 +275,7 @@ def test_reconstruction_matches_state_vector_outer_product(occupation, centers, 
     state = StateSpec.from_complex(occupation, z1, z2)
     psi = displaced_fock_state(z1, occupation[0], z2, occupation[1], dim)
     want = psi[dim.index(*bra)] * np.conjugate(psi[dim.index(*ket)])
-    got = reconstruct_density_element(state.quasi_probability(), bra, ket)
+    got = reconstruct_density_element(mehta_p_function(state.occupation, state.centers), bra, ket)
     assert abs(got - want) <= 1e-8
 
 

@@ -47,14 +47,6 @@ from .geomphase import (
     random_independent_scenarios,
     run_reconciliation,
 )
-from .pdistribution import (
-    PhaseSpacePoint,
-    QuasiProbability,
-    fock_element_function,
-    gaussian_smear_function,
-    mehta_p_function,
-    pair,
-    reconstruct_density_element,
-)
+from .pdistribution import PhaseSpacePoint, QuasiProbability, mehta_p_function
 
 __version__ = "0.1.0"

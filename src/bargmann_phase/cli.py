@@ -93,29 +93,36 @@ def _parse_theta(text: str, flag: str, allow_grid: bool):
         values = [start + i * step for i in range(count)]
         checked = (start, stop, step)
     else:
-        values = checked = [float(text)]
+        try:
+            values = checked = [float(text)]
+        except ValueError:
+            raise ValueError(f"{flag} must be an angle in radians, got {text!r}") from None
     if not all(math.isfinite(x) for x in checked):
         raise ValueError(f"{flag} must be finite, got {text!r}")
     return values
 
 
-def _add_common(parser, default_n_max=25):
-    parser.add_argument("--n-max", type=int, default=default_n_max,
+def _add_common(parser, *flags, default_n_max=25):
+    """Add the shared options named in flags: a subcommand takes only those it reads."""
+    options = {
+        "--n-max": dict(type=int, default=default_n_max,
                         help="Fock cutoff: the oracle keeps total photon number "
-                             f"n1 + n2 <= n_max, >= 5 (default {default_n_max})")
-    parser.add_argument("--tol", type=float, default=1e-6,
-                        help="phase agreement tolerance in radians (default 1e-6)")
-    parser.add_argument("--seed", type=int, default=7, help="seed for seeded checks (default 7)")
-    parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
+                             f"n1 + n2 <= n_max, >= 5 (default {default_n_max})"),
+        "--tol": dict(type=float, default=1e-6,
+                      help="phase agreement tolerance in radians (default 1e-6)"),
+        "--out": dict(default=None, help="write output to this path instead of stdout"),
+    }
+    for flag in flags:
+        parser.add_argument(flag, **options[flag])
 
 
-def _checked_dim(args, n_max_bound: int | None = None) -> TruncationDim:
-    """The cutoff of --n-max, after checking it and --tol."""
+def _checked_dim(args, n_max_bound: int) -> TruncationDim:
+    """The cutoff of --n-max, after checking it and, where the command reads it, --tol."""
     if args.n_max < 5:
         raise ValueError(f"--n-max must be >= 5, got {args.n_max}")
-    if n_max_bound is not None and args.n_max > n_max_bound:
+    if args.n_max > n_max_bound:
         raise ValueError(f"--n-max must be <= {n_max_bound} for {args.command}, got {args.n_max}")
-    if not (math.isfinite(args.tol) and args.tol > 0):
+    if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be finite and positive, got {args.tol!r}")
     return TruncationDim(args.n_max)
 
@@ -139,8 +146,8 @@ def _scenario_from_args(args) -> PhaseScenario:
         if args.theta1 is not None or args.theta2 is not None:
             raise ValueError("angles and three explicit vertices are mutually exclusive")
         return PhaseScenario.independent(occupation, *vertices)
-    theta1 = _parse_theta(args.theta1 or "0", "--theta1", allow_grid=False)[0]
-    theta2 = _parse_theta(args.theta2 or "0", "--theta2", allow_grid=False)[0]
+    theta1 = _parse_theta("0" if args.theta1 is None else args.theta1, "--theta1", allow_grid=False)[0]
+    theta2 = _parse_theta("0" if args.theta2 is None else args.theta2, "--theta2", allow_grid=False)[0]
     return PhaseScenario.evolved(occupation, vertices[0], theta1, theta2)
 
 
@@ -265,7 +272,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_pfunc(args) -> int:
-    _checked_dim(args)
     occupation = _parse_occupation(args.occupation)
     vertices = _parse_centers(args.centers)
     if len(vertices) != 1:
@@ -286,7 +292,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_phase = sub.add_parser("phase", help="compute one configuration with every method")
-    _add_common(p_phase)
+    _add_common(p_phase, "--n-max", "--tol", "--out")
     p_phase.add_argument("--occupation", default=None,
                          help="per-mode photon numbers 'n1,n2' (default 1,1); with "
                               "--from-pfunc it must match the files")
@@ -304,7 +310,7 @@ def build_parser() -> _Parser:
     p_phase.set_defaults(func=cmd_phase)
 
     p_sweep = sub.add_parser("sweep", help="reconcile methods over an angle grid")
-    _add_common(p_sweep)
+    _add_common(p_sweep, "--n-max", "--tol", "--out")
     p_sweep.add_argument("--occupation", default="1,1")
     p_sweep.add_argument("--centers", default="0,0,0,0", help="initial vertex 'q1,p1,q2,p2'")
     p_sweep.add_argument("--theta1", default=f"0:{math.pi}:21",
@@ -314,12 +320,13 @@ def build_parser() -> _Parser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_val = sub.add_parser("validate", help="run the named invariant checks")
-    _add_common(p_val, default_n_max=18)
+    _add_common(p_val, "--n-max", "--out", default_n_max=18)
+    p_val.add_argument("--seed", type=int, default=7, help="seed for seeded checks (default 7)")
     p_val.add_argument("--format", choices=("text", "json"), default="text")
     p_val.set_defaults(func=cmd_validate)
 
     p_pfunc = sub.add_parser("pfunc", help="emit the delta-derivative P object as JSON")
-    _add_common(p_pfunc)
+    _add_common(p_pfunc, "--out")
     p_pfunc.add_argument("--occupation", default="1,1")
     p_pfunc.add_argument("--centers", default="0,0,0,0", help="phase-space shift 'q1,p1,q2,p2'")
     p_pfunc.set_defaults(func=cmd_pfunc)

@@ -38,9 +38,9 @@ cancels that slot's -|z|^2, so the zbar of slot i meets only the z of
 slot i + 1, through K_i = L_i† L_{i+1}. The matching sum is then one
 factor per edge of the cycle, each a sum over at most 2 x 2 slots, times
 the exponential of the summed edge exponents (_cycle_pairings). The
-general engine of module pdistribution (pair_product), which pairs P
-objects of any number of terms, is the tests' reference for this
-contraction. See docs/derivations.md.
+general engine that pairs P objects of any number of terms (pair_product in
+tests/oracles.py) is the tests' reference for this contraction; validate
+checks the contraction itself. See docs/derivations.md.
 
 Below PhaseScenario the routes read coordinates: a vertex is the tuple
 (q1, p1, q2, p2), floats for one scenario and arrays for a grid. A sweep's

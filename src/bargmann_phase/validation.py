@@ -7,15 +7,14 @@ the test suite additionally compares against fully independent oracles.
 """
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import coherent, fock, geomphase, pdistribution
 
-__all__ = ["CheckResult", "NumericalFunction", "run_all"]
+__all__ = ["CheckResult", "run_all"]
 
 
 @dataclass(frozen=True)
@@ -30,44 +29,6 @@ class CheckResult:
     def from_defect(cls, name: str, value: float, threshold: float, detail: str) -> "CheckResult":
         return cls(name=name, passed=bool(value <= threshold), value=float(value),
                    threshold=float(threshold), detail=detail)
-
-
-_EPS = 2.22e-16
-
-
-@dataclass
-class NumericalFunction:
-    """Central finite differences on a black-box function of nvars reals.
-
-    The reference for the engine's exact partials. The base step (default
-    1e-5) balances truncation against cancellation for first and second
-    derivatives of order-one functions; for higher total orders the
-    product stencil widens the step to eps^{1/(order+2)}, the usual
-    balance point.
-    """
-
-    func: object
-    nvars: int
-    step: float = 1e-5
-
-    def partial(self, orders, point) -> complex:
-        if len(orders) != self.nvars:
-            raise ValueError("orders length must match variable count")
-        if not set(orders) <= {0, 1, 2}:
-            raise ValueError("finite differences support orders 0..2 per variable")
-        point = tuple(float(x) for x in point)
-        total = sum(orders)
-        h = self.step if total <= 2 else max(self.step, _EPS ** (1.0 / (total + 2)))
-        stencils = {
-            0: ((0.0, 1.0),),
-            1: ((h, 0.5 / h), (-h, -0.5 / h)),
-            2: ((h, 1.0 / (h * h)), (0.0, -2.0 / (h * h)), (-h, 1.0 / (h * h))),
-        }
-        return sum(
-            math.prod(w for _, w in combo)
-            * complex(self.func(tuple(p + s for p, (s, _) in zip(point, combo))))
-            for combo in itertools.product(*(stencils[o] for o in orders))
-        )
 
 
 def _check_polarizer_unitarity(dim, rng) -> CheckResult:
@@ -215,115 +176,54 @@ def _check_triple_symmetries(dim, rng) -> CheckResult:
     )
 
 
-def _check_trace_normalization(dim, rng) -> CheckResult:
+_OCCUPATIONS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _drawn_state(occupation, rng) -> geomphase.StateSpec:
+    return geomphase.StateSpec(occupation, *geomphase._random_mode_pair(rng, 0.4))
+
+
+def _check_pairing_pure_trace(dim, rng) -> CheckResult:
     worst = 0.0
-    one = pdistribution.constant_function()
-    for occ in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        shift = (
-            pdistribution.PhaseSpacePoint(*rng.uniform(-0.4, 0.4, 2)),
-            pdistribution.PhaseSpacePoint(*rng.uniform(-0.4, 0.4, 2)),
-        )
-        p = pdistribution.mehta_p_function(occ, shift)
-        worst = max(worst, abs(pdistribution.pair(p, one) - 1.0))
+    for occ in _OCCUPATIONS:
+        state = _drawn_state(occ, rng)
+        worst = max(worst, abs(geomphase.phase_space_trace(state, state, state).invariant - 1.0))
     return CheckResult.from_defect(
-        "p_trace_normalization", worst, 1e-10, "pair(P, 1) = 1 for all supported states"
+        "pairing_pure_state_trace", worst, 1e-12,
+        "Tr rho^3 = 1 from the pairing of three equal states, every occupation",
     )
 
 
-def _check_reconstruction(dim, rng) -> CheckResult:
+def _check_pairing_two_state_triangle(dim, rng) -> CheckResult:
     worst = 0.0
-    for occ in ((0, 0), (0, 1), (1, 1)):
-        z1, z2 = (complex(*rng.uniform(-0.3, 0.3, 2)) for _ in range(2))
-        p = pdistribution.mehta_p_function(
-            occ,
-            (
-                pdistribution.PhaseSpacePoint.from_complex(z1),
-                pdistribution.PhaseSpacePoint.from_complex(z2),
-            ),
-        )
-        rho = fock.DensityOperator.displaced_fock(z1, occ[0], z2, occ[1], dim)
-        for m1 in range(3):
-            for m2 in range(3):
-                for n1 in range(3):
-                    for n2 in range(3):
-                        rec = pdistribution.reconstruct_density_element(p, (m1, m2), (n1, n2))
-                        ora = rho.matrix[dim.index(m1, m2), dim.index(n1, n2)]
-                        worst = max(worst, abs(rec - ora))
+    for occ in _OCCUPATIONS:
+        a, b = _drawn_state(occ, rng), _drawn_state(occ, rng)
+        # Tr(rho_a rho_a rho_b) = |<a|b>|^2, and per mode |<n|D(delta)|n>|^2 is
+        # e^{-|delta|^2} times the Laguerre factor (1 - |delta|^2)^2 for n = 1
+        exact = 1.0
+        for n, ca, cb in zip(occ, a.centers, b.centers):
+            x = (ca.q - cb.q) ** 2 + (ca.p - cb.p) ** 2
+            exact *= math.exp(-x) * (1.0 - x) ** (2 * n)
+        worst = max(worst, abs(geomphase.phase_space_trace(a, a, b).invariant - exact))
     return CheckResult.from_defect(
-        "density_reconstruction", worst, 1e-8,
-        "pair(P, <m|.|n>) matches truncated matrix elements",
+        "pairing_two_state_triangle", worst, 1e-12,
+        "Tr(rho_a rho_a rho_b) = prod over modes of e^{-|delta|^2} (1 - |delta|^2)^(2 n)",
     )
 
 
-def _check_pairing_linearity(dim, rng) -> CheckResult:
-    f = pdistribution.fock_element_function((1, 0), (1, 0))
-    pa = pdistribution.mehta_p_function((1, 0))
-    pb = pdistribution.mehta_p_function(
-        (0, 1),
-        (
-            pdistribution.PhaseSpacePoint(0.2, -0.1),
-            pdistribution.PhaseSpacePoint(0.1, 0.3),
-        ),
-    )
-    mix = pa.scaled(0.3).combined(pb.scaled(0.7 + 0.2j))
-    lhs = pdistribution.pair(mix, f)
-    rhs = 0.3 * pdistribution.pair(pa, f) + (0.7 + 0.2j) * pdistribution.pair(pb, f)
-    return CheckResult.from_defect(
-        "pairing_linearity", abs(lhs - rhs), 1e-12, "pair is linear in the P argument"
-    )
-
-
-def _check_translation_covariance(dim, rng) -> CheckResult:
-    d = rng.uniform(-0.3, 0.3, 4)
-    shift = (
-        pdistribution.PhaseSpacePoint(float(d[0]), float(d[1])),
-        pdistribution.PhaseSpacePoint(float(d[2]), float(d[3])),
-    )
-    p = pdistribution.mehta_p_function((1, 1))
-    f = pdistribution.fock_element_function((1, 1), (0, 1))
-    lhs = pdistribution.pair(p.shifted(*shift), f)
-    rhs = pdistribution.pair(p, f.translated(d))
-    return CheckResult.from_defect(
-        "translation_covariance", abs(lhs - rhs), 1e-12,
-        "pairing a shifted P equals pairing against the translated function",
-    )
-
-
-def _check_negativity_witness(dim, rng) -> CheckResult:
-    p11 = pdistribution.mehta_p_function((1, 1))
-    p00 = pdistribution.mehta_p_function((0, 0))
-    sigma = 0.1
-    m1 = pdistribution.pair(p11, pdistribution.gaussian_smear_function(sigma, modes=(1,)))
-    m2 = pdistribution.pair(p11, pdistribution.gaussian_smear_function(sigma, modes=(2,)))
-    both = pdistribution.pair(p11, pdistribution.gaussian_smear_function(sigma, modes=(1, 2)))
-    vac = pdistribution.pair(p00, pdistribution.gaussian_smear_function(sigma, modes=(1,)))
-    ok = (
-        m1.real < 0
-        and m2.real < 0
-        and abs(both - m1 * m2) < 1e-8
-        and vac.real > 0
-        and abs(m1.imag) < 1e-12
-    )
-    return CheckResult(
-        name="negativity_witness",
-        passed=bool(ok),
-        value=float(m1.real),
-        threshold=0.0,
-        detail="single-photon marginal smear is negative (value shown); "
-        "product smear factorizes; vacuum stays positive",
-    )
-
-
-def _check_symbolic_derivatives(dim, rng) -> CheckResult:
-    f = pdistribution.fock_element_function((1, 1), (1, 0))
-    numeric = NumericalFunction(lambda x: f.value(x), nvars=4)
-    point = tuple(rng.uniform(-0.3, 0.3, 4))
+def _check_pairing_translation(dim, rng) -> CheckResult:
     worst = 0.0
-    for orders in ((0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0), (0, 2, 0, 1), (1, 1, 2, 0)):
-        worst = max(worst, abs(f.partial(orders, point) - numeric.partial(orders, point)))
+    for _ in range(4):
+        states = [_drawn_state((int(rng.integers(0, 2)), int(rng.integers(0, 2))), rng)
+                  for _ in range(3)]
+        w1, w2 = geomphase._random_mode_pair(rng, 0.4)
+        moved = [replace(s, center1=s.center1.shifted(w1.q, w1.p), center2=s.center2.shifted(w2.q, w2.p))
+                 for s in states]
+        worst = max(worst, abs(geomphase.phase_space_trace(*states).invariant
+                               - geomphase.phase_space_trace(*moved).invariant))
     return CheckResult.from_defect(
-        "symbolic_vs_finite_difference", worst, 2e-4,
-        "closed-form partials match central differences at their accuracy floor",
+        "pairing_translation_invariance", worst, 1e-12,
+        "moving all three centers by one w leaves the phase-space invariant unchanged",
     )
 
 
@@ -388,12 +288,9 @@ _CHECKS = (
     _check_overlap_identities,
     _check_label_map_group_law,
     _check_triple_symmetries,
-    _check_trace_normalization,
-    _check_reconstruction,
-    _check_pairing_linearity,
-    _check_translation_covariance,
-    _check_negativity_witness,
-    _check_symbolic_derivatives,
+    _check_pairing_pure_trace,
+    _check_pairing_two_state_triangle,
+    _check_pairing_translation,
     _check_pairing_symmetries,
     _check_routes_agree,
     _check_printed_vacuum_reduction,

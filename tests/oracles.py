@@ -4,17 +4,24 @@ Everything here is computed by routes the library does not use: explicit
 Fock amplitude series, closed-form (Laguerre) overlaps of displaced number
 states up to two photons and the exact chain invariant built from them, the
 shoelace area formula, plain finite differences, a per-z eigendecomposition
-of the displacement generator, and the pairing of P objects in real (q, p)
-coordinates by a derivative recursion. Library results are compared against
-these, never against other library results.
+of the displacement generator, the pairing of P objects in real (q, p)
+coordinates by a derivative recursion, and the general pairing engine of P
+objects against Gaussian test functions in Wirtinger coordinates, with its
+finite-difference check. Library results are compared against these, never
+against other library results.
 """
 from __future__ import annotations
 
 import cmath
+import collections
 import itertools
 import math
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
+
+from bargmann_phase.pdistribution import PhaseSpacePoint, QuasiProbability, WirtingerTerm
 
 
 def transmission_matrix(theta: float) -> np.ndarray:
@@ -325,3 +332,225 @@ def matching_sum_by_enumeration(z_vars, zbar_vars, grad_z, grad_zbar, hess) -> c
                         term *= grad_zbar[v]
                 total += term
     return complex(total)
+
+
+# ---------------------------------------------------------------------------
+# General pairing engine, in Wirtinger coordinates: P objects of any number of
+# terms against exp Q with Q(w) = conj(w)·H·w + a·w + b·conj(w) + c, which has
+# no z-z or zbar-zbar part. A polynomial prefactor is a derivative in generator
+# variables g, as in z^m conj(z)^n e^{-|z|^2} = d_gbar^m d_g^n
+# exp(-|z|^2 + conj(z) g + conj(g) z) at g = 0, and the envelopes add
+# |z - c|^2 to Q. Each product of P terms is therefore a mixed derivative of
+# e^Q at the centers, a sum over partial matchings of the z derivatives with
+# the zbar derivatives (_matching_sum), as in the loop hafnian of Bjorklund,
+# Gupt and Quesada. The (q, p) orders of GaussianFunction.partial are expanded
+# into Wirtinger terms by d_q = d_z + d_zbar and d_p = i(d_z - d_zbar). This is
+# the reference for geomphase's edge-by-edge contraction of the kernel cycle.
+
+
+@lru_cache(maxsize=None)
+def _wirtinger_expansion(orders: tuple) -> dict:
+    """d^orders over (q1, p1, q2, p2) as {(z vars, zbar vars): coeff}, by
+    d_q = d_z + d_zbar and d_p = i(d_z - d_zbar); mode m is variable m."""
+    factors = [(a // 2, ((1.0, 1.0), (1j, -1j))[a % 2])
+               for a, order in enumerate(orders) for _ in range(order)]
+    expansion: dict = {}
+    for picks in itertools.product((0, 1), repeat=len(factors)):  # 0: d_z, 1: d_zbar
+        key = tuple(tuple(v for (v, _), pick in zip(factors, picks) if pick == side) for side in (0, 1))
+        w = math.prod(ws[pick] for (_, ws), pick in zip(factors, picks))
+        expansion[key] = expansion.get(key, 0.0) + w
+    return expansion
+
+
+@lru_cache(maxsize=None)
+def _product_vars(structure: tuple) -> tuple:
+    """The z and the zbar variables of a product of terms with these (z vars, zbar vars):
+    the i-th term's mode m is pair_product's variable 2*i + m."""
+    return tuple(tuple(2 * i + v for i, t in enumerate(structure) for v in t[side]) for side in (0, 1))
+
+
+def _matching_sum(z_vars, zbar_vars, grad_z, grad_zbar, hess) -> complex:
+    """exp(-Q) d^z_vars d^zbar_vars exp(Q), Q quadratic with no z-z or zbar-zbar part,
+    with n x n hess and the gradients grad_z and grad_zbar of length n.
+
+    The sum over partial matchings of z slots with zbar slots: a pair weighs
+    hess[zbar][z], an unmatched slot its gradient entry. Slots of one zbar
+    variable are interchangeable, so the sum walks the z slots keeping
+    {free slots per distinct zbar variable: partial sum}. A z slot on v stays
+    unmatched (grad_z[v]) or takes one of the c free slots of u (c * hess[u][v],
+    skipped where hess[u][v] is 0); the slots still free at the end weigh
+    grad_zbar[u] each.
+    """
+    us = tuple(dict.fromkeys(zbar_vars))
+    sums = {tuple(map(zbar_vars.count, us)): 1.0 + 0j}
+    for v in z_vars:
+        pairs = [(k, w) for k, u in enumerate(us) if (w := hess[u][v])]
+        step = collections.defaultdict(complex)
+        for free, s in sums.items():
+            step[free] += s * grad_z[v]
+            for k, w in pairs:
+                if free[k]:
+                    step[free[:k] + (free[k] - 1,) + free[k + 1:]] += s * free[k] * w
+        sums = step
+    # repeated products, not **, so that overflow gives inf rather than raising
+    return complex(sum(
+        s * math.prod(grad_zbar[u] for u, c in zip(us, free) for _ in range(c))
+        for free, s in sums.items()))
+
+
+@dataclass(frozen=True, eq=False)
+class GaussianFunction:
+    """d^z_slots d^zbar_slots exp Q(w) at generator variables 0, where
+    Q(w) = conj(w)·H·w + a·w + b·conj(w) + c is held as one sesquilinear
+    form over w' = (w, 1): form = [[H, b], [a, c]].
+
+    w stacks the complex P variables, 2*i + mode - 1 for the i-th paired P
+    object, and then the generator variables that the slots differentiate.
+    """
+
+    form: np.ndarray
+    z_slots: tuple = ()
+    zbar_slots: tuple = ()
+
+    def partial(self, orders, point) -> complex:
+        """d^orders f at point over (q1, p1, q2, p2), each order in 0..2: the pairing
+        against the bare Wirtinger terms of that derivative."""
+        orders = tuple(orders)
+        if len(orders) != 4 or any(o not in (0, 1, 2) for o in orders):
+            raise ValueError(f"orders must be four values in 0..2, got {orders}")
+        centers = (PhaseSpacePoint(*point[:2]).to_complex(), PhaseSpacePoint(*point[2:]).to_complex())
+        terms = tuple(WirtingerTerm(w, centers, z, zbar)
+                      for (z, zbar), w in _wirtinger_expansion(orders).items() if w != 0)
+        return pair(QuasiProbability(terms, envelope=False), self)
+
+    def value(self, point) -> complex:
+        return self.partial((0, 0, 0, 0), point)
+
+    def translated(self, offset) -> "GaussianFunction":
+        """f(x + offset) with offset over (q1, p1, q2, p2). Shifting w by delta is
+        linear in w' = (w, 1), so only the last row and column (a, b, c) change."""
+        offset = np.asarray(offset, dtype=float)
+        shift = np.eye(len(self.form), dtype=complex)
+        shift[:2, -1] = offset[0::2] + 1j * offset[1::2]
+        return replace(self, form=shift.conj().T @ self.form @ shift)
+
+
+def pair_product(ps, f: GaussianFunction) -> complex:
+    """integral P_1(x_1) ... P_k(x_k) f(x_1, ..., x_k) dx in the absorbed measure.
+
+    Each enveloped P adds |z - c|^2 to Q, which at its centers c changes
+    neither Q nor its gradients. So each product of Wirtinger terms is the
+    matching sum with gradients grad_z Q = conj(w')·form and
+    grad_zbar Q = form·w' at w' = (centers, 0, 1), times exp Q; the zbar-z
+    curvature is H plus 1 on the enveloped variables' diagonal.
+    """
+    size = len(f.form)
+    n_p = 2 * len(ps)
+    flags = [float(p.envelope) for p in ps for _ in range(2)]
+    hess = (f.form + np.diag(flags + [0.0] * (size - n_p))).tolist()
+    w = np.zeros(size, dtype=complex)
+    w[-1] = 1.0
+    total = 0j
+    # overflow yields a non-finite pairing
+    with np.errstate(over="ignore", invalid="ignore"):
+        for terms in itertools.product(*(p.terms for p in ps)):
+            w[:n_p] = [z for t in terms for z in t.centers]
+            z_vars, zbar_vars = _product_vars(tuple(t[2:] for t in terms))
+            w_bar = w.conj()
+            grad_zbar = f.form @ w
+            moment = _matching_sum(z_vars + f.z_slots, zbar_vars + f.zbar_slots,
+                                   (w_bar @ f.form).tolist(), grad_zbar.tolist(), hess)
+            total += math.prod(t.coeff for t in terms) * moment * complex(np.exp(grad_zbar @ w_bar))
+    return total
+
+
+def pair(p: QuasiProbability, f: GaussianFunction) -> complex:
+    """Distributional pairing integral P(x) f(x) dx in the absorbed measure."""
+    return pair_product((p,), f)
+
+
+def constant_function() -> GaussianFunction:
+    return GaussianFunction(np.zeros((3, 3)))
+
+
+def fock_element_function(bra: tuple[int, int], ket: tuple[int, int]) -> GaussianFunction:
+    """f(x) = <bra|z><z|ket> as a function of (q1, p1, q2, p2).
+
+    Per mode, <m|z><z|n> = e^{-|z|^2} z^m conj(z)^n / sqrt(m! n!), which is
+    d_gbar^m d_g^n exp(-|z|^2 + conj(z) g + conj(g) z) / sqrt(m! n!) at
+    g = 0, with generator g_k as variable 2 + k. Pairing the P of rho
+    against this yields <bra|rho|ket> directly.
+    """
+    if min(*bra, *ket) < 0:
+        raise ValueError("occupations must be nonnegative")
+    form = np.zeros((5, 5))
+    # H: -|z_1|^2 - |z_2|^2 + sum_k conj(z_k) g_k + conj(g_k) z_k; c: the normalisation
+    form[:4, :4] = np.kron([[-1.0, 1.0], [1.0, 0.0]], np.eye(2))
+    form[4, 4] = -0.5 * math.log(math.prod(math.factorial(k) for k in (*bra, *ket)))
+    return GaussianFunction(
+        form, z_slots=(2,) * ket[0] + (3,) * ket[1], zbar_slots=(2,) * bra[0] + (3,) * bra[1]
+    )
+
+
+def gaussian_smear_function(sigma: float, modes: tuple[int, ...] = (1, 2)) -> GaussianFunction:
+    """Normalized-height Gaussian exp{-|z|^2 / (2 sigma^2)} on the selected
+    modes' phase planes, constant in the other variables.
+
+    With modes=(1,) this is the mode-1 marginal smear used as the
+    nonclassicality witness; its pairing against a single-photon P is
+    1 - 1/(2 sigma^2), strictly negative for sigma < 1/sqrt(2). A smear
+    centred at c is gaussian_smear_function(sigma).translated(-c).
+    """
+    if not sigma > 0:
+        raise ValueError("sigma must be positive")
+    form = np.zeros((3, 3))
+    for mode in modes:
+        if mode not in (1, 2):
+            raise ValueError("modes are numbered 1 and 2")
+        form[mode - 1, mode - 1] = -0.5 / sigma**2
+    return GaussianFunction(form)
+
+
+def reconstruct_density_element(
+    p: QuasiProbability, bra: tuple[int, int], ket: tuple[int, int]
+) -> complex:
+    """<bra|rho|ket> recovered from the P representation alone."""
+    return pair(p, fock_element_function(bra, ket))
+
+
+_EPS = 2.22e-16
+
+
+@dataclass
+class NumericalFunction:
+    """Central finite differences on a black-box function of nvars reals.
+
+    The reference for the engine's exact partials. The base step (default
+    1e-5) balances truncation against cancellation for first and second
+    derivatives of order-one functions; for higher total orders the
+    product stencil widens the step to eps^{1/(order+2)}, the usual
+    balance point.
+    """
+
+    func: object
+    nvars: int
+    step: float = 1e-5
+
+    def partial(self, orders, point) -> complex:
+        if len(orders) != self.nvars:
+            raise ValueError("orders length must match variable count")
+        if not set(orders) <= {0, 1, 2}:
+            raise ValueError("finite differences support orders 0..2 per variable")
+        point = tuple(float(x) for x in point)
+        total = sum(orders)
+        h = self.step if total <= 2 else max(self.step, _EPS ** (1.0 / (total + 2)))
+        stencils = {
+            0: ((0.0, 1.0),),
+            1: ((h, 0.5 / h), (-h, -0.5 / h)),
+            2: ((h, 1.0 / (h * h)), (0.0, -2.0 / (h * h)), (-h, 1.0 / (h * h))),
+        }
+        return sum(
+            math.prod(w for _, w in combo)
+            * complex(self.func(tuple(p + s for p, (s, _) in zip(point, combo))))
+            for combo in itertools.product(*(stencils[o] for o in orders))
+        )

@@ -26,14 +26,8 @@ from bargmann_phase.geomphase import (
     random_independent_scenarios,
     run_reconciliation,
 )
-from bargmann_phase.pdistribution import (
-    PhaseSpacePoint,
-    constant_function,
-    gaussian_smear_function,
-    mehta_p_function,
-    pair,
-    reconstruct_density_element,
-)
+from bargmann_phase.pdistribution import PhaseSpacePoint, mehta_p_function
+from oracles import constant_function, gaussian_smear_function, pair, reconstruct_density_element
 
 PHASE_TOL = 1e-6
 OVERLAP_TOL = 1e-10

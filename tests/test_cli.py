@@ -23,13 +23,8 @@ from bargmann_phase import cli, fock, geomphase, pdistribution, validation
 from bargmann_phase import io as io_mod
 from bargmann_phase.fock import TruncationDim, TruncationLeakageWarning
 from bargmann_phase.geomphase import PhaseScenario, method_reconciliation
-from bargmann_phase.pdistribution import (
-    PhaseSpacePoint,
-    fock_element_function,
-    gaussian_smear_function,
-    mehta_p_function,
-    pair,
-)
+from bargmann_phase.pdistribution import PhaseSpacePoint, mehta_p_function
+from oracles import fock_element_function, gaussian_smear_function, pair
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -136,12 +131,16 @@ def test_phase_usage_errors(capsys):
         (("phase", "--centers", "1e308,0,0,0"), "--centers"),
         (("phase", "--centers", "0,0,0,0;0,nan,0,0;0,1,0,0"), "--centers"),
         (("pfunc", "--centers", "0,0,inf,0"), "--centers"),
+        # an empty angle is no angle, not 0
+        (("phase", "--theta1", "", "--theta2", ""), "--theta1"),
+        (("phase", "--theta1", "0.3", "--theta2", ""), "--theta2"),
     ],
 )
 def test_non_finite_input_is_usage_error(capsys, argv, flag):
+    n_max = () if argv[0] == "pfunc" else ("--n-max", "8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run_cli(capsys, *argv, "--n-max", "8")
+        code, out, err = run_cli(capsys, *argv, *n_max)
     assert code == 1
     assert out == ""
     assert flag in err
@@ -446,7 +445,7 @@ def test_sweep_block_temporaries_stay_under_the_cap(monkeypatch):
     argv = ("sweep", "--n-max", "100", "--theta1", "0:3.1:1000", "--theta2", "0.2",
             "--occupation", "1,1", "--centers", "0.2,0,0,0.1")
     seen = []
-    for module in (fock, geomphase, pdistribution):
+    for module in (fock, geomphase):
         monkeypatch.setattr(module, "np", _RecordingNumpy(np, seen))
     tracemalloc.start()
     try:
@@ -596,16 +595,35 @@ def test_sweep_rejects_three_vertices(capsys):
 def test_validate_passes(capsys):
     code, out, _ = run_cli(capsys, "validate", "--n-max", "12")
     assert code == 0
-    assert "/19 checks passed" in out
+    assert "/16 checks passed" in out
     assert "[FAIL]" not in out
 
 
 def test_validate_n_max_5_keeps_the_exact_checks():
-    # on n1 + n2 <= n_max the polarizer acts exactly and the states' amplitudes
-    # are exact, so these two hold at the smallest accepted cutoff
+    # on n1 + n2 <= n_max the polarizer acts exactly, and the pairing has no
+    # cutoff at all, so these two hold at the smallest accepted cutoff
     checks = {c.name: c for c in validation.run_all(n_max=5)}
     assert checks["evolution_matches_label_map"].passed
-    assert checks["density_reconstruction"].passed
+    assert checks["pairing_two_state_triangle"].passed
+
+
+@pytest.mark.parametrize("scale_by_position", [False, True], ids=["uniform", "by-position"])
+def test_validate_pairing_checks_catch_a_perturbed_pairing(monkeypatch, scale_by_position):
+    # a relative error of 1e-9 in the pairing, far below fock_vs_phase_space_routes'
+    # 1e-8: a uniform one breaks the two checks with an exact reference, and one
+    # that grows with the first slot's q1 breaks translation invariance as well
+    real_edge = geomphase._edge
+
+    def perturbed(d, e, t, u):
+        x, *rest = real_edge(d, e, t, u)
+        return (x + 1e-9 * (t.center1.q if scale_by_position else 1 / 3), *rest)
+
+    monkeypatch.setattr(geomphase, "_edge", perturbed)
+    failed = {c.name for c in validation.run_all(n_max=12) if not c.passed}
+    pairing = {"pairing_pure_state_trace", "pairing_two_state_triangle"}
+    if scale_by_position:
+        pairing.add("pairing_translation_invariance")
+    assert pairing <= failed
 
 
 def test_validate_rejects_n_max_above_bound(capsys):
@@ -648,7 +666,7 @@ def test_validate_json(capsys):
     doc = json.loads(out)
     assert doc["schema"] == "bargmann-phase/1"
     assert doc["all_passed"] is True
-    assert len(doc["checks"]) == 19
+    assert len(doc["checks"]) == 16
 
 
 def test_pfunc_document_shape(capsys):
@@ -794,11 +812,30 @@ def test_pfunc_from_malformed_document_is_usage_error(tmp_path, capsys, tamper, 
     ids=["phase-centers", "phase-theta-exponent", "sweep-grid", "pfunc-centers"],
 )
 def test_negative_values_are_values_not_options(capsys, argv):
-    code, out, err = run_cli(capsys, *argv, "--n-max", "10")
+    n_max = () if argv[0] == "pfunc" else ("--n-max", "10")
+    code, out, err = run_cli(capsys, *argv, *n_max)
     assert code == 0, err
     # the --flag=value form reads the same negative value
     flag, value = argv[-2:]
-    assert run_cli(capsys, *argv[:-2], f"{flag}={value}", "--n-max", "10")[1] == out
+    assert run_cli(capsys, *argv[:-2], f"{flag}={value}", *n_max)[1] == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("phase", "--seed", "3"),
+        ("sweep", "--seed", "3"),
+        ("validate", "--tol", "1e-6"),
+        ("pfunc", "--n-max", "25"),
+        ("pfunc", "--tol", "1e-6"),
+        ("pfunc", "--seed", "3"),
+    ],
+)
+def test_options_a_command_does_not_read_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"unrecognized arguments: {argv[1]}" in err
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

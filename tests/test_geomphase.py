@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from bargmann_phase import geomphase, pdistribution
+from bargmann_phase import geomphase
 from bargmann_phase.coherent import label_map_matrix
 from bargmann_phase.fock import (
     DensityOperator,
@@ -394,7 +394,7 @@ def test_pairing_matches_real_coordinate_oracle_property(occupation, centers, th
 
 
 def engine_pairing(ps, maps):
-    """pdistribution.pair_product of three P objects against the kernel cycle under
+    """oracles.pair_product of three P objects against the kernel cycle under
     the label maps L, as the dense form [[L† W L, 0], [0, 0]] over the six P
     variables and the constant: W is -1 on each slot's own block and 1 on the
     block of slot i's zbar and slot i + 1's z."""
@@ -404,7 +404,7 @@ def engine_pairing(ps, maps):
     weights = np.kron(np.roll(np.eye(3), 1, axis=1) - np.eye(3), np.eye(2))
     form = np.zeros((7, 7), dtype=complex)
     form[:6, :6] = lift.conj().T @ weights @ lift
-    return pdistribution.pair_product(ps, pdistribution.GaussianFunction(form))
+    return oracles.pair_product(ps, oracles.GaussianFunction(form))
 
 
 def assert_matches_where_defined(got, want, rel):
@@ -505,7 +505,7 @@ def test_wirtinger_form_of_single_photons_is_one_term():
     p = mehta_p_function((1, 1), shift=shift)
     assert p.terms == ((1.0, (0.3 - 0.1j, 0j), (0, 1), (0, 1)),)
     # as the second P object of a pairing its variables are 2 and 3
-    assert pdistribution._product_vars((((), ()), p.terms[0][2:])) == ((2, 3), (2, 3))
+    assert oracles._product_vars((((), ()), p.terms[0][2:])) == ((2, 3), (2, 3))
     vacuum = mehta_p_function((0, 0))
     assert vacuum.terms == ((1.0, (0j, 0j), (), ()),)
 

@@ -14,18 +14,15 @@ from bargmann_phase.geomphase import (
     random_evolved_scenarios,
     random_independent_scenarios,
 )
-from bargmann_phase.pdistribution import (
-    ORIGIN,
-    PhaseSpacePoint,
-    QuasiProbability,
+from bargmann_phase.pdistribution import ORIGIN, PhaseSpacePoint, QuasiProbability, mehta_p_function
+from oracles import (
+    NumericalFunction,
     constant_function,
     fock_element_function,
     gaussian_smear_function,
-    mehta_p_function,
     pair,
     reconstruct_density_element,
 )
-from bargmann_phase.validation import NumericalFunction
 
 ALL_OCCUPATIONS = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
@@ -345,7 +342,7 @@ def test_matching_sum_matches_enumeration(size, z_slots, zbar_slots, seed):
     hess[2][rng.random((size, size)) < 0.5] = 0.0
     hess[2].real[rng.random((size, size)) < 0.5] = 0.0
     for g in range(3):
-        got = pdistribution._matching_sum(z_vars, zbar_vars, grad_z[g], grad_zbar[g], hess[g])
+        got = oracles._matching_sum(z_vars, zbar_vars, grad_z[g], grad_zbar[g], hess[g])
         want = oracles.matching_sum_by_enumeration(
             z_vars, zbar_vars, grad_z[g], grad_zbar[g], hess[g])
         # the same enumeration over absolute values is the sum of |terms|
@@ -359,7 +356,7 @@ def test_pairing_caches_are_keyed_on_structure_only():
     # fresh centers and coefficients every round; only term structures repeat
     caches = {
         name: obj
-        for module in (pdistribution, geomphase)
+        for module in (pdistribution, oracles, geomphase)
         for name, obj in vars(module).items()
         if hasattr(obj, "cache_info")
     }

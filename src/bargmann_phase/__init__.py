@@ -25,14 +25,9 @@ from .fock import (
     TruncationDim,
     TruncationLeakageWarning,
     chain_invariant,
-    displaced_fock_state,
-    displacement_operator,
     evolve,
-    evolve_state,
-    mode_annihilation,
     polarizer_unitary,
     principal_phase,
-    triple_overlap,
     triple_product_trace,
 )
 from .geomphase import (

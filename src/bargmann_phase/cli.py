@@ -25,11 +25,10 @@ from .validation import run_all
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DISAGREE = 2
-# phase and sweep: the oracle's chain weights cost O(n_max^2) a state and its
-# angle factors n_max cos/sin pairs an angle
+# every command's cutoff: the oracle's chain weights cost O(n_max^2) a state
+# and its angle factors n_max cos/sin pairs an angle, and validate's largest
+# matrix is one (n_max+1)-square photon-number sector
 N_MAX = 100
-# validate builds dense (n_max+1)^2-square matrices: memory grows as n_max^4
-VALIDATE_N_MAX = 30
 # a sweep builds count1 * count2 rows
 GRID_COUNT_MAX = 1000
 
@@ -81,12 +80,12 @@ def _parse_theta(text: str, flag: str, allow_grid: bool):
     """A plain angle, or 'start:stop:count' for a half-open sweep grid."""
     if ":" in text:
         if not allow_grid:
-            raise ValueError(f"expected a single angle, got grid {text!r}")
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"grid is 'start:stop:count', got {text!r}")
-        start, stop = float(parts[0]), float(parts[1])
-        count = int(parts[2])
+            raise ValueError(f"{flag} takes a single angle, got grid {text!r}")
+        try:
+            start, stop, count = text.split(":")
+            start, stop, count = float(start), float(stop), int(count)
+        except ValueError:
+            raise ValueError(f"{flag} grid is 'start:stop:count' with a whole count, got {text!r}") from None
         if not 1 <= count <= GRID_COUNT_MAX:
             raise ValueError(f"{flag} grid count must be in [1, {GRID_COUNT_MAX}], got {count}")
         step = (stop - start) / count
@@ -107,7 +106,7 @@ def _add_common(parser, *flags, default_n_max=25):
     options = {
         "--n-max": dict(type=int, default=default_n_max,
                         help="Fock cutoff: the oracle keeps total photon number "
-                             f"n1 + n2 <= n_max, >= 5 (default {default_n_max})"),
+                             f"n1 + n2 <= n_max, in [5, {N_MAX}] (default {default_n_max})"),
         "--tol": dict(type=float, default=1e-6,
                       help="phase agreement tolerance in radians (default 1e-6)"),
         "--out": dict(default=None, help="write output to this path instead of stdout"),
@@ -116,12 +115,10 @@ def _add_common(parser, *flags, default_n_max=25):
         parser.add_argument(flag, **options[flag])
 
 
-def _checked_dim(args, n_max_bound: int) -> TruncationDim:
+def _checked_dim(args) -> TruncationDim:
     """The cutoff of --n-max, after checking it and, where the command reads it, --tol."""
-    if args.n_max < 5:
-        raise ValueError(f"--n-max must be >= 5, got {args.n_max}")
-    if args.n_max > n_max_bound:
-        raise ValueError(f"--n-max must be <= {n_max_bound} for {args.command}, got {args.n_max}")
+    if not 5 <= args.n_max <= N_MAX:
+        raise ValueError(f"--n-max must be in [5, {N_MAX}], got {args.n_max}")
     if "tol" in args and not (math.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be finite and positive, got {args.tol!r}")
     return TruncationDim(args.n_max)
@@ -188,7 +185,7 @@ def _phase_text(row, args) -> str:
 
 
 def cmd_phase(args) -> int:
-    dim = _checked_dim(args, N_MAX)
+    dim = _checked_dim(args)
     if args.from_pfunc:
         if args.centers is not None or args.theta1 is not None or args.theta2 is not None:
             raise ValueError("--from-pfunc replaces --centers and angles")
@@ -209,7 +206,7 @@ def cmd_phase(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    dim = _checked_dim(args, N_MAX)
+    dim = _checked_dim(args)
     occupation = _parse_occupation(args.occupation)
     vertices = _parse_centers(args.centers)
     if len(vertices) != 1:
@@ -250,7 +247,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    _checked_dim(args, VALIDATE_N_MAX)
+    _checked_dim(args)
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     checks = run_all(n_max=args.n_max, seed=args.seed)
     ok = all(c.passed for c in checks)
     if args.format == "json":

@@ -72,8 +72,8 @@ def label_map_matrix(theta: float) -> np.ndarray:
 def polarizer_label_map(theta: float, v: CoherentLabel) -> CoherentLabel:
     """Label of the polarizer-evolved coherent state (u† |v> convention).
 
-    Matches fock.evolve_state exactly: evolving the state vector of |v>
-    yields the state vector of this label, with no residual phase.
+    Matches the polarizer exactly: U† on each photon-number sector of the
+    state vector of |v> yields that of this label, with no residual phase.
     """
     c, s = math.cos(theta), math.sin(theta)
     return CoherentLabel(z1=c * v.z1 - 1j * s * v.z2, z2=c * v.z2 - 1j * s * v.z1)

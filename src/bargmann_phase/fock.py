@@ -35,10 +35,12 @@ invariant comes with its bound (PhaseResult.bound), and
 geomphase.method_reconciliation raises a TruncationLeakageWarning when that
 bound exceeds the tolerance times |invariant|.
 
-The dense operator forms (polarizer_unitary, evolve_state, the
-displacements, DensityOperator, evolve, triple_product_trace) serve the
-operator identity checks and the tests; they are built from one eigh per
-generator block and are off the oracle's path.
+The polarizer's sectors N <= n_max (_polarizer_sectors) are what validate
+checks: each block's unitarity, its spectrum -N, -N+2, ..., N, which
+chain_weights assumes, and the label map on the cut amplitudes. The dense
+forms on the (n_max+1)^2 box (polarizer_unitary, single_mode_displacement,
+DensityOperator, evolve, triple_product_trace) are off the oracle's path,
+and no command runs them; the tests compare the oracle against them.
 """
 from __future__ import annotations
 
@@ -62,19 +64,13 @@ __all__ = [
     "PhaseResult",
     "phase_result",
     "principal_phase",
-    "mode_annihilation",
     "polarizer_unitary",
     "single_mode_displacement",
-    "displacement_operator",
-    "displaced_fock_state",
-    "displaced_fock_states",
-    "evolve_state",
     "chain_weights",
     "chain_bound",
     "chain_invariant",
     "chain_invariants",
     "triangle_invariant",
-    "triple_overlap",
     "DensityOperator",
     "evolve",
     "triple_product_trace",
@@ -177,15 +173,6 @@ def phase_result(
     return PhaseResult(invariant=invariant, phase=phase, method=method, bound=bound)
 
 
-def mode_annihilation(mode: int, dim: TruncationDim) -> np.ndarray:
-    """Truncated annihilation operator for mode 1 or 2 on the joint space."""
-    if mode not in (1, 2):
-        raise ValueError(f"mode must be 1 or 2, got {mode}")
-    a = np.diag(np.sqrt(np.arange(1.0, dim.n_max + 1)), k=1).astype(complex)
-    eye = np.eye(dim.states_per_mode)
-    return np.kron(a, eye) if mode == 1 else np.kron(eye, a)
-
-
 def _reduced_angle(theta: float) -> float:
     """theta modulo 2 pi in [-pi, pi]: sin and cos reduce exactly, theta % (2 pi)
     does not. The oracle's spectrum is the integers -n_max..n_max, so the
@@ -235,22 +222,6 @@ def _number_amplitudes(states, n_max: int) -> np.ndarray:
                                  for j, z in zip(js, zs)]).T[:, :, None]
         amps = raise_ * sqrt_m[level:] * amps[:, :-1] + keep * amps[:, 1:]
     return amps.reshape(len(states), 2, n_max + 1)
-
-
-def displaced_fock_states(states, dim: TruncationDim) -> np.ndarray:
-    """Rows D(z1, z2)|n1, n2> cut to n1 + n2 <= n_max, in the (n_max+1)^2 box layout
-    with exact zeros above the cut, one per (z1, n1, z2, n2) in states."""
-    modes = _number_amplitudes(states, dim.n_max)
-    m = np.arange(dim.states_per_mode)
-    kept = np.add.outer(m, m) <= dim.n_max
-    return (modes[:, 0, :, None] * modes[:, 1, None, :] * kept).reshape(-1, dim.dim)
-
-
-def displaced_fock_state(
-    z1: complex, n1: int, z2: complex, n2: int, dim: TruncationDim
-) -> np.ndarray:
-    """State vector D(z1, z2)|n1, n2> cut to n1 + n2 <= n_max."""
-    return displaced_fock_states([(z1, n1, z2, n2)], dim)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +348,8 @@ def chain_invariants(
 def chain_invariant(
     weights: np.ndarray, theta1: float, theta2: float, dim: TruncationDim
 ) -> PhaseResult:
-    """triple_overlap of psi1, psi2 = evolve_state(psi1, theta1), evolve_state(psi2, theta2),
-    from the weights chain_weights gives for psi1.
+    """<1|2><2|3><3|1> of psi1, psi2 = U(theta1)† psi1 and psi3 = U(theta2)† psi2,
+    U(t) = exp{i t G}, from the weights chain_weights gives for psi1.
 
     All three states share the generator's eigenbasis, so the invariant is
     f(theta1) f(theta2) conj f(theta1 + theta2) with
@@ -395,7 +366,7 @@ _OVERLAP_PAIRS = (np.array([0, 1, 2, 0, 1, 2]), np.array([1, 2, 0, 0, 1, 2]))
 
 
 def triangle_invariant(states, dim: TruncationDim) -> PhaseResult:
-    """triple_overlap of the three displaced number states (z1, n1, z2, n2) in
+    """<1|2><2|3><3|1> of the three displaced number states (z1, n1, z2, n2) in
     states, each cut to n1 + n2 <= n_max, without forming the state vectors.
 
     A state is a product a1 (x) a2 of per-mode amplitudes, so the truncated
@@ -413,40 +384,35 @@ def triangle_invariant(states, dim: TruncationDim) -> PhaseResult:
     return phase_result(o12 * o23 * o31, METHOD_FOCK_ORACLE, bound=bound)
 
 
-def triple_overlap(psi1: np.ndarray, psi2: np.ndarray, psi3: np.ndarray) -> PhaseResult:
-    """Tr(rho1 rho2 rho3) of pure states: <psi1|psi2><psi2|psi3><psi3|psi1>."""
-    if not (psi1.shape == psi2.shape == psi3.shape):
-        raise ValueError("state vectors live on different truncations")
-    inv = np.vdot(psi1, psi2) * np.vdot(psi2, psi3) * np.vdot(psi3, psi1)
-    return phase_result(inv, METHOD_FOCK_ORACLE)
-
-
 # ---------------------------------------------------------------------------
-# Dense operator forms, for the operator identity checks and the tests
+# The polarizer on each photon-number sector, and the dense operator forms
 
 
-def polarizer_unitary(theta: float, dim: TruncationDim) -> np.ndarray:
-    """exp{i theta (a1†a2 + a2†a1)} on the truncated joint space.
+def _polarizer_sectors(theta: float, n_max: int, top: int):
+    """Sectors N = 0..top of exp{i theta G}, G = a1†a2 + a2†a1, as (occ1, vals, block):
+    the mode-1 occupations n1 of the sector's basis |n1, N - n1> with
+    n1, N - n1 <= n_max, the eigenvalues of G there and the sector's unitary.
 
-    One eigh of the generator per photon-number sector N, whose restriction is
-    tridiagonal with <n1+1, N-n1-1| a1†a2 |n1, N-n1> = sqrt((n1+1)(N-n1)), so the
-    result is exactly block diagonal over N.
+    One eigh per sector of G's restriction, which is tridiagonal with
+    <n1+1, N-n1-1| a1†a2 |n1, N-n1> = sqrt((n1+1)(N-n1)).
     """
-    n_max, m = dim.n_max, dim.states_per_mode
     phase = 1j * _reduced_angle(theta)
-    u = np.zeros((dim.dim, dim.dim), dtype=complex)
-    for total in range(2 * n_max + 1):
+    for total in range(top + 1):
         occ1 = np.arange(max(0, total - n_max), min(total, n_max) + 1)
         off = np.sqrt((occ1[:-1] + 1.0) * (total - occ1[:-1]))
         vals, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+        yield occ1, vals, (vecs * np.exp(phase * vals)) @ vecs.T
+
+
+def polarizer_unitary(theta: float, dim: TruncationDim) -> np.ndarray:
+    """exp{i theta (a1†a2 + a2†a1)} on the (n_max+1)^2 box, exactly block diagonal
+    over the photon-number sectors N = 0..2 n_max of _polarizer_sectors."""
+    m = dim.states_per_mode
+    u = np.zeros((dim.dim, dim.dim), dtype=complex)
+    for total, (occ1, _, block) in enumerate(_polarizer_sectors(theta, dim.n_max, 2 * dim.n_max)):
         sector = occ1 * m + total - occ1
-        u[np.ix_(sector, sector)] = (vecs * np.exp(phase * vals)) @ vecs.T
+        u[np.ix_(sector, sector)] = block
     return u
-
-
-def evolve_state(psi: np.ndarray, theta: float, dim: TruncationDim) -> np.ndarray:
-    """psi -> U† psi, U = polarizer_unitary(theta, dim); the vector form of evolve."""
-    return polarizer_unitary(theta, dim).conj().T @ psi
 
 
 def single_mode_displacement(z: complex, n_max: int) -> np.ndarray:
@@ -458,64 +424,12 @@ def single_mode_displacement(z: complex, n_max: int) -> np.ndarray:
     return (vecs * np.exp(-1j * abs(z) * vals)) @ vecs.conj().T
 
 
-def displacement_operator(z1: complex, z2: complex, dim: TruncationDim) -> np.ndarray:
-    """Two-mode displacement D(z1) on mode 1 times D(z2) on mode 2."""
-    d1 = single_mode_displacement(z1, dim.n_max)
-    d2 = single_mode_displacement(z2, dim.n_max)
-    return np.kron(d1, d2)
-
-
 @dataclass(frozen=True)
 class DensityOperator:
-    """Density matrix on the truncated joint space, with its cutoff."""
+    """Density matrix on the (n_max+1)^2 box, with its cutoff."""
 
     matrix: np.ndarray
     dim: TruncationDim
-
-    @classmethod
-    def from_state_vector(cls, vec: np.ndarray, dim: TruncationDim) -> "DensityOperator":
-        vec = np.asarray(vec, dtype=complex)
-        if vec.shape != (dim.dim,):
-            raise ValueError(f"vector shape {vec.shape} does not match dim {dim.dim}")
-        return cls(matrix=np.outer(vec, vec.conj()), dim=dim)
-
-    @classmethod
-    def displaced_fock(
-        cls, z1: complex, n1: int, z2: complex, n2: int, dim: TruncationDim
-    ) -> "DensityOperator":
-        return cls.from_state_vector(displaced_fock_state(z1, n1, z2, n2, dim), dim)
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-    def purity(self) -> float:
-        return float(np.einsum("ij,ji->", self.matrix, self.matrix).real)
-
-    def validate(
-        self,
-        *,
-        herm_tol: float = 1e-10,
-        trace_tol: float = 1e-8,
-        purity_tol: float | None = 1e-8,
-    ):
-        """Check hermiticity, trace and (optionally) purity; raise on failure.
-
-        The trace of a truncated pure state sits in [1 - leakage, 1]; the
-        tolerance bounds the acceptable leakage below 1 and only float
-        roundoff is allowed above.
-        """
-        m = self.matrix
-        herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > herm_tol:
-            raise ValueError(f"not hermitian: max |rho - rho†| = {herm:.3e}")
-        tr = float(np.trace(m).real)
-        if not (1.0 - trace_tol <= tr <= 1.0 + 1e-12):
-            raise ValueError(f"trace {tr!r} outside [1 - {trace_tol:.1e}, 1]")
-        if purity_tol is not None:
-            sq = m @ m
-            dev = float(np.max(np.abs(sq - m)))
-            if dev > purity_tol:
-                raise ValueError(f"not pure: max |rho^2 - rho| = {dev:.3e}")
 
 
 def evolve(rho: DensityOperator, u: np.ndarray, *, unitarity_tol: float = 1e-10) -> DensityOperator:

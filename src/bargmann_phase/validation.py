@@ -31,105 +31,69 @@ class CheckResult:
                    threshold=float(threshold), detail=detail)
 
 
+_OCCUPATIONS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 def _check_polarizer_unitarity(dim, rng) -> CheckResult:
     worst = 0.0
-    eye = np.eye(dim.dim)
     for theta in (0.37, math.pi / 2, math.pi, float(rng.uniform(0, math.pi))):
-        u = fock.polarizer_unitary(theta, dim)
-        worst = max(worst, float(np.max(np.abs(u.conj().T @ u - eye))))
+        for _, _, block in fock._polarizer_sectors(theta, dim.n_max, dim.n_max):
+            worst = max(worst, float(np.max(np.abs(block.conj().T @ block - np.eye(len(block))))))
     return CheckResult.from_defect(
-        "polarizer_unitarity", worst, 1e-10, "max |U†U - 1| over sampled angles"
+        "polarizer_unitarity", worst, 1e-10,
+        "max |U_N†U_N - 1| over the sectors N <= n_max and sampled angles",
     )
 
 
-def _check_polarizer_number_conservation(dim, rng) -> CheckResult:
-    u = fock.polarizer_unitary(float(rng.uniform(0.1, 3.0)), dim)
-    m = dim.states_per_mode
-    totals = np.add.outer(np.arange(m), np.arange(m)).reshape(-1)
-    mismatch = totals[:, None] != totals[None, :]
-    worst = float(np.max(np.abs(u[mismatch])))
+def _check_polarizer_sector_spectrum(dim, rng) -> CheckResult:
+    worst = 0.0
+    sectors = fock._polarizer_sectors(float(rng.uniform(0.1, 3.0)), dim.n_max, dim.n_max)
+    for total, (_, vals, _) in enumerate(sectors):
+        worst = max(worst, float(np.max(np.abs(vals - np.arange(-total, total + 1, 2)))))
     return CheckResult.from_defect(
-        "polarizer_number_conservation", worst, 0.0,
-        "entries between different total-photon sectors are exact zeros",
+        "polarizer_sector_spectrum", worst, 1e-10,
+        "the generator's spectrum on sector N <= n_max is -N, -N+2, ..., N, as chain_weights bins it",
     )
 
 
 def _check_ladder_commutators(dim, rng) -> CheckResult:
-    a1 = fock.mode_annihilation(1, dim)
-    a2 = fock.mode_annihilation(2, dim)
-    m = dim.states_per_mode
-    occ1 = np.repeat(np.arange(m), m)
-    occ2 = np.tile(np.arange(m), m)
-    eye = np.eye(dim.dim)
-    worst = 0.0
-    for a, occ in ((a1, occ1), (a2, occ2)):
-        comm = a @ a.conj().T - a.conj().T @ a
-        keep = occ < dim.n_max  # the cutoff sector absorbs the failure
-        worst = max(worst, float(np.max(np.abs((comm - eye)[np.ix_(keep, keep)]))))
-    cross = a1 @ a2.conj().T - a2.conj().T @ a1
-    worst = max(worst, float(np.max(np.abs(cross))))
+    # the ladder the amplitudes are raised with, a|m> = sqrt(m)|m-1>
+    _, _, sqrt_m = fock._ladder_table(dim.n_max, 0)
+    a = np.diag(sqrt_m[1:], k=1)
+    comm = a @ a.T - a.T @ a - np.eye(dim.n_max + 1)
+    # the cutoff level absorbs the failure
+    worst = float(np.max(np.abs(comm[: dim.n_max, : dim.n_max])))
     return CheckResult.from_defect(
-        "ladder_commutators", worst, 1e-12,
-        "[a_i, a_i†] = 1 away from the cutoff sector and [a_1, a_2†] = 0",
-    )
-
-
-def _check_displacement_unitarity(dim, rng) -> CheckResult:
-    worst = 0.0
-    eye = np.eye(dim.dim)
-    for _ in range(3):
-        z1, z2 = (complex(*rng.uniform(-0.4, 0.4, 2)) for _ in range(2))
-        d = fock.displacement_operator(z1, z2, dim)
-        worst = max(worst, float(np.max(np.abs(d.conj().T @ d - eye))))
-    return CheckResult.from_defect(
-        "displacement_unitarity", worst, 1e-10, "max |D†D - 1| over sampled displacements"
-    )
-
-
-def _check_displacement_composition(dim, rng) -> CheckResult:
-    import cmath
-
-    worst = 0.0
-    for _ in range(3):
-        za, zb = (complex(*rng.uniform(-0.25, 0.25, 2)) for _ in range(2))
-        lhs = fock.single_mode_displacement(za, dim.n_max) @ fock.single_mode_displacement(
-            zb, dim.n_max
-        )
-        phase = cmath.exp(-1j * (np.conjugate(za) * zb).imag)
-        rhs = phase * fock.single_mode_displacement(za + zb, dim.n_max)
-        # truncation touches the top occupations; compare the guarded block
-        keep = dim.n_max // 2
-        worst = max(worst, float(np.max(np.abs((lhs - rhs)[:keep, :keep]))))
-    return CheckResult.from_defect(
-        "displacement_composition", worst, 1e-10,
-        "D(a)D(b) = e^{-i Im(conj(a) b)} D(a+b) on the guarded block",
+        "ladder_commutators", worst, 1e-12, "[a, a†] = 1 per mode away from the cutoff level",
     )
 
 
 def _check_state_purity(dim, rng) -> CheckResult:
     worst = 0.0
-    for occ in ((0, 0), (1, 0), (1, 1)):
-        z1, z2 = (complex(*rng.uniform(-0.4, 0.4, 2)) for _ in range(2))
-        rho = fock.DensityOperator.displaced_fock(z1, occ[0], z2, occ[1], dim)
-        # hermiticity raises; the weight cut off by the cutoff is measured, not raised
-        rho.validate(trace_tol=math.inf, purity_tol=None)
-        worst = max(worst, abs(rho.purity() - 1.0), abs(rho.trace() - 1.0))
+    for n1, n2 in _OCCUPATIONS:
+        z1, z2 = (complex(*rng.uniform(-1.5, 1.5, 2)) for _ in range(2))
+        # the weight on m1 + m2 <= n_max in the a modes, and summed over k in the b modes
+        p1, p2 = np.abs(fock._number_amplitudes([(z1, n1, z2, n2)], dim.n_max)[0]) ** 2
+        kept = float(p1 @ np.cumsum(p2)[::-1])
+        worst = max(worst, abs(kept - float(fock.chain_weights(z1, n1, z2, n2, dim).sum())))
     return CheckResult.from_defect(
-        "state_purity_and_trace", worst, 1e-8, "displaced Fock states are unit-trace and pure"
+        "state_purity_and_trace", worst, 1e-12,
+        "a cut state's kept weight, from its a-mode amplitudes and from chain_weights",
     )
 
 
 def _check_evolution_label_map(dim, rng) -> CheckResult:
     theta = float(rng.uniform(0, math.pi))
-    z1, z2 = (complex(*rng.uniform(-0.3, 0.3, 2)) for _ in range(2))
-    rho = fock.DensityOperator.displaced_fock(z1, 0, z2, 0, dim)
-    evolved = fock.evolve(rho, fock.polarizer_unitary(theta, dim))
+    z1, z2 = (complex(*rng.uniform(-1.0, 1.0, 2)) for _ in range(2))
     mapped = coherent.polarizer_label_map(theta, coherent.CoherentLabel(z1, z2))
-    target = fock.DensityOperator.displaced_fock(mapped.z1, 0, mapped.z2, 0, dim)
-    worst = float(np.max(np.abs(evolved.matrix - target.matrix)))
+    amps = fock._number_amplitudes([(z1, 0, z2, 0), (mapped.z1, 0, mapped.z2, 0)], dim.n_max)
+    worst = 0.0
+    for total, (occ1, _, block) in enumerate(fock._polarizer_sectors(theta, dim.n_max, dim.n_max)):
+        state, target = amps[:, 0, occ1] * amps[:, 1, total - occ1]
+        worst = max(worst, float(np.max(np.abs(block.conj().T @ state - target))))
     return CheckResult.from_defect(
         "evolution_matches_label_map", worst, 1e-10,
-        "U† rho U of a coherent state is the coherent state of the mapped label",
+        "U_N† on each sector's cut amplitudes of a coherent state gives those of the mapped label",
     )
 
 
@@ -174,9 +138,6 @@ def _check_triple_symmetries(dim, rng) -> CheckResult:
         "triple_cyclicity_and_reversal", worst, 1e-12,
         "invariant is cyclic; reversing the order conjugates it",
     )
-
-
-_OCCUPATIONS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def _drawn_state(occupation, rng) -> geomphase.StateSpec:
@@ -279,10 +240,8 @@ def _check_printed_vacuum_reduction(dim, rng) -> CheckResult:
 
 _CHECKS = (
     _check_polarizer_unitarity,
-    _check_polarizer_number_conservation,
+    _check_polarizer_sector_spectrum,
     _check_ladder_commutators,
-    _check_displacement_unitarity,
-    _check_displacement_composition,
     _check_state_purity,
     _check_evolution_label_map,
     _check_overlap_identities,

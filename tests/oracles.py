@@ -9,6 +9,11 @@ coordinates by a derivative recursion, and the general pairing engine of P
 objects against Gaussian test functions in Wirtinger coordinates, with its
 finite-difference check. Library results are compared against these, never
 against other library results.
+
+The one exception is the dense section: it lays the library's own amplitudes
+(fock._number_amplitudes) out as (n_max+1)^2 vectors and density matrices, so
+that the oracle's sums and bincounts can be checked against plain linear
+algebra on the same states.
 """
 from __future__ import annotations
 
@@ -21,6 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from bargmann_phase import fock
 from bargmann_phase.pdistribution import PhaseSpacePoint, QuasiProbability, WirtingerTerm
 
 
@@ -183,6 +189,54 @@ def single_mode_annihilation_reference(n_max: int) -> np.ndarray:
     for n in range(1, n_max + 1):
         a[n - 1, n] = math.sqrt(n)
     return a
+
+
+# ---------------------------------------------------------------------------
+# Dense forms on the (n_max+1)^2 box, index(n1, n2) = n1 (n_max + 1) + n2
+
+
+def displaced_fock_states(states, dim: fock.TruncationDim) -> np.ndarray:
+    """Rows D(z1, z2)|n1, n2> cut to n1 + n2 <= n_max, in the (n_max+1)^2 box layout
+    with exact zeros above the cut, one per (z1, n1, z2, n2) in states."""
+    modes = fock._number_amplitudes(states, dim.n_max)
+    m = np.arange(dim.states_per_mode)
+    kept = np.add.outer(m, m) <= dim.n_max
+    return (modes[:, 0, :, None] * modes[:, 1, None, :] * kept).reshape(-1, dim.dim)
+
+
+def displaced_fock_state(
+    z1: complex, n1: int, z2: complex, n2: int, dim: fock.TruncationDim
+) -> np.ndarray:
+    """State vector D(z1, z2)|n1, n2> cut to n1 + n2 <= n_max."""
+    return displaced_fock_states([(z1, n1, z2, n2)], dim)[0]
+
+
+def evolve_state(psi: np.ndarray, theta: float, dim: fock.TruncationDim) -> np.ndarray:
+    """psi -> U† psi, U = fock.polarizer_unitary(theta, dim); the vector form of fock.evolve."""
+    return fock.polarizer_unitary(theta, dim).conj().T @ psi
+
+
+def triple_overlap(psi1: np.ndarray, psi2: np.ndarray, psi3: np.ndarray) -> fock.PhaseResult:
+    """Tr(rho1 rho2 rho3) of pure states: <psi1|psi2><psi2|psi3><psi3|psi1>."""
+    if not (psi1.shape == psi2.shape == psi3.shape):
+        raise ValueError("state vectors live on different truncations")
+    inv = np.vdot(psi1, psi2) * np.vdot(psi2, psi3) * np.vdot(psi3, psi1)
+    return fock.phase_result(inv, fock.METHOD_FOCK_ORACLE)
+
+
+def density_operator(vec: np.ndarray, dim: fock.TruncationDim) -> fock.DensityOperator:
+    """The projector |vec><vec| on the box."""
+    vec = np.asarray(vec, dtype=complex)
+    if vec.shape != (dim.dim,):
+        raise ValueError(f"vector shape {vec.shape} does not match dim {dim.dim}")
+    return fock.DensityOperator(matrix=np.outer(vec, vec.conj()), dim=dim)
+
+
+def displaced_fock_density(
+    z1: complex, n1: int, z2: complex, n2: int, dim: fock.TruncationDim
+) -> fock.DensityOperator:
+    """The projector on D(z1, z2)|n1, n2> cut to n1 + n2 <= n_max."""
+    return density_operator(displaced_fock_state(z1, n1, z2, n2, dim), dim)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import pytest
 import oracles
 from bargmann_phase.coherent import CoherentLabel, bargmann_triple_coherent, overlap
 from bargmann_phase.fock import (
-    DensityOperator,
     TruncationDim,
     polarizer_unitary,
     single_mode_displacement,
@@ -27,7 +26,13 @@ from bargmann_phase.geomphase import (
     run_reconciliation,
 )
 from bargmann_phase.pdistribution import PhaseSpacePoint, mehta_p_function
-from oracles import constant_function, gaussian_smear_function, pair, reconstruct_density_element
+from oracles import (
+    constant_function,
+    displaced_fock_density,
+    gaussian_smear_function,
+    pair,
+    reconstruct_density_element,
+)
 
 PHASE_TOL = 1e-6
 OVERLAP_TOL = 1e-10
@@ -100,7 +105,7 @@ def test_criterion_3_density_reconstruction():
         for shift in shifts:
             p = mehta_p_function(occupation, shift=shift)
             worst_trace = max(worst_trace, abs(pair(p, constant_function()) - 1.0))
-            rho = DensityOperator.displaced_fock(
+            rho = displaced_fock_density(
                 shift[0].to_complex(), occupation[0],
                 shift[1].to_complex(), occupation[1], dim,
             )
@@ -154,7 +159,7 @@ def test_criterion_5_algebraic_identities():
             z1, z2 = complex(vals[0], vals[1]), complex(vals[2], vals[3])
             specs.append(StateSpec.from_complex(occupation, z1, z2))
             rhos.append(
-                DensityOperator.displaced_fock(z1, occupation[0], z2, occupation[1], dim)
+                displaced_fock_density(z1, occupation[0], z2, occupation[1], dim)
             )
         base_p = phase_space_trace(specs[0], specs[1], specs[2]).invariant
         cyc_p = phase_space_trace(specs[1], specs[2], specs[0]).invariant

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bargmann_phase
-from bargmann_phase import cli, fock, geomphase, pdistribution, validation
+from bargmann_phase import cli, coherent, fock, geomphase, pdistribution, validation
 from bargmann_phase import io as io_mod
 from bargmann_phase.fock import TruncationDim, TruncationLeakageWarning
 from bargmann_phase.geomphase import PhaseScenario, method_reconciliation
@@ -134,6 +134,11 @@ def test_phase_usage_errors(capsys):
         # an empty angle is no angle, not 0
         (("phase", "--theta1", "", "--theta2", ""), "--theta1"),
         (("phase", "--theta1", "0.3", "--theta2", ""), "--theta2"),
+        # malformed values name their option, not the conversion that failed
+        (("validate", "--seed", "-1"), "--seed"),
+        (("sweep", "--theta1", "a:1:3", "--theta2", "0.1"), "--theta1"),
+        (("sweep", "--theta1", "0:1:x", "--theta2", "0.1"), "--theta1"),
+        (("sweep", "--theta1", "0.1", "--theta2", "0:1"), "--theta2"),
     ],
 )
 def test_non_finite_input_is_usage_error(capsys, argv, flag):
@@ -595,16 +600,35 @@ def test_sweep_rejects_three_vertices(capsys):
 def test_validate_passes(capsys):
     code, out, _ = run_cli(capsys, "validate", "--n-max", "12")
     assert code == 0
-    assert "/16 checks passed" in out
+    assert "/14 checks passed" in out
     assert "[FAIL]" not in out
 
 
+def test_validate_passes_at_the_cutoff_bound_in_bounded_memory(capsys):
+    # every check works on one photon-number sector or one mode at a time, so
+    # the largest matrix is (n_max+1)-square: 160 kB at the bound, where a
+    # single dense (n_max+1)^2-square matrix would take 1.7 GB
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "validate", "--n-max", str(cli.N_MAX))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "/14 checks passed" in out
+    assert "[FAIL]" not in out
+    assert peak < 8 << 20
+
+
 def test_validate_n_max_5_keeps_the_exact_checks():
-    # on n1 + n2 <= n_max the polarizer acts exactly, and the pairing has no
-    # cutoff at all, so these two hold at the smallest accepted cutoff
+    # on n1 + n2 <= n_max the polarizer acts exactly, the kept weight is the
+    # same sum in either pair of modes, and the pairing has no cutoff at all,
+    # so these hold at the smallest accepted cutoff
     checks = {c.name: c for c in validation.run_all(n_max=5)}
-    assert checks["evolution_matches_label_map"].passed
-    assert checks["pairing_two_state_triangle"].passed
+    for name in ("polarizer_unitarity", "polarizer_sector_spectrum", "ladder_commutators",
+                 "state_purity_and_trace", "evolution_matches_label_map",
+                 "pairing_two_state_triangle"):
+        assert checks[name].passed, name
 
 
 @pytest.mark.parametrize("scale_by_position", [False, True], ids=["uniform", "by-position"])
@@ -626,9 +650,49 @@ def test_validate_pairing_checks_catch_a_perturbed_pairing(monkeypatch, scale_by
     assert pairing <= failed
 
 
+@pytest.mark.parametrize(
+    "perturb, caught",
+    [
+        ("chain_weights", {"state_purity_and_trace"}),
+        ("label_map_angle_sign", {"evolution_matches_label_map"}),
+        ("sector_eigenvalues", {"polarizer_sector_spectrum"}),
+        ("sector_eigenvectors", {"polarizer_unitarity", "evolution_matches_label_map"}),
+        ("ladder", {"ladder_commutators"}),
+    ],
+)
+def test_validate_sector_checks_catch_a_perturbed_route(monkeypatch, perturb, caught):
+    # a relative error of 1e-9 in the kept weights, the sector spectra or bases or
+    # the ladder, or the label map run backwards, fails the checks that read it
+    if perturb == "chain_weights":
+        real_weights = fock.chain_weights
+        monkeypatch.setattr(fock, "chain_weights", lambda *a: real_weights(*a) * (1 + 1e-9))
+    elif perturb == "label_map_angle_sign":
+        real_map = coherent.polarizer_label_map
+        monkeypatch.setattr(coherent, "polarizer_label_map", lambda t, v: real_map(-t, v))
+    elif perturb.startswith("sector_"):
+        real_eigh = np.linalg.eigh
+        vals_by, vecs_by = (1 + 1e-9, 1.0) if perturb == "sector_eigenvalues" else (1.0, 1 + 1e-9)
+
+        def skewed_eigh(t):
+            vals, vecs = real_eigh(t)
+            return vals * vals_by, vecs * vecs_by
+
+        monkeypatch.setattr(np.linalg, "eigh", skewed_eigh)
+    else:
+        real_table = fock._ladder_table
+
+        def stretched_table(n_max, top):
+            m, half_log_fact, sqrt_m = real_table(n_max, top)
+            return m, half_log_fact, sqrt_m * (1 + 1e-9)
+
+        monkeypatch.setattr(fock, "_ladder_table", stretched_table)
+    failed = {c.name for c in validation.run_all(n_max=12) if not c.passed}
+    assert caught <= failed
+
+
 def test_validate_rejects_n_max_above_bound(capsys):
-    # validate's dense matrices grow as n_max^4, so its bound is below cli.N_MAX
-    code, out, err = run_cli(capsys, "validate", "--n-max", "31")
+    # every command shares the cutoff bound cli.N_MAX
+    code, out, err = run_cli(capsys, "validate", "--n-max", str(cli.N_MAX + 1))
     assert code == 1
     assert out == ""
     assert "--n-max" in err
@@ -666,7 +730,7 @@ def test_validate_json(capsys):
     doc = json.loads(out)
     assert doc["schema"] == "bargmann-phase/1"
     assert doc["all_passed"] is True
-    assert len(doc["checks"]) == 16
+    assert len(doc["checks"]) == 14
 
 
 def test_pfunc_document_shape(capsys):

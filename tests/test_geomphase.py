@@ -13,13 +13,10 @@ import oracles
 from bargmann_phase import geomphase
 from bargmann_phase.coherent import label_map_matrix
 from bargmann_phase.fock import (
-    DensityOperator,
     TruncationDim,
     TruncationLeakageWarning,
-    displaced_fock_state,
     evolve,
     polarizer_unitary,
-    triple_overlap,
     triple_product_trace,
 )
 from bargmann_phase.geomphase import (
@@ -34,6 +31,7 @@ from bargmann_phase.geomphase import (
     run_reconciliation,
 )
 from bargmann_phase.pdistribution import ORIGIN, PhaseSpacePoint, mehta_p_function
+from oracles import density_operator, displaced_fock_state, triple_overlap
 
 
 def spec(occupation, z1, z2):
@@ -159,13 +157,13 @@ def dense_fock_invariant(scenario, dim):
     """Tr(rho1 rho2 rho3) from density matrices and the dense polarizer."""
     if scenario.is_evolved:
         psi1 = state_vector(scenario.occupation, scenario.vertex_a, dim)
-        rho1 = DensityOperator.from_state_vector(psi1, dim)
+        rho1 = density_operator(psi1, dim)
         rho2 = evolve(rho1, polarizer_unitary(scenario.theta1, dim))
         rhos = (rho1, rho2, evolve(rho2, polarizer_unitary(scenario.theta2, dim)))
     else:
         vertices = (scenario.vertex_a, scenario.vertex_b, scenario.vertex_c)
         vecs = [state_vector(scenario.occupation, v, dim) for v in vertices]
-        rhos = [DensityOperator.from_state_vector(v, dim) for v in vecs]
+        rhos = [density_operator(v, dim) for v in vecs]
     return triple_product_trace(*rhos).invariant
 
 

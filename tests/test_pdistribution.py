@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from bargmann_phase import geomphase, pdistribution
 from bargmann_phase import io as io_mod
-from bargmann_phase.fock import DensityOperator, TruncationDim, displaced_fock_state
+from bargmann_phase.fock import TruncationDim
 from bargmann_phase.geomphase import (
     StateSpec,
     random_evolved_scenarios,
@@ -18,6 +18,8 @@ from bargmann_phase.pdistribution import ORIGIN, PhaseSpacePoint, QuasiProbabili
 from oracles import (
     NumericalFunction,
     constant_function,
+    displaced_fock_density,
+    displaced_fock_state,
     fock_element_function,
     gaussian_smear_function,
     pair,
@@ -98,7 +100,7 @@ def test_reconstruction_matches_truncated_density(occupation):
     z1, z2 = 0.24 - 0.13j, -0.09 + 0.31j
     shift = (PhaseSpacePoint.from_complex(z1), PhaseSpacePoint.from_complex(z2))
     p = mehta_p_function(occupation, shift=shift)
-    rho = DensityOperator.displaced_fock(z1, occupation[0], z2, occupation[1], dim)
+    rho = displaced_fock_density(z1, occupation[0], z2, occupation[1], dim)
     worst = 0.0
     for m1 in range(4):
         for m2 in range(4):

@@ -23,9 +23,16 @@ coefficients p_k are the weights of psi1 on n+ - n- = k. In the b modes
 psi1 = D(w+) D(w-) applied to |0,0>, (|1,0> ± |0,1>)/sqrt(2) or
 (|2,0> - |0,2>)/sqrt(2), w± = (z1 ± z2)/sqrt(2), so chain_weights takes p
 from exact amplitudes with one bincount, and chain_invariants evaluates a
-grid of angle pairs with one row of angle factors per angle. Three
+grid of angle pairs with one row of angle factors per angle. The weights
+need no phase: <m|D(w)|j> = e^{i (m - j) arg w} R_j(m) with R_j real
+(Cahill & Glauber), R_0 taken in log space and the levels raised by
+R_j(m) = (sqrt(m) R_{j-1}(m-1) - |w| R_{j-1}(m)) / sqrt(j) (_real_levels).
+The phase common to a point (m+, m-) drops out of |A|^2, and a state of
+terms X_t = c_t R_{j+}(m+) R_{j-}(m-) has
+|A|^2 = X_0^2 + X_1^2 + 2 cos(Delta) X_0 X_1, Delta the difference of the two
+terms' phases (j+_1 - j+_0) arg w+ + (j-_1 - j-_0) arg w-. Three
 independent states go through triangle_invariant, whose truncated overlaps
-are O(n_max) sums over the two modes' amplitudes.
+are O(n_max) sums over the two modes' complex amplitudes (_number_amplitudes).
 
 Truncation is the only approximation, and its error is bounded: with
 w_out = 1 - sum p the weight of psi1 on N > n_max, a chain's invariant is
@@ -252,23 +259,60 @@ def _difference_slots(n_max: int) -> np.ndarray:
     return slots
 
 
+def _real_levels(radii, top: int, n_max: int) -> list:
+    """R_j(m) for j = 0..top and m = 0..n_max at each radius r = |w| in radii, as a
+    list of top + 1 arrays (len(radii), n_max + 1), where
+    <m|D(w)|j> = e^{i (m - j) arg w} R_j(m) with R_j real.
+
+    R_0(m) = e^{-r^2/2} r^m / sqrt(m!) is the exponential of its logarithm, as in
+    _number_amplitudes, and the ladder D(w)|j> = (a† - conj w) D(w)|j-1> / sqrt(j)
+    keeps the phase apart: R_j(m) = (sqrt(m) R_{j-1}(m-1) - r R_{j-1}(m)) / sqrt(j)."""
+    m, half_log_fact, sqrt_m = _ladder_table(n_max, top)
+    # log r is -1e300 at r = 0, so that r^0 is 1 and every higher power 0
+    logs = np.array([(math.log(r) if r else -1e300, -0.5 * r * r) for r in radii])
+    level = np.exp(logs[:, :1] * m + (logs[:, 1:] - half_log_fact))
+    levels = [level[:, top:]]
+    radius = np.array(radii)[:, None]
+    for j in range(1, top + 1):
+        # level j on m = j - top..n_max
+        level = (sqrt_m[j:] * level[:, :-1] - radius * level[:, 1:]) / math.sqrt(j)
+        levels.append(level[:, top - j :])
+    return levels
+
+
 def chain_weights(z1: complex, n1: int, z2: complex, n2: int, dim: TruncationDim) -> np.ndarray:
     """The weights p_k of D(z1, z2)|n1, n2> on the polarizer eigenvalues k, cut to
     n1 + n2 <= n_max, as (p_1..p_n, p_-1..p_-n, p_0) with n = n_max.
 
-    In the b modes the state is D(w+) D(w-) applied to the terms of
+    In the b modes the state is D(w+) D(w-) applied to the terms (c_t, j+, j-) of
     _B_MODE_TERMS, w± = (z1 ± z2)/sqrt(2), and the polarizer's generator is
-    n+ - n-, so p is one bincount of |amplitude|^2 over m+ - m- for m+ + m- <= n.
+    n+ - n-, so p is one bincount of |A|^2 over m+ - m- for m+ + m- <= n, A the
+    amplitude at (m+, m-). With <m|D(w)|j> = e^{i (m - j) arg w} R_j(m)
+    (_real_levels), A is e^{i (m+ arg w+ + m- arg w-)} times the sum over terms of
+    e^{-i (j+ arg w+ + j- arg w-)} X_t, X_t = c_t R_{j+}(m+) R_{j-}(m-), so
+    |A|^2 = X_0^2 + X_1^2 + 2 cos(Delta) X_0 X_1 with
+    Delta = (j+_1 - j+_0) arg w+ + (j-_1 - j-_0) arg w-: real arithmetic throughout.
     1 - sum(p) is the weight beyond the cutoff."""
     if (n1, n2) not in _B_MODE_TERMS:
         raise ValueError(f"supported occupations are 0 and 1 per mode, got {(n1, n2)}")
     n = dim.n_max
     w_plus, w_minus = (z1 + z2) * _SQRT_HALF, (z1 - z2) * _SQRT_HALF
     terms = _B_MODE_TERMS[(n1, n2)]
-    amps = _number_amplitudes([(w_plus, j_plus, w_minus, j_minus) for _, j_plus, j_minus in terms], n)
-    amplitude = np.einsum("ti,tj->ij", amps[:, 0] * [[c] for c, _, _ in terms], amps[:, 1])
-    weights = np.abs(amplitude.ravel()) ** 2
-    return np.bincount(_difference_slots(n), weights=weights, minlength=2 * n + 2)[:-1]
+    # each term holds j+ + j- = n1 + n2 photons
+    levels = _real_levels((abs(w_plus), abs(w_minus)), n1 + n2, n)
+    # X_s X_t = (c_s R_{j+_s} c_t R_{j+_t}) (x) (R_{j-_s} R_{j-_t}), so the sum over
+    # pairs of terms is one product of a row per pair on each side
+    plus = [c * levels[j][0] for c, j, _ in terms]
+    minus = [levels[j][1] for _, _, j in terms]
+    if len(terms) == 1:
+        left, right = [plus[0] * plus[0]], [minus[0] * minus[0]]
+    else:
+        (_, p0, m0), (_, p1, m1) = terms
+        delta = (p1 - p0) * cmath.phase(w_plus) + (m1 - m0) * cmath.phase(w_minus)
+        left = [plus[0] * plus[0], plus[1] * plus[1], 2.0 * math.cos(delta) * plus[0] * plus[1]]
+        right = [minus[0] * minus[0], minus[1] * minus[1], minus[0] * minus[1]]
+    weights = np.array(left).T @ np.array(right)
+    return np.bincount(_difference_slots(n), weights=weights.ravel(), minlength=2 * n + 2)[:-1]
 
 
 def chain_bound(weights: np.ndarray) -> float:
@@ -278,18 +322,37 @@ def chain_bound(weights: np.ndarray) -> float:
     return 3.0 * max(0.0, 1.0 - float(weights.sum()))
 
 
-# chain_invariants weighs the angle rows (C, S, S, C) of theta1 by (u, -u, -v, -v),
+# _chain_block weighs the angle rows (C, S, S, C) of theta1 by (u, -u, -v, -v),
 # which this matrix forms from the weights (p_+, p_-)
 _CHAIN_SIGNS = np.array([[1.0, 1.0], [-1.0, -1.0], [-1.0, 1.0], [-1.0, 1.0]])
 _CHAIN_ROWS = np.array([0, 1, 1, 0])
 
 
-def _angle_factors(reduced, sigma: np.ndarray, out: np.ndarray):
-    """Write the rows (cos r sigma, sin r sigma), the real and minus the imaginary
-    part of e^{-i r sigma}, to out, one (2, k) row per reduced angle r."""
-    phase = np.multiply.outer(reduced, sigma)
-    np.cos(phase, out=out[:, 0])
-    np.sin(phase, out=out[:, 1])
+def _chain_terms(weights: np.ndarray, k: int) -> tuple:
+    """p_0 and the rows (u, -u, -v, -v) of chain_weights for n_max k."""
+    if weights.shape != (2 * k + 1,):
+        raise ValueError(f"weights shape {weights.shape} does not match n_max {k}")
+    # each row is a sum or difference of p_+ and p_-, rounded once whatever the order
+    return float(weights[2 * k]), np.dot(_CHAIN_SIGNS, weights[: 2 * k].reshape(2, k))
+
+
+def _chain_block(w0: float, weighted: np.ndarray, angles1: list, angles2: list) -> list:
+    """The invariants of the reduced angles angles1 x angles2 from _chain_terms, as
+    one list of Python complex numbers per theta1 angle."""
+    b1, k = len(angles1), weighted.shape[1]
+    # one row (cos r sigma, sin r sigma), the real and minus the imaginary part of
+    # e^{-i r sigma}, per angle: theta1's, the zero angle's and theta2's; the zero
+    # angle's row is exactly (1, 0)
+    phase = np.multiply.outer(angles1 + [0.0] + angles2, np.arange(1.0, k + 1))
+    e = np.empty((len(phase), 2, k))
+    e[:, 0], e[:, 1] = np.cos(phase), np.sin(phase)
+    # theta1 rows (u C1, -u S1) and (-v S1, -v C1), the zero angle's last
+    a = e[: b1 + 1, _CHAIN_ROWS] * weighted
+    sums = np.einsum("ipk,jk->ipj", a.reshape(b1 + 1, 2, 2 * k), e[b1:].reshape(-1, 2 * k))
+    # f[i][1 + j] is f12 of the block's angles, f[i][0] is f1, f[-1][1 + j] is f2
+    f = [[complex(w0 + x, y) for x, y in zip(xs, ys)] for xs, ys in sums.tolist()]
+    f2 = f[-1][1:]
+    return [[row[0] * b * c.conjugate() for b, c in zip(f2, row[1:])] for row in f[:-1]]
 
 
 def chain_invariants(
@@ -306,19 +369,14 @@ def chain_invariants(
     (C2, S2) gives every f12; the zero angle, (C, S) = (1, 0), on each side
     gives f1 and f2 in the same einsum.
 
-    The grid goes in blocks of angles so that no temporary exceeds BLOCK_BYTES.
-    A point's sums do not depend on the block around it, and the products of
-    the three complex factors are Python's, one point at a time (numpy's
-    complex product fuses in some of its loops and not in others), so a 1 x 1
-    grid gives the same bits as any grid.
+    The grid goes in blocks of angles (_chain_block) so that no temporary
+    exceeds BLOCK_BYTES. A point's sums do not depend on the block around it,
+    and the products of the three complex factors are Python's, one point at a
+    time (numpy's complex product fuses in some of its loops and not in others),
+    so a 1 x 1 grid gives the same bits as any grid.
     """
     k = dim.n_max
-    if weights.shape != (2 * k + 1,):
-        raise ValueError(f"weights shape {weights.shape} does not match n_max {k}")
-    sigma = np.arange(1.0, k + 1)
-    w0 = float(weights[2 * k])
-    # (u, -u, -v, -v) from (p_+, p_-): each row is a sum or difference of two
-    weighted = np.einsum("ij,jk->ik", _CHAIN_SIGNS, weights[: 2 * k].reshape(2, k))
+    w0, weighted = _chain_terms(weights, k)
     r1, r2 = ([_reduced_angle(t) for t in thetas] for thetas in (thetas1, thetas2))
     # theta1 rows of the (rows + 1, 4, k) weighted rows, and theta2 rows of the
     # (rows + 1 + cols, 2, k) angle rows and the (rows + 1, 2, cols + 1) sums
@@ -326,22 +384,7 @@ def chain_invariants(
     cols = max(1, min(BLOCK_BYTES // (16 * k) - rows - 1, BLOCK_BYTES // (16 * rows + 16) - 1))
     out = np.empty((len(r1), len(r2)), dtype=complex)
     for i, j in itertools.product(range(0, len(r1), rows), range(0, len(r2), cols)):
-        angles1, angles2 = r1[i : i + rows], r2[j : j + cols]
-        b1, b2 = len(angles1), len(angles2)
-        # the zero angle's row is (1, 0), exactly its cos and sin
-        e = np.empty((b1 + 1 + b2, 2, k))
-        e[b1, 0], e[b1, 1] = 1.0, 0.0
-        _angle_factors(angles1, sigma, e[:b1])
-        _angle_factors(angles2, sigma, e[b1 + 1 :])
-        # theta1 rows (u C1, -u S1) and (-v S1, -v C1), the zero angle's last
-        a = e[: b1 + 1, _CHAIN_ROWS] * weighted
-        sums = np.einsum("ipk,jk->ipj", a.reshape(b1 + 1, 2, 2 * k), e[b1:].reshape(b2 + 1, 2 * k))
-        # f[i][1 + j] is f12 of the block's angles, f[i][0] is f1, f[-1][1 + j] is f2
-        f = [[complex(w0 + x, y) for x, y in zip(xs, ys)] for xs, ys in sums.tolist()]
-        f2 = f[-1][1:]
-        out[i : i + b1, j : j + b2] = [
-            [row[0] * b * c.conjugate() for b, c in zip(f2, row[1:])] for row in f[:-1]
-        ]
+        out[i : i + rows, j : j + cols] = _chain_block(w0, weighted, r1[i : i + rows], r2[j : j + cols])
     return out
 
 
@@ -355,9 +398,11 @@ def chain_invariant(
     f(theta1) f(theta2) conj f(theta1 + theta2) with
     f(theta) = <psi1|e^{-i theta G}|psi1> = sum_k p_k e^{-i theta k}
     = p_0 + sum_{k > 0} (p_k e + p_-k conj e), e = e^{-i theta k}. This is the
-    1 x 1 grid of chain_invariants. Its bound is chain_bound(weights).
+    1 x 1 grid of chain_invariants, one block of one point. Its bound is
+    chain_bound(weights).
     """
-    invariant = chain_invariants(weights, (theta1,), (theta2,), dim)[0, 0]
+    angles = [_reduced_angle(theta1)], [_reduced_angle(theta2)]
+    invariant = _chain_block(*_chain_terms(weights, dim.n_max), *angles)[0][0]
     return phase_result(invariant, METHOD_FOCK_ORACLE, bound=chain_bound(weights))
 
 

@@ -106,6 +106,11 @@ def _coordinates(vertex: ModePair) -> tuple:
     return (vertex[0].q, vertex[0].p, vertex[1].q, vertex[1].p)
 
 
+def _slot(state: "StateSpec") -> tuple:
+    """A state as the pairing reads it: its centers' (q1, p1, q2, p2) and its occupation."""
+    return _coordinates(state.centers), state.occupation
+
+
 def _check_occupation(occupation):
     n1, n2 = occupation
     if n1 not in (0, 1) or n2 not in (0, 1):
@@ -178,28 +183,29 @@ def _chain_edges(trig: tuple) -> tuple:
 _TRIANGLE_EDGES = ((1.0, 0.0),) * 3
 
 
-def _edge(d, e, t: StateSpec, u: StateSpec) -> tuple:
-    """One edge of the kernel cycle, from state t in one slot to state u in the
-    next, centers a and b: the real and imaginary parts of the edge exponent
-    conj(a)·(K b - a) and of its factor, the sum over partial matchings of the zbar
-    slots of t's occupied modes with the z slots of u's.
+def _edge(d, e, t: tuple, u: tuple) -> tuple:
+    """One edge of the kernel cycle, from the state in slot t to the state in the
+    next slot u, each a _slot (coordinates, occupation), centers a and b: the real
+    and imaginary parts of the edge exponent conj(a)·(K b - a) and of its factor,
+    the sum over partial matchings of the zbar slots of t's occupied modes with the
+    z slots of u's.
 
     d and e are floats for one cycle or arrays for a grid of them; every step is
     real elementwise arithmetic, so both give a point the same bits.
     """
-    aq1, ap1, aq2, ap2 = _coordinates(t.centers)
-    bq1, bp1, bq2, bp2 = _coordinates(u.centers)
+    (aq1, ap1, aq2, ap2), t_occupation = t
+    (bq1, bp1, bq2, bp2), u_occupation = u
     # per mode, the zbar gradient K b - a and the z gradient conj(a) K - conj(b),
     # as (mode, re, im)
     zbar = ((0, d * bq1 - e * bp2 - aq1, d * bp1 + e * bq2 - ap1),
             (1, d * bq2 - e * bp1 - aq2, d * bp2 + e * bq1 - ap2))
     z = ((0, d * aq1 + e * ap2 - bq1, e * aq2 - d * ap1 + bp1),
-         (1, d * aq2 + e * ap1 - bq2, e * aq1 - d * ap2 + bp2)) if any(u.occupation) else ()
+         (1, d * aq2 + e * ap1 - bq2, e * aq1 - d * ap2 + bp2)) if any(u_occupation) else ()
     (_, r1, i1), (_, r2, i2) = zbar
     return (aq1 * r1 + ap1 * i1 + aq2 * r2 + ap2 * i2,
             aq1 * i1 - ap1 * r1 + aq2 * i2 - ap2 * r2,
-            *_matchings(d, e, [x for x, n in zip(zbar, t.occupation) if n],
-                        [y for y, n in zip(z, u.occupation) if n]))
+            *_matchings(d, e, [x for x, n in zip(zbar, t_occupation) if n],
+                        [y for y, n in zip(z, u_occupation) if n]))
 
 
 def _matchings(d, e, x, y) -> tuple:
@@ -262,10 +268,11 @@ def _cycle_value(x0, y0, r0, i0, x1, y1, r1, i1, x2, y2, r2, i2) -> complex:
     return 0j + base * complex(r0, i0) * complex(r1, i1) * complex(r2, i2)
 
 
-def _cycle_pairings(states: tuple, edges: tuple, shape: tuple | None = None) -> list:
-    """The pairing of the states' P functions, one state a slot, against the kernel
-    cycle with edge couplings edges: exp(Q(c)) prod(edge factors). Each state's P is
-    one term, d_z d_zbar on each occupied mode at its centers (mehta_p_function).
+def _cycle_pairings(slots: tuple, edges: tuple, shape: tuple | None = None) -> list:
+    """The pairing of the P functions of the states in slots, each a _slot
+    (coordinates, occupation), against the kernel cycle with edge couplings edges:
+    exp(Q(c)) prod(edge factors). Each state's P is one term, d_z d_zbar on each
+    occupied mode at its centers (mehta_p_function).
     Once each slot's envelope cancels that slot's -|z|^2, slot i's zbar meets only
     slot i + 1's z, so the matching sum of the twelve derivative slots is the product
     of the edges' own sums.
@@ -274,7 +281,7 @@ def _cycle_pairings(states: tuple, edges: tuple, shape: tuple | None = None) -> 
     that broadcast to shape, which gives one invariant a point in row-major order.
     """
     values = []
-    for (d, e), t, u in zip(edges, states, states[1:] + states[:1]):
+    for (d, e), t, u in zip(edges, slots, slots[1:] + slots[:1]):
         values += _edge(d, e, t, u)
     if shape is None:
         return [_cycle_value(*values)]
@@ -284,7 +291,8 @@ def _cycle_pairings(states: tuple, edges: tuple, shape: tuple | None = None) -> 
 
 def phase_space_trace(s1: StateSpec, s2: StateSpec, s3: StateSpec) -> PhaseResult:
     """Bargmann invariant of three independent states via their P functions."""
-    return phase_result(_cycle_pairings((s1, s2, s3), _TRIANGLE_EDGES)[0], METHOD_PHASE_SPACE_PAIRING)
+    slots = (_slot(s1), _slot(s2), _slot(s3))
+    return phase_result(_cycle_pairings(slots, _TRIANGLE_EDGES)[0], METHOD_PHASE_SPACE_PAIRING)
 
 
 # ---------------------------------------------------------------------------
@@ -430,32 +438,35 @@ class PhaseScenario:
         return _single_trig(self.theta1, self.theta2)
 
     @cached_property
+    def _points(self) -> tuple:
+        """The given vertices as (q1, p1, q2, p2) floats, read once for every route:
+        a chain's initial center alone, or a triangle's three."""
+        given = (self.vertex_a,) if self.is_evolved else (self.vertex_a, self.vertex_b, self.vertex_c)
+        return tuple(_coordinates(v) for v in given)
+
+    @cached_property
     def _vertices(self) -> tuple:
         """The three vertices as (q1, p1, q2, p2) floats; a chain's last two are
         the label-mapped centers."""
-        a = _coordinates(self.vertex_a)
         if self.is_evolved:
+            a = self._points[0]
             return (a, *_chain_labels(a, self._trig))
-        return (a, _coordinates(self.vertex_b), _coordinates(self.vertex_c))
+        return self._points
 
     def fock_invariant(self, dim: TruncationDim) -> PhaseResult:
-        if self.is_evolved:
-            weights = self.initial_state.sector_weights(dim)
-            return chain_invariant(weights, self.theta1, self.theta2, dim)
         n1, n2 = self.occupation
-        states = [(v[0].to_complex(), n1, v[1].to_complex(), n2)
-                  for v in (self.vertex_a, self.vertex_b, self.vertex_c)]
+        states = [(complex(q1, p1), n1, complex(q2, p2), n2) for q1, p1, q2, p2 in self._points]
+        if self.is_evolved:
+            return chain_invariant(chain_weights(*states[0], dim), self.theta1, self.theta2, dim)
         return triangle_invariant(states, dim)
 
     def pairing_invariant(self) -> PhaseResult:
+        slots = tuple((point, self.occupation) for point in self._points)
         if self.is_evolved:
-            pairing = _cycle_pairings((self.initial_state,) * 3, _chain_edges(self._trig))[0]
-            return phase_result(pairing, METHOD_PHASE_SPACE_PAIRING)
-        return phase_space_trace(
-            self.initial_state,
-            StateSpec(self.occupation, *self.vertex_b),
-            StateSpec(self.occupation, *self.vertex_c),
-        )
+            slots, edges = slots * 3, _chain_edges(self._trig)
+        else:
+            edges = _TRIANGLE_EDGES
+        return phase_result(_cycle_pairings(slots, edges)[0], METHOD_PHASE_SPACE_PAIRING)
 
     def printed_invariant(self) -> PhaseResult:
         return _printed_result(_printed_phase(*_mode_terms(*self._vertices), self.occupation))
@@ -581,7 +592,8 @@ def evolved_grid_results(state: StateSpec, thetas1, thetas2, dim: TruncationDim)
     weights = state.sector_weights(dim)
     bound = chain_bound(weights)
     fock_grid = chain_invariants(weights, thetas1, thetas2, dim)
-    a = _coordinates(state.centers)
+    slot = _slot(state)
+    a = slot[0]
     coherent = state.occupation == (0, 0)
     n1, n2 = len(thetas1), len(thetas2)
     # some 30 lists a point (the pairing's edge values, the printed form's terms,
@@ -595,7 +607,7 @@ def evolved_grid_results(state: StateSpec, thetas1, thetas2, dim: TruncationDim)
         trig = _chain_trig(t1, t2)
         # float arithmetic overflows to inf without a warning; so does this
         with np.errstate(over="ignore", invalid="ignore"):
-            pairing = _cycle_pairings((state,) * 3, _chain_edges(trig), trig[4].shape)
+            pairing = _cycle_pairings((slot,) * 3, _chain_edges(trig), trig[4].shape)
             b, c = _chain_labels(a, trig)
             terms = _mode_terms(a, b, c)
         grid = [np.broadcast_to(x, trig[4].shape).ravel().tolist()

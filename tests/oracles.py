@@ -13,7 +13,9 @@ against other library results.
 The one exception is the dense section: it lays the library's own amplitudes
 (fock._number_amplitudes) out as (n_max+1)^2 vectors and density matrices, so
 that the oracle's sums and bincounts can be checked against plain linear
-algebra on the same states.
+algebra on the same states, and it bins their squared moduli into the chain
+weights (complex_chain_weights) that fock.chain_weights forms from real
+amplitudes.
 """
 from __future__ import annotations
 
@@ -209,6 +211,22 @@ def displaced_fock_state(
 ) -> np.ndarray:
     """State vector D(z1, z2)|n1, n2> cut to n1 + n2 <= n_max."""
     return displaced_fock_states([(z1, n1, z2, n2)], dim)[0]
+
+
+def complex_chain_weights(
+    z1: complex, n1: int, z2: complex, n2: int, dim: fock.TruncationDim
+) -> np.ndarray:
+    """fock.chain_weights from complex b-mode amplitudes: |sum over the terms of
+    _B_MODE_TERMS of c <m+|D(w+)|j+> <m-|D(w-)|j->|^2, binned over m+ - m- for
+    m+ + m- <= n_max: the amplitudes with their phases, which fock.chain_weights
+    factors out."""
+    n = dim.n_max
+    w_plus, w_minus = (z1 + z2) * fock._SQRT_HALF, (z1 - z2) * fock._SQRT_HALF
+    terms = fock._B_MODE_TERMS[(n1, n2)]
+    amps = fock._number_amplitudes([(w_plus, j_plus, w_minus, j_minus) for _, j_plus, j_minus in terms], n)
+    amplitude = np.einsum("ti,tj->ij", amps[:, 0] * [[c] for c, _, _ in terms], amps[:, 1])
+    weights = np.abs(amplitude.ravel()) ** 2
+    return np.bincount(fock._difference_slots(n), weights=weights, minlength=2 * n + 2)[:-1]
 
 
 def evolve_state(psi: np.ndarray, theta: float, dim: fock.TruncationDim) -> np.ndarray:

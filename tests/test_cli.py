@@ -480,7 +480,9 @@ def test_sweep_prepares_its_initial_state_once(capsys, monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(fock, "_number_amplitudes", counted("amplitudes", fock._number_amplitudes))
+    # both amplitude builders: the complex one of triangles and the real levels of chains
+    for builder in ("_number_amplitudes", "_real_levels"):
+        monkeypatch.setattr(fock, builder, counted("amplitudes", getattr(fock, builder)))
     # every package module that holds the P builder, wherever it was imported
     real_p = pdistribution.mehta_p_function
     for module in [m for name, m in list(sys.modules.items()) if name.startswith("bargmann_phase")]:
@@ -631,6 +633,24 @@ def test_validate_n_max_5_keeps_the_exact_checks():
         assert checks[name].passed, name
 
 
+def test_validate_passes_at_the_smallest_cutoff(capsys):
+    # fock_vs_phase_space_routes reads the Fock route's proven bound, so the
+    # truncation at n_max 5 is measured rather than failed on
+    code, out, _ = run_cli(capsys, "validate", "--n-max", "5")
+    assert code == 0
+    assert "14/14 checks passed" in out
+
+
+@pytest.mark.parametrize("n_max", [5, 12])
+def test_validate_routes_check_catches_a_perturbed_pairing(monkeypatch, n_max):
+    # a relative error of 1e-6 in the pairing is a gap the truncation bound does
+    # not explain, even at the smallest cutoff, where the bound is largest
+    real_value = geomphase._cycle_value
+    monkeypatch.setattr(geomphase, "_cycle_value", lambda *a: real_value(*a) * (1 + 1e-6))
+    checks = {c.name: c for c in validation.run_all(n_max=n_max)}
+    assert not checks["fock_vs_phase_space_routes"].passed
+
+
 @pytest.mark.parametrize("scale_by_position", [False, True], ids=["uniform", "by-position"])
 def test_validate_pairing_checks_catch_a_perturbed_pairing(monkeypatch, scale_by_position):
     # a relative error of 1e-9 in the pairing, far below fock_vs_phase_space_routes'
@@ -640,7 +660,8 @@ def test_validate_pairing_checks_catch_a_perturbed_pairing(monkeypatch, scale_by
 
     def perturbed(d, e, t, u):
         x, *rest = real_edge(d, e, t, u)
-        return (x + 1e-9 * (t.center1.q if scale_by_position else 1 / 3), *rest)
+        # t is the slot (coordinates, occupation); its first coordinate is q1
+        return (x + 1e-9 * (t[0][0] if scale_by_position else 1 / 3), *rest)
 
     monkeypatch.setattr(geomphase, "_edge", perturbed)
     failed = {c.name for c in validation.run_all(n_max=12) if not c.passed}

@@ -168,6 +168,34 @@ def test_grouped_sector_bases_match_per_sector_solves(n_max):
             assert np.max(np.abs(chain_weights(z1, n1, z2, n2, dim) - want)) <= 1e-14
 
 
+# centers with w- = 0 (z1 = z2), w+ = 0 (z1 = -z2), on the real and the imaginary
+# axis, with arg w+ and arg w- apart, and past the float range of |z|^2
+_WEIGHT_CENTERS = (
+    (0.4 - 0.3j, 0.4 - 0.3j), (0.4 - 0.3j, -0.4 + 0.3j), (0.0, 0.0),
+    (0.7, -0.2), (0.5j, -0.9j), (0.6, 0.3j), (-0.8j, 1.1),
+    (0.3 + 0.2j, 0.1 - 0.4j), (-1.2 + 0.4j, 0.7j), (0.9 - 0.6j, -0.4 + 1.1j),
+    (1e154, 1e154j),
+)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 5, 25, 100])
+def test_real_chain_weights_match_complex_amplitudes(n_max):
+    # the phases e^{i (m - j) arg w} factored out of the amplitudes leave a real
+    # ladder and one cos(Delta) cross term; the weights of the complex amplitudes
+    # are the same to rounding, and far centers give exact zeros with no warning
+    dim = TruncationDim(n_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z1, z2 in _WEIGHT_CENTERS:
+            for n1, n2 in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                got = chain_weights(z1, n1, z2, n2, dim)
+                want = oracles.complex_chain_weights(z1, n1, z2, n2, dim)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-15, (z1, z2, n1, n2)
+                if abs(z1) > 1e100:
+                    assert not got.any()
+
+
 @pytest.mark.parametrize("n_max", [1, 2, 7, 25, 40])
 def test_polarizer_spectrum_is_exactly_symmetric(n_max):
     # a2 -> -a2 maps G to -G and D(z1, z2)|n1, n2> to (-1)^n2 D(z1, -z2)|n1, n2>,

@@ -464,10 +464,10 @@ def test_cycle_contraction_on_floats_and_on_a_grid():
               StateSpec((1, 1), shift[1], shift[0]))
     ps = [mehta_p_function(s.occupation, s.centers) for s in states]
     want = engine_pairing(ps, (np.eye(2),) * 3)
-    got = geomphase._cycle_pairings(states, geomphase._TRIANGLE_EDGES)
+    got = geomphase._cycle_pairings(tuple(map(geomphase._slot, states)), geomphase._TRIANGLE_EDGES)
     assert len(got) == 1 and abs(got[0] - want) <= 1e-12 * abs(want)
     thetas1, thetas2 = [0.3, -1.1], [0.7, 2.0, 4.5]
-    chain = (states[2],) * 3
+    chain = (geomphase._slot(states[2]),) * 3
     grid = geomphase._cycle_pairings(
         chain, geomphase._chain_edges(geomphase._chain_trig(thetas1, thetas2)), (2, 3))
     alone = [geomphase._cycle_pairings(chain, geomphase._chain_edges(geomphase._single_trig(t1, t2)))[0]

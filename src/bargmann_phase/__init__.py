@@ -7,13 +7,7 @@ closed form for coherent states, and through the diagonal coherent-state
 closed form in the phase-space centers is carried alongside and audited
 against the exact routes.
 """
-from .coherent import (
-    CoherentLabel,
-    bargmann_triple_coherent,
-    label_map_matrix,
-    overlap,
-    polarizer_label_map,
-)
+from .coherent import CoherentLabel, bargmann_triple_coherent, overlap
 from .fock import (
     METHOD_COHERENT_CLOSED_FORM,
     METHOD_FOCK_ORACLE,

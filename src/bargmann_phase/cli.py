@@ -49,19 +49,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_occupation(text: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"occupation must be 'n1,n2', got {text!r}")
-    occ = tuple(int(p) for p in parts)
-    if any(n not in (0, 1) for n in occ):
-        raise ValueError(f"occupations must be 0 or 1, got {text!r}")
+    try:
+        occ = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        occ = ()
+    if len(occ) != 2 or any(n not in (0, 1) for n in occ):
+        raise ValueError(f"--occupation is 'n1,n2' with each 0 or 1, got {text!r}")
     return occ
 
 
 def _parse_vertex(text: str):
-    parts = [float(x) for x in text.split(",")]
+    try:
+        parts = [float(x) for x in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) != 4:
-        raise ValueError(f"a vertex is 'q1,p1,q2,p2', got {text!r}")
+        raise ValueError(f"--centers takes a vertex as 'q1,p1,q2,p2' numbers, got {text!r}")
     # |z|^2 enters every overlap exponent; past the float range the routes
     # overflow instead of answering
     if not all(math.isfinite(q * q + p * p) for q, p in (parts[:2], parts[2:])):
@@ -72,7 +75,7 @@ def _parse_vertex(text: str):
 def _parse_centers(text: str):
     groups = [g for g in text.split(";") if g.strip()]
     if len(groups) not in (1, 3):
-        raise ValueError("centers take one vertex (with angles) or three ';'-separated vertices")
+        raise ValueError("--centers takes one vertex (with angles) or three ';'-separated vertices")
     return [_parse_vertex(g) for g in groups]
 
 
@@ -152,8 +155,10 @@ def _scenario_from_pfunc_files(paths, occupation_flag) -> PhaseScenario:
     loaded = []
     for path in paths:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        loaded.append(io_mod.pfunc_from_document(doc))
+            try:
+                loaded.append(io_mod.pfunc_from_document(json.load(fh)))
+            except ValueError as exc:
+                raise ValueError(f"--from-pfunc file {path!r}: {exc}") from None
     occupations = {occ for occ, _ in loaded}
     if len(occupations) != 1:
         raise ValueError("the three pfunc files carry different occupations")
@@ -210,7 +215,7 @@ def cmd_sweep(args) -> int:
     occupation = _parse_occupation(args.occupation)
     vertices = _parse_centers(args.centers)
     if len(vertices) != 1:
-        raise ValueError("sweep takes a single initial vertex")
+        raise ValueError("--centers takes a single initial vertex in a sweep")
     grid1 = _parse_theta(args.theta1, "--theta1", allow_grid=True)
     grid2 = _parse_theta(args.theta2, "--theta2", allow_grid=True)
     state = StateSpec(occupation, *vertices[0])
@@ -274,7 +279,7 @@ def cmd_pfunc(args) -> int:
     occupation = _parse_occupation(args.occupation)
     vertices = _parse_centers(args.centers)
     if len(vertices) != 1:
-        raise ValueError("pfunc takes a single vertex as the shift")
+        raise ValueError("--centers takes a single vertex as the pfunc shift")
     doc = io_mod.pfunc_document(occupation, vertices[0])
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK

@@ -10,15 +10,11 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .fock import METHOD_COHERENT_CLOSED_FORM, PhaseResult, phase_result, principal_phase
 
 __all__ = [
     "CoherentLabel",
     "overlap",
-    "label_map_matrix",
-    "polarizer_label_map",
     "bargmann_triple_coherent",
 ]
 
@@ -56,27 +52,6 @@ def overlap(a: CoherentLabel, b: CoherentLabel) -> complex:
         return cmath.exp(complex(exponent))
     except (OverflowError, ValueError):
         return complex(math.nan, math.nan)
-
-
-def label_map_matrix(theta: float) -> np.ndarray:
-    """2x2 matrix of the label map induced by the polarizer at angle theta.
-
-    Acting on (z1, z2) it gives (z1 cos t - i z2 sin t, z2 cos t - i z1 sin t),
-    the label of U_p†(theta)|z1, z2>. Unitary, and a group homomorphism in
-    theta: M(s) M(t) = M(s + t).
-    """
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -1j * s], [-1j * s, c]])
-
-
-def polarizer_label_map(theta: float, v: CoherentLabel) -> CoherentLabel:
-    """Label of the polarizer-evolved coherent state (u† |v> convention).
-
-    Matches the polarizer exactly: U† on each photon-number sector of the
-    state vector of |v> yields that of this label, with no residual phase.
-    """
-    c, s = math.cos(theta), math.sin(theta)
-    return CoherentLabel(z1=c * v.z1 - 1j * s * v.z2, z2=c * v.z2 - 1j * s * v.z1)
 
 
 def bargmann_triple_coherent(

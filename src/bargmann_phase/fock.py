@@ -44,7 +44,8 @@ bound exceeds the tolerance times |invariant|.
 
 The polarizer's sectors N <= n_max (_polarizer_sectors) are what validate
 checks: each block's unitarity, its spectrum -N, -N+2, ..., N, which
-chain_weights assumes, and the label map on the cut amplitudes. The dense
+chain_weights assumes, and the routes' label map (geomphase._label_map) on
+the cut amplitudes. The dense
 forms on the (n_max+1)^2 box (polarizer_unitary, single_mode_displacement,
 DensityOperator, evolve, triple_product_trace) are off the oracle's path,
 and no command runs them; the tests compare the oracle against them.
@@ -52,7 +53,6 @@ and no command runs them; the tests compare the oracle against them.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -87,9 +87,9 @@ __all__ = [
 # undefined (None) instead of numerical noise.
 UNDEFINED_PHASE_CUTOFF = 1e-12
 
-# Bytes allowed for any one temporary of a grid evaluated in blocks of angles
-# (chain_invariants, and the pairing and printed routes of a sweep, whose
-# blocks are sized by their lists of Python floats).
+# Bytes allowed for any one temporary of a sweep's grid, which
+# geomphase.evolved_grid_results evaluates in blocks of angles: the Fock chain's
+# arrays (chain_invariants) and the other routes' lists of Python floats.
 BLOCK_BYTES = 2 << 20
 
 METHOD_FOCK_ORACLE = "fock_oracle"
@@ -322,7 +322,7 @@ def chain_bound(weights: np.ndarray) -> float:
     return 3.0 * max(0.0, 1.0 - float(weights.sum()))
 
 
-# _chain_block weighs the angle rows (C, S, S, C) of theta1 by (u, -u, -v, -v),
+# chain_invariants weighs the angle rows (C, S, S, C) of theta1 by (u, -u, -v, -v),
 # which this matrix forms from the weights (p_+, p_-)
 _CHAIN_SIGNS = np.array([[1.0, 1.0], [-1.0, -1.0], [-1.0, 1.0], [-1.0, 1.0]])
 _CHAIN_ROWS = np.array([0, 1, 1, 0])
@@ -336,29 +336,9 @@ def _chain_terms(weights: np.ndarray, k: int) -> tuple:
     return float(weights[2 * k]), np.dot(_CHAIN_SIGNS, weights[: 2 * k].reshape(2, k))
 
 
-def _chain_block(w0: float, weighted: np.ndarray, angles1: list, angles2: list) -> list:
-    """The invariants of the reduced angles angles1 x angles2 from _chain_terms, as
-    one list of Python complex numbers per theta1 angle."""
-    b1, k = len(angles1), weighted.shape[1]
-    # one row (cos r sigma, sin r sigma), the real and minus the imaginary part of
-    # e^{-i r sigma}, per angle: theta1's, the zero angle's and theta2's; the zero
-    # angle's row is exactly (1, 0)
-    phase = np.multiply.outer(angles1 + [0.0] + angles2, np.arange(1.0, k + 1))
-    e = np.empty((len(phase), 2, k))
-    e[:, 0], e[:, 1] = np.cos(phase), np.sin(phase)
-    # theta1 rows (u C1, -u S1) and (-v S1, -v C1), the zero angle's last
-    a = e[: b1 + 1, _CHAIN_ROWS] * weighted
-    sums = np.einsum("ipk,jk->ipj", a.reshape(b1 + 1, 2, 2 * k), e[b1:].reshape(-1, 2 * k))
-    # f[i][1 + j] is f12 of the block's angles, f[i][0] is f1, f[-1][1 + j] is f2
-    f = [[complex(w0 + x, y) for x, y in zip(xs, ys)] for xs, ys in sums.tolist()]
-    f2 = f[-1][1:]
-    return [[row[0] * b * c.conjugate() for b, c in zip(f2, row[1:])] for row in f[:-1]]
-
-
-def chain_invariants(
-    weights: np.ndarray, thetas1, thetas2, dim: TruncationDim
-) -> np.ndarray:
-    """chain_invariant over the grid thetas1 x thetas2, as an (n1, n2) array.
+def chain_invariants(weights: np.ndarray, thetas1, thetas2, dim: TruncationDim) -> list:
+    """chain_invariant over the grid thetas1 x thetas2, as a list of Python complex
+    numbers in row-major order (theta2 fastest).
 
     With u = p_+ + p_- and v = p_+ - p_- over sigma = 1..n_max,
     f(t) = p_0 + u·C - i v·S with (C, S) = (cos t sigma, sin t sigma), one
@@ -369,23 +349,32 @@ def chain_invariants(
     (C2, S2) gives every f12; the zero angle, (C, S) = (1, 0), on each side
     gives f1 and f2 in the same einsum.
 
-    The grid goes in blocks of angles (_chain_block) so that no temporary
-    exceeds BLOCK_BYTES. A point's sums do not depend on the block around it,
-    and the products of the three complex factors are Python's, one point at a
-    time (numpy's complex product fuses in some of its loops and not in others),
-    so a 1 x 1 grid gives the same bits as any grid.
+    The grid is evaluated as one block. Its temporaries are the (n1 + 1, 4, n_max)
+    weighted theta1 rows, the (n1 + 1 + n2, 2, n_max) angle rows and the
+    (n1 + 1, 2, n2 + 1) sums, at 8 bytes an entry; geomphase.evolved_grid_results
+    sizes its blocks of a sweep's grid so that none exceeds BLOCK_BYTES. A
+    point's sums do not depend on the grid around it, and the products of the
+    three complex factors are Python's, one point at a time (numpy's complex
+    product fuses in some of its loops and not in others), so a 1 x 1 grid gives
+    the same bits as any grid.
     """
     k = dim.n_max
     w0, weighted = _chain_terms(weights, k)
-    r1, r2 = ([_reduced_angle(t) for t in thetas] for thetas in (thetas1, thetas2))
-    # theta1 rows of the (rows + 1, 4, k) weighted rows, and theta2 rows of the
-    # (rows + 1 + cols, 2, k) angle rows and the (rows + 1, 2, cols + 1) sums
-    rows = max(1, BLOCK_BYTES // (32 * k) - 1)
-    cols = max(1, min(BLOCK_BYTES // (16 * k) - rows - 1, BLOCK_BYTES // (16 * rows + 16) - 1))
-    out = np.empty((len(r1), len(r2)), dtype=complex)
-    for i, j in itertools.product(range(0, len(r1), rows), range(0, len(r2), cols)):
-        out[i : i + rows, j : j + cols] = _chain_block(w0, weighted, r1[i : i + rows], r2[j : j + cols])
-    return out
+    angles1, angles2 = ([_reduced_angle(t) for t in thetas] for thetas in (thetas1, thetas2))
+    b1 = len(angles1)
+    # one row (cos r sigma, sin r sigma), the real and minus the imaginary part of
+    # e^{-i r sigma}, per angle: theta1's, the zero angle's and theta2's; the zero
+    # angle's row is exactly (1, 0)
+    phase = np.multiply.outer(angles1 + [0.0] + angles2, np.arange(1.0, k + 1))
+    e = np.empty((len(phase), 2, k))
+    e[:, 0], e[:, 1] = np.cos(phase), np.sin(phase)
+    # theta1 rows (u C1, -u S1) and (-v S1, -v C1), the zero angle's last
+    a = e[: b1 + 1, _CHAIN_ROWS] * weighted
+    sums = np.einsum("ipk,jk->ipj", a.reshape(b1 + 1, 2, 2 * k), e[b1:].reshape(-1, 2 * k))
+    # f[i][1 + j] is f12 of the grid's angles, f[i][0] is f1, f[-1][1 + j] is f2
+    f = [[complex(w0 + x, y) for x, y in zip(xs, ys)] for xs, ys in sums.tolist()]
+    f2 = f[-1][1:]
+    return [row[0] * b * c.conjugate() for row in f[:-1] for b, c in zip(f2, row[1:])]
 
 
 def chain_invariant(
@@ -398,11 +387,9 @@ def chain_invariant(
     f(theta1) f(theta2) conj f(theta1 + theta2) with
     f(theta) = <psi1|e^{-i theta G}|psi1> = sum_k p_k e^{-i theta k}
     = p_0 + sum_{k > 0} (p_k e + p_-k conj e), e = e^{-i theta k}. This is the
-    1 x 1 grid of chain_invariants, one block of one point. Its bound is
-    chain_bound(weights).
+    1 x 1 grid of chain_invariants. Its bound is chain_bound(weights).
     """
-    angles = [_reduced_angle(theta1)], [_reduced_angle(theta2)]
-    invariant = _chain_block(*_chain_terms(weights, dim.n_max), *angles)[0][0]
+    invariant = chain_invariants(weights, [theta1], [theta2], dim)[0]
     return phase_result(invariant, METHOD_FOCK_ORACLE, bound=chain_bound(weights))
 
 
@@ -481,7 +468,7 @@ def evolve(rho: DensityOperator, u: np.ndarray, *, unitarity_tol: float = 1e-10)
     """Heisenberg-convention update rho -> u† rho u.
 
     With u = polarizer_unitary(theta), coherent labels transform by the
-    matching label map (see coherent.polarizer_label_map).
+    matching label map, the one the routes run (see geomphase._label_map).
     """
     n = rho.dim.dim
     if u.shape != (n, n):

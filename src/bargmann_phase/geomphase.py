@@ -28,6 +28,14 @@ L1 = 1, L2 = M(theta1), L3 = M(theta1) M(theta2) composed into the
 kernel. This is exact; no shape assumption is made about the evolved P
 (the polarizer does not map Fock states to Fock states).
 
+The label map M(theta) = [[c, -i s], [-i s, c]], c = cos theta and
+s = sin theta, is written once, on coordinates (_label_map), and its
+composition once, on the angles' cos and sin (_composed, which forms
+M(theta1) M(theta2) from the factors). The printed and coherent routes read
+a chain's labels z, M(theta1) z and M(theta1) M(theta2) z from them
+(_chain_labels), the pairing reads its edge couplings from the same
+composed cos and sin (_chain_edges), and validate checks both functions.
+
 In Wirtinger coordinates (z, conj z) per slot and mode the kernel is
 exp(conj(z)·B·z) with B = L† W L, a Gaussian with no z-z or zbar-zbar
 part. Every supported state's P is one term (mehta_p_function), a z and
@@ -45,11 +53,11 @@ checks the contraction itself. See docs/derivations.md.
 Below PhaseScenario the routes read coordinates: a vertex is the tuple
 (q1, p1, q2, p2), floats for one scenario and arrays for a grid. A sweep's
 grid shares one initial state and varies only the two angles, so
-evolved_grid_results builds the state's Fock chain weights once, runs the
-Fock chain over the whole grid as fock.chain_invariants, and runs the
-pairing's edges, the labels and the printed form's terms over blocks of the
-grid as real array arithmetic. method_reconciliation then
-reconciles each point from those results. A single scenario's routes run
+evolved_grid_results builds the state's Fock chain weights once and runs the
+Fock chain (fock.chain_invariants), the pairing's edges, the labels and the
+printed form's terms over one schedule of blocks of the grid as real array
+arithmetic. method_reconciliation then reconciles each point from those
+results. A single scenario's routes run
 the same code on a grid of one or on floats, so a grid point and a fresh
 scenario give the same bits.
 """
@@ -366,16 +374,20 @@ def _coherent_result(a, b, c) -> PhaseResult:
         *(CoherentLabel(complex(q1, p1), complex(q2, p2)) for q1, p1, q2, p2 in (a, b, c)))
 
 
+def _label_map(v: tuple, c, s) -> tuple:
+    """M(theta) v for a vertex v = (q1, p1, q2, p2), c = cos theta and s = sin theta:
+    the label of U(theta)† |v>. M = [[c, -i s], [-i s, c]] maps z1 = q1 + i p1 to
+    c z1 - i s z2 and z2 to c z2 - i s z1, which in coordinates is below. c and s
+    are floats or arrays."""
+    q1, p1, q2, p2 = v
+    return (c * q1 + s * p2, c * p1 - s * q2, c * q2 + s * p1, c * p2 - s * q1)
+
+
 def _chain_labels(a: tuple, trig: tuple) -> tuple:
     """The labels M(theta1) a and M(theta1) M(theta2) a of a _chain_trig grid, as
-    (q1, p1, q2, p2) arrays of shapes (n1, 1) and (n1, n2). M = [[c, -i s], [-i s, c]]
-    maps z1 = q1 + i p1 to c z1 - i s z2, which in coordinates is below."""
-    q1, p1, q2, p2 = a
-
-    def mapped(c, s):
-        return (c * q1 + s * p2, c * p1 - s * q2, c * q2 + s * p1, c * p2 - s * q1)
-
-    return mapped(*trig[:2]), mapped(*trig[4:])
+    (q1, p1, q2, p2) arrays of shapes (n1, 1) and (n1, n2), or of _single_trig
+    floats."""
+    return _label_map(a, *trig[:2]), _label_map(a, *trig[4:])
 
 
 # ---------------------------------------------------------------------------
@@ -579,31 +591,31 @@ def evolved_grid_results(state: StateSpec, thetas1, thetas2, dim: TruncationDim)
     state over the grid thetas1 x thetas2, one dict per point in row-major order
     (theta2 fastest).
 
-    The Fock route runs once over the whole grid (chain_invariants, which keeps
-    its temporaries under fock.BLOCK_BYTES); its result is 16 bytes a point. The
-    other routes run as arrays over blocks of whole grid rows, or of one row's
+    The routes run as arrays over blocks of whole grid rows, or of one row's
     points when a row alone is too large, with no temporary above
     fock.BLOCK_BYTES; only the pairing's exponentials and last products, the
-    arctans, the principal branch and the coherent closed form are taken point
-    by point. A point's results have the bits of its PhaseScenario's own routes:
-    those run the same code on a 1 x 1 grid (chain_invariants) or on floats (the
-    pairing's edges, the labels and the printed form's terms).
+    Fock chain's last products, the arctans, the principal branch and the
+    coherent closed form are taken point by point. A point's results have the
+    bits of its PhaseScenario's own routes: those run the same code on a 1 x 1
+    grid (chain_invariants) or on floats (the pairing's edges, the labels and the
+    printed form's terms).
     """
     weights = state.sector_weights(dim)
     bound = chain_bound(weights)
-    fock_grid = chain_invariants(weights, thetas1, thetas2, dim)
     slot = _slot(state)
     a = slot[0]
     coherent = state.occupation == (0, 0)
-    n1, n2 = len(thetas1), len(thetas2)
-    # some 30 lists a point (the pairing's edge values, the printed form's terms,
-    # the labels), at 32 bytes an entry for a Python float and its pointer
-    points = max(1, fock.BLOCK_BYTES // (32 * 32))
-    cols = min(n2, points)
-    rows = max(1, points // cols)
+    n1, n2, k, cap = len(thetas1), len(thetas2), dim.n_max, fock.BLOCK_BYTES
+    # a block of rows x cols points holds some 30 lists of its points (the pairing's
+    # edge values, the printed form's terms, the labels), at 32 bytes an entry for a
+    # Python float and its pointer, and the Fock chain's (rows + 1, 4, k) weighted
+    # rows and (rows + 1 + cols, 2, k) angle rows, at 8 bytes an entry
+    points = max(1, cap // (32 * 32))
+    cols = max(1, min(n2, points, cap // (16 * k) - 2))
+    rows = max(1, min(points // cols, cap // (32 * k) - 1, cap // (16 * k) - 1 - cols))
     for i, j in itertools.product(range(0, n1, rows), range(0, n2, cols)):
         t1, t2 = thetas1[i : i + rows], thetas2[j : j + cols]
-        fock_route = fock_grid[i : i + rows, j : j + cols].ravel().tolist()
+        fock_route = chain_invariants(weights, t1, t2, dim)
         trig = _chain_trig(t1, t2)
         # float arithmetic overflows to inf without a warning; so does this
         with np.errstate(over="ignore", invalid="ignore"):

@@ -6,6 +6,7 @@ inputs produce identical bytes.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import operator
@@ -143,16 +144,7 @@ def validation_document(checks, n_max: int, seed: int) -> dict:
         "n_max": n_max,
         "seed": seed,
         "all_passed": all(c.passed for c in checks),
-        "checks": [
-            {
-                "name": c.name,
-                "passed": c.passed,
-                "value": c.value,
-                "threshold": c.threshold,
-                "detail": c.detail,
-            }
-            for c in checks
-        ],
+        "checks": [dataclasses.asdict(c) for c in checks],
     }
 
 

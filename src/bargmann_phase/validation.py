@@ -85,15 +85,18 @@ def _check_state_purity(dim, rng) -> CheckResult:
 def _check_evolution_label_map(dim, rng) -> CheckResult:
     theta = float(rng.uniform(0, math.pi))
     z1, z2 = (complex(*rng.uniform(-1.0, 1.0, 2)) for _ in range(2))
-    mapped = coherent.polarizer_label_map(theta, coherent.CoherentLabel(z1, z2))
-    amps = fock._number_amplitudes([(z1, 0, z2, 0), (mapped.z1, 0, mapped.z2, 0)], dim.n_max)
+    # the chain's second label, as the routes map it
+    q1, p1, q2, p2 = geomphase._chain_labels((z1.real, z1.imag, z2.real, z2.imag),
+                                             geomphase._single_trig(theta, 0.0))[0]
+    amps = fock._number_amplitudes([(z1, 0, z2, 0), (complex(q1, p1), 0, complex(q2, p2), 0)], dim.n_max)
     worst = 0.0
     for total, (occ1, _, block) in enumerate(fock._polarizer_sectors(theta, dim.n_max, dim.n_max)):
         state, target = amps[:, 0, occ1] * amps[:, 1, total - occ1]
         worst = max(worst, float(np.max(np.abs(block.conj().T @ state - target))))
     return CheckResult.from_defect(
         "evolution_matches_label_map", worst, 1e-10,
-        "U_N† on each sector's cut amplitudes of a coherent state gives those of the mapped label",
+        "U_N† on each sector's cut amplitudes of a coherent state gives those of the "
+        "label the routes map it to",
     )
 
 
@@ -114,13 +117,23 @@ def _check_overlap_identities(dim, rng) -> CheckResult:
 
 
 def _check_label_map_group_law(dim, rng) -> CheckResult:
-    s, t = rng.uniform(-3, 3, 2)
-    ms, mt = coherent.label_map_matrix(float(s)), coherent.label_map_matrix(float(t))
-    comp = coherent.label_map_matrix(float(s + t))
-    worst = float(np.max(np.abs(ms @ mt - comp)))
-    worst = max(worst, float(np.max(np.abs(ms.conj().T @ ms - np.eye(2)))))
+    s, t = (float(x) for x in rng.uniform(-3, 3, 2))
+    trig = geomphase._single_trig(s, t)
+    worst, columns = 0.0, []
+    # the routes' labels of each unit vertex: M(s) v and the composed M(s) M(t) v,
+    # against M(t) then M(s) applied in turn, and against M(s + t)
+    for v in np.eye(4).tolist():
+        first, composed = geomphase._chain_labels(v, trig)
+        in_turn = geomphase._label_map(geomphase._label_map(v, *trig[2:4]), *trig[:2])
+        summed = geomphase._label_map(v, math.cos(s + t), math.sin(s + t))
+        worst = max(worst, *(abs(x - y) for other in (in_turn, summed) for x, y in zip(composed, other)))
+        columns.append(first)
+    # M(s) on (q1, p1, q2, p2) is a real 4x4 matrix, orthogonal where M is unitary
+    m = np.array(columns)
+    worst = max(worst, float(np.max(np.abs(m.T @ m - np.eye(4)))))
     return CheckResult.from_defect(
-        "label_map_group_law", worst, 1e-12, "M(s)M(t) = M(s+t) and M unitary"
+        "label_map_group_law", worst, 1e-12,
+        "the routes' composed label map M(s)M(t) = M(s+t), and M unitary",
     )
 
 

@@ -1,13 +1,14 @@
 """Independent oracles for the test suite.
 
 Everything here is computed by routes the library does not use: explicit
-Fock amplitude series, closed-form (Laguerre) overlaps of displaced number
-states up to two photons and the exact chain invariant built from them, the
-shoelace area formula, plain finite differences, a per-z eigendecomposition
-of the displacement generator, the pairing of P objects in real (q, p)
-coordinates by a derivative recursion, and the general pairing engine of P
-objects against Gaussian test functions in Wirtinger coordinates, with its
-finite-difference check. Library results are compared against these, never
+Fock amplitude series, the polarizer's label map as a complex matrix,
+closed-form (Laguerre) overlaps of displaced number states up to two photons
+and the exact chain invariant built from them, the shoelace area formula,
+plain finite differences, a per-z eigendecomposition of the displacement
+generator, the pairing of P objects in real (q, p) coordinates by a
+derivative recursion, and the general pairing engine of P objects against
+Gaussian test functions in Wirtinger coordinates, with its finite-difference
+check. Library results are compared against these, never
 against other library results.
 
 The one exception is the dense section: it lays the library's own amplitudes
@@ -38,6 +39,14 @@ def transmission_matrix(theta: float) -> np.ndarray:
     theta = 0 pins the mode-coupling generator used by the library."""
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c * c, c * s], [s * c, s * s]])
+
+
+def label_map_matrix(theta: float) -> np.ndarray:
+    """The polarizer's label map as a 2x2 complex matrix,
+    M(theta) = ((cos, -i sin), (-i sin, cos)): U(theta)† |z1, z2> is the coherent
+    state of M(theta) (z1, z2). Unitary, and M(s) M(t) = M(s + t)."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -1j * s], [-1j * s, c]])
 
 
 def coherent_amplitudes(z: complex, n_max: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bargmann_phase
-from bargmann_phase import cli, coherent, fock, geomphase, pdistribution, validation
+from bargmann_phase import cli, fock, geomphase, pdistribution, validation
 from bargmann_phase import io as io_mod
 from bargmann_phase.fock import TruncationDim, TruncationLeakageWarning
 from bargmann_phase.geomphase import PhaseScenario, method_reconciliation
@@ -139,6 +139,16 @@ def test_phase_usage_errors(capsys):
         (("sweep", "--theta1", "a:1:3", "--theta2", "0.1"), "--theta1"),
         (("sweep", "--theta1", "0:1:x", "--theta2", "0.1"), "--theta1"),
         (("sweep", "--theta1", "0.1", "--theta2", "0:1"), "--theta2"),
+        (("phase", "--occupation", "a,b"), "--occupation"),
+        (("phase", "--occupation", "2,0"), "--occupation"),
+        (("sweep", "--occupation", "1"), "--occupation"),
+        (("pfunc", "--occupation", "0,x"), "--occupation"),
+        (("phase", "--centers", "a,0,0,0"), "--centers"),
+        (("phase", "--centers", "0,0,0"), "--centers"),
+        (("sweep", "--centers", "0,0,0,b"), "--centers"),
+        (("pfunc", "--centers", "0,0,0,0,0"), "--centers"),
+        (("sweep", "--centers", "0,0,0,0;1,0,0,0;0,1,0,0"), "--centers"),
+        (("pfunc", "--centers", "0,0,0,0;1,0,0,0;0,1,0,0"), "--centers"),
     ],
 )
 def test_non_finite_input_is_usage_error(capsys, argv, flag):
@@ -679,17 +689,22 @@ def test_validate_pairing_checks_catch_a_perturbed_pairing(monkeypatch, scale_by
         ("sector_eigenvalues", {"polarizer_sector_spectrum"}),
         ("sector_eigenvectors", {"polarizer_unitarity", "evolution_matches_label_map"}),
         ("ladder", {"ladder_commutators"}),
+        ("label_map_composition", {"label_map_group_law"}),
     ],
 )
 def test_validate_sector_checks_catch_a_perturbed_route(monkeypatch, perturb, caught):
     # a relative error of 1e-9 in the kept weights, the sector spectra or bases or
-    # the ladder, or the label map run backwards, fails the checks that read it
+    # the ladder, or the routes' label map run backwards or composed as
+    # M(theta1 - theta2), fails the checks that read it
     if perturb == "chain_weights":
         real_weights = fock.chain_weights
         monkeypatch.setattr(fock, "chain_weights", lambda *a: real_weights(*a) * (1 + 1e-9))
     elif perturb == "label_map_angle_sign":
-        real_map = coherent.polarizer_label_map
-        monkeypatch.setattr(coherent, "polarizer_label_map", lambda t, v: real_map(-t, v))
+        real_map = geomphase._label_map
+        monkeypatch.setattr(geomphase, "_label_map", lambda v, c, s: real_map(v, c, -s))
+    elif perturb == "label_map_composition":
+        monkeypatch.setattr(geomphase, "_composed", lambda c1, s1, c2, s2: (
+            c1, s1, c2, s2, c1 * c2 + s1 * s2, s1 * c2 - c1 * s2))
     elif perturb.startswith("sector_"):
         real_eigh = np.linalg.eigh
         vals_by, vecs_by = (1 + 1e-9, 1.0) if perturb == "sector_eigenvalues" else (1.0, 1 + 1e-9)
@@ -709,6 +724,15 @@ def test_validate_sector_checks_catch_a_perturbed_route(monkeypatch, perturb, ca
         monkeypatch.setattr(fock, "_ladder_table", stretched_table)
     failed = {c.name for c in validation.run_all(n_max=12) if not c.passed}
     assert caught <= failed
+
+
+def test_validate_fails_on_the_routes_label_map_run_backwards(capsys, monkeypatch):
+    # M(-theta) in the map that the printed and coherent routes run
+    real_map = geomphase._label_map
+    monkeypatch.setattr(geomphase, "_label_map", lambda v, c, s: real_map(v, c, -s))
+    code, out, _ = run_cli(capsys, "validate", "--n-max", "18")
+    assert code == 2
+    assert "[FAIL] evolution_matches_label_map" in out
 
 
 def test_validate_rejects_n_max_above_bound(capsys):
@@ -839,6 +863,22 @@ def test_pfunc_from_tampered_document_rejected(tmp_path, capsys):
     code, _, err = run_cli(capsys, "phase", "--from-pfunc", str(path), str(path), str(path))
     assert code == 1
     assert "error" in err
+
+
+def test_pfunc_errors_name_the_file(tmp_path, capsys):
+    # of the three files, the one at fault is named: one that is no JSON, and
+    # one with a malformed field
+    good = tmp_path / "good.json"
+    assert run_cli(capsys, "pfunc", "--occupation", "1,0", "--out", str(good))[0] == 0
+    not_json = tmp_path / "not-json.json"
+    not_json.write_text("not json")
+    bad_terms = tmp_path / "bad-terms.json"
+    bad_terms.write_text(json.dumps({**json.loads(good.read_text()), "terms": 3}))
+    for bad, field in ((not_json, "Expecting value"), (bad_terms, "'terms'")):
+        code, out, err = run_cli(capsys, "phase", "--from-pfunc", str(good), str(bad), str(good))
+        assert (code, out) == (1, "")
+        assert str(bad) in err and field in err
+        assert str(good) not in err
 
 
 def with_first_term(doc, **fields):

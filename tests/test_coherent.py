@@ -5,18 +5,27 @@ import numpy as np
 import pytest
 
 import oracles
-from bargmann_phase.coherent import (
-    CoherentLabel,
-    bargmann_triple_coherent,
-    label_map_matrix,
-    overlap,
-    polarizer_label_map,
-)
+from bargmann_phase import geomphase
+from bargmann_phase.coherent import CoherentLabel, bargmann_triple_coherent, overlap
 
 
 def random_label(rng, scale=0.8):
     re = rng.uniform(-scale, scale, 4)
     return CoherentLabel(z1=complex(re[0], re[1]), z2=complex(re[2], re[3]))
+
+
+def routes_label_map(theta: float, v: CoherentLabel) -> CoherentLabel:
+    """The label map the routes run (geomphase._label_map), on a CoherentLabel."""
+    q1, p1, q2, p2 = geomphase._label_map(
+        (v.z1.real, v.z1.imag, v.z2.real, v.z2.imag), math.cos(theta), math.sin(theta))
+    return CoherentLabel(complex(q1, p1), complex(q2, p2))
+
+
+def routes_label_matrix(theta: float) -> np.ndarray:
+    """The 2x2 complex matrix of the routes' label map, from the labels it gives
+    (1, 0) and (0, 1)."""
+    columns = [routes_label_map(theta, CoherentLabel(*unit)) for unit in ((1 + 0j, 0j), (0j, 1 + 0j))]
+    return np.array([[col.z1 for col in columns], [col.z2 for col in columns]])
 
 
 def test_overlap_matches_truncated_series():
@@ -67,28 +76,28 @@ def test_label_map_matrix_unitary_group_law():
     rng = np.random.default_rng(31)
     for _ in range(10):
         s, t = rng.uniform(-math.pi, math.pi, 2)
-        m = label_map_matrix(s)
+        m = routes_label_matrix(s)
         np.testing.assert_allclose(m.conj().T @ m, np.eye(2), atol=1e-15)
         np.testing.assert_allclose(
-            label_map_matrix(s) @ label_map_matrix(t), label_map_matrix(s + t), atol=1e-15
+            routes_label_matrix(s) @ routes_label_matrix(t), routes_label_matrix(s + t), atol=1e-15
         )
-    np.testing.assert_array_equal(label_map_matrix(0.0), np.eye(2))
+    np.testing.assert_array_equal(routes_label_matrix(0.0), np.eye(2))
 
 
 def test_label_map_is_the_matrix_product_bit_for_bit():
-    # polarizer_label_map applies M(theta) in plain numbers; validate's group-law
-    # check multiplies the matrices, and both give the same labels
+    # the routes apply M(theta) in coordinates; the reference complex matrix
+    # product gives the same labels
     rng = np.random.default_rng(43)
     for _ in range(200):
         v = random_label(rng, scale=50.0)
         theta = float(rng.uniform(-10.0, 10.0))
-        w1, w2 = label_map_matrix(theta) @ np.array([v.z1, v.z2])
-        mapped = polarizer_label_map(theta, v)
+        w1, w2 = oracles.label_map_matrix(theta) @ np.array([v.z1, v.z2])
+        mapped = routes_label_map(theta, v)
         assert (mapped.z1, mapped.z2) == (complex(w1), complex(w2))
 
 
 def test_label_map_half_turn_swaps_with_quadrature_phase():
-    mapped = polarizer_label_map(math.pi / 2, CoherentLabel(1.0, 0.0))
+    mapped = routes_label_map(math.pi / 2, CoherentLabel(1.0, 0.0))
     assert mapped.z1 == pytest.approx(0.0, abs=1e-15)
     assert mapped.z2 == -1j
 
@@ -98,7 +107,7 @@ def test_label_map_conserves_energy():
     for _ in range(10):
         v = random_label(rng)
         theta = rng.uniform(0.0, math.pi)
-        assert polarizer_label_map(theta, v).norm_sq == pytest.approx(v.norm_sq, abs=1e-12)
+        assert routes_label_map(theta, v).norm_sq == pytest.approx(v.norm_sq, abs=1e-12)
 
 
 def test_label_map_preserves_overlaps():
@@ -107,7 +116,7 @@ def test_label_map_preserves_overlaps():
         a, b = random_label(rng), random_label(rng)
         theta = rng.uniform(0.0, math.pi)
         before = overlap(a, b)
-        after = overlap(polarizer_label_map(theta, a), polarizer_label_map(theta, b))
+        after = overlap(routes_label_map(theta, a), routes_label_map(theta, b))
         assert abs(before - after) < 1e-14
 
 

@@ -428,15 +428,16 @@ def test_amplitudes_issue_no_warning():
 
 
 def test_evolve_matches_coherent_label_map():
-    from bargmann_phase.coherent import CoherentLabel, polarizer_label_map
+    from bargmann_phase.geomphase import _label_map
 
     dim = TruncationDim(22)
     z1, z2 = 0.21 - 0.13j, -0.08 + 0.26j
     theta = 0.83
     rho = density_operator(displaced_fock_state(z1, 0, z2, 0, dim), dim)
     evolved = evolve(rho, polarizer_unitary(theta, dim))
-    mapped = polarizer_label_map(theta, CoherentLabel(z1, z2))
-    target_vec = displaced_fock_state(mapped.z1, 0, mapped.z2, 0, dim)
+    # the label the routes map the coherent state to
+    q1, p1, q2, p2 = _label_map((z1.real, z1.imag, z2.real, z2.imag), math.cos(theta), math.sin(theta))
+    target_vec = displaced_fock_state(complex(q1, p1), 0, complex(q2, p2), 0, dim)
     target = density_operator(target_vec, dim)
     assert np.max(np.abs(evolved.matrix - target.matrix)) < 1e-10
     # the vector form carries no residual phase either

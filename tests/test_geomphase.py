@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import oracles
 from bargmann_phase import geomphase
-from bargmann_phase.coherent import label_map_matrix
 from bargmann_phase.fock import (
     TruncationDim,
     TruncationLeakageWarning,
@@ -31,7 +30,7 @@ from bargmann_phase.geomphase import (
     run_reconciliation,
 )
 from bargmann_phase.pdistribution import ORIGIN, PhaseSpacePoint, mehta_p_function
-from oracles import density_operator, displaced_fock_state, triple_overlap
+from oracles import density_operator, displaced_fock_state, label_map_matrix, triple_overlap
 
 
 def spec(occupation, z1, z2):
